@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import PositivePartError, PreconditionError, QuadratureError, SpecParseError
@@ -32,21 +31,6 @@ _EXIT_NUMERICAL = 3
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _thread_cap() -> int:
-    """PPM_THREADS caps worker parallelism (0 = auto).  The current
-    implementation computes sequentially, so the value is validated and
-    recorded but has no effect yet."""
-    raw = os.environ.get("PPM_THREADS", "0")
-    try:
-        cap = int(raw)
-        if cap < 0:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid PPM_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    return cap
 
 
 def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: bool = True):
@@ -199,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -469,14 +469,27 @@ def remainder_transform(spec: DistributionSpec, z: complex, j: int) -> complex:
     return complex(np.asarray(out)[()])
 
 
-def _sin_remainder_vec(spec, t, m: int):
-    """E s_{2m-1}(tX) over an ndarray of positive t (even order p = 2m)."""
+def _trig_remainder_vec(spec, t, m: int, odd: int):
+    """E s_{2m-1}(tX) (odd = 1, even order p = 2m) or E c_{2m-2}(tX)
+    (odd = 0, odd order p = 2m-1) over an ndarray of positive t.
+
+    These are the real projections of the order-(p-1) remainder transform
+    on the imaginary axis, computed in real arithmetic: atom-wise through
+    the stable scalar kernels, from the moments m_{2r+odd} below the series
+    switch, and from the odd (imaginary) or even (real) part of the
+    characteristic function minus its first m terms above it.
+    """
     at = atoms(spec)
     if at is not None and len(at[0]) <= 512:
+        scalar = sin_remainder if odd else cos_remainder
         acc = 0.0
         for x, w in at[0]:
-            acc = acc + w * sin_remainder(t * x, m - 1)
+            acc = acc + w * scalar(t * x, m - 1)
         return acc
+
+    def coef(r):
+        return (-1.0) ** r * raw_moment(spec, 2 * r + odd) / math.factorial(2 * r + odd)
+
     fr = freq_scale(spec)
     tt = np.asarray(t, dtype=float)
     out = np.empty_like(tt)
@@ -485,64 +498,22 @@ def _sin_remainder_vec(spec, t, m: int):
         ts = tt[small]
         t2 = ts * ts
         hi = m + _SERIES_TERMS // 2
-        acc = np.full_like(
-            ts,
-            (-1.0) ** (hi - m) * raw_moment(spec, 2 * hi + 1) / math.factorial(2 * hi + 1),
-        )
+        acc = np.full_like(ts, coef(hi))
         for rp in range(hi - 1, m - 1, -1):
-            acc = acc * t2 + (-1.0) ** (rp - m) * raw_moment(spec, 2 * rp + 1) / math.factorial(2 * rp + 1)
-        out[small] = acc * ts ** (2 * m + 1)
-    big = ~small
-    if big.any():
-        tb = tt[big]
-        phi = _fl_vec(spec, 1j * tb)
-        poly = np.zeros_like(tb)
-        if m >= 1:
-            t2 = tb * tb
-            poly = np.full_like(
-                tb, (-1.0) ** (m - 1) * raw_moment(spec, 2 * m - 1) / math.factorial(2 * m - 1)
-            )
-            for rp in range(m - 2, -1, -1):
-                poly = poly * t2 + (-1.0) ** rp * raw_moment(spec, 2 * rp + 1) / math.factorial(2 * rp + 1)
-            poly = poly * tb
-        out[big] = (-1.0) ** m * (phi.imag - poly)
-    return out
-
-
-def _cos_remainder_vec(spec, t, m: int):
-    """E c_{2m-2}(tX) over an ndarray of positive t (odd order p = 2m-1)."""
-    at = atoms(spec)
-    if at is not None and len(at[0]) <= 512:
-        acc = 0.0
-        for x, w in at[0]:
-            acc = acc + w * cos_remainder(t * x, m - 1)
-        return acc
-    fr = freq_scale(spec)
-    tt = np.asarray(t, dtype=float)
-    out = np.empty_like(tt)
-    small = np.abs(tt) * fr <= 0.5
-    if small.any():
-        ts = tt[small]
-        t2 = ts * ts
-        hi = m + _SERIES_TERMS // 2
-        acc = np.full_like(
-            ts, (-1.0) ** (hi - m) * raw_moment(spec, 2 * hi) / math.factorial(2 * hi)
-        )
-        for rp in range(hi - 1, m - 1, -1):
-            acc = acc * t2 + (-1.0) ** (rp - m) * raw_moment(spec, 2 * rp) / math.factorial(2 * rp)
-        out[small] = acc * ts ** (2 * m)
+            acc = acc * t2 + coef(rp)
+        out[small] = acc * ts ** (2 * m + odd)
     big = ~small
     if big.any():
         tb = tt[big]
         phi = _fl_vec(spec, 1j * tb)
         t2 = tb * tb
-        poly = np.full_like(
-            tb, (-1.0) ** (m - 1) * raw_moment(spec, 2 * m - 2) / math.factorial(2 * m - 2)
-        )
+        poly = np.full_like(tb, coef(m - 1))
         for rp in range(m - 2, -1, -1):
-            poly = poly * t2 + (-1.0) ** rp * raw_moment(spec, 2 * rp) / math.factorial(2 * rp)
-        out[big] = (-1.0) ** m * (phi.real - poly)
-    return out
+            poly = poly * t2 + coef(rp)
+        if odd:
+            poly = poly * tb
+        out[big] = (phi.imag if odd else phi.real) - poly
+    return (-1.0) ** m * out
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,10 @@ from .distributions import (
     raw_moment,
     scale,
     strip,
-    _cos_remainder_vec,
     _fl_vec,
+    _log_fl_vec,
     _remainder_vec,
-    _sin_remainder_vec,
+    _trig_remainder_vec,
 )
 from .errors import (
     MomentMismatch,
@@ -264,53 +264,31 @@ class _Kernel:
     method: str
 
 
-def _moment_poly(spec, mo: MomentOrder, orders, zero_w: float, s: float):
+def _moment_terms(spec, mo: MomentOrder, j: int, s: float):
     entries = []
-    for r in orders:
+    for r in range(j + 1):
         if s == 0.0 and mo.is_integer and (r - mo.k) % 2 == 0:
             continue  # Re[(it)^(r-p-1)] identically zero for this parity
         entries.append((-raw_moment(spec, r) / math.factorial(r), r))
-    if zero_w:
-        entries.append((zero_w, 0))
-    return _merge_poly(entries)
+    return entries
 
 
-def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _Kernel:
-    """Shared construction for the Laplace (s != 0) and complex CF (s = 0)
-    routes; j is the remainder order actually used."""
-    p = mo.p
-    q = p + 1.0
-
-    from .distributions import _log_fl_vec
-
-    if j == -1 and _log_fl_vec(spec, complex(s)) is not None:
-        # transform-only integrand with a single-exp closed form
-        def f(t):
-            z = s + 1j * np.asarray(t, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-                return np.real(np.exp(_log_fl_vec(spec, z) - q * np.log(z)))
-
-    else:
-        def f(t):
-            tt = np.asarray(t, dtype=float)
-            num = _remainder_vec(spec, s + 1j * tt, j)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-                w = inv_power(s, tt, q)
-            return np.real(num * w)
-
-    freq = freq_scale(spec)
-    harmonics, gauss, fallback, zero_w = _structure(spec, s)
-    poly = _moment_poly(spec, mo, range(0, j + 1), zero_w, s)
-    tail = _TailModel(p=p, q=q, s=s, harmonics=harmonics, poly=poly,
+def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
+             alpha: float) -> IntegrandProfile:
+    """Integrand profile for the transform part sum_i sign_i E e^{(s+it)X_i}
+    (``parts`` pairs each sign with its spec) plus the algebraic
+    ``moment_terms`` the route subtracts from it."""
+    harmonics, gauss, fallback, zero_w = [], [], 0.0, 0.0
+    for sign, spec in parts:
+        h, g, fb, zw = _structure(spec, s)
+        harmonics += [(x, sign * w) for x, w in h]
+        gauss += g
+        fallback += fb
+        zero_w += sign * zw
+    poly = _merge_poly(moment_terms + ([(zero_w, 0)] if zero_w else []))
+    tail = _TailModel(p=p, q=p + 1.0, s=s, harmonics=harmonics, poly=poly,
                       gauss=gauss, fallback_K=fallback)
-    head = None
-    alpha = 0.0
-    if s == 0.0:
-        head = _head_rule(spec, mo, _HEAD_FRACTION / freq, mo.ell + 1)
-        # for integer p the would-be t^(ell-p) = 1/t coefficient vanishes by
-        # parity and the integrand extends continuously to 0
-        alpha = mo.ell - p if not mo.is_integer else 0.0
-    profile = IntegrandProfile(
+    return IntegrandProfile(
         alpha=alpha,
         tail_envelope=tail.envelope,
         oscillation_scale=1.0 / freq,
@@ -318,47 +296,51 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _
         head=head,
         max_panel_width=4.0 * math.pi / freq,
     )
-    return _Kernel(f, profile, gamma_p1(p) / math.pi, 0.0, method)
 
 
-def _cf_integer_kernel(spec, mo: MomentOrder) -> _Kernel:
-    """Real sine/cosine-remainder routes for integer p (no complex arithmetic
-    in the integrand)."""
+def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _Kernel:
+    """The kernel of Re[E e_j((s+it)X) / (s+it)^(p+1)] for every
+    single-spec route: Laplace (s > 0), negative strip (s < 0), and the
+    characteristic-function form (s = 0, j = ell) behind ppm_cf, i_p and the
+    improper convergents.
+
+    At s = 0 with integer p the integrand is evaluated as its real
+    sine/cosine-remainder projection, and the kernel carries the E X^k / 2
+    correction that the order-ell remainder leaves out.  For j = -1 a spec
+    whose transform has a single-exp closed form is evaluated as one
+    exponential.
+    """
     p = mo.p
     q = p + 1.0
-    k = mo.k
-    if k % 2 == 0:
-        m = k // 2
+    correction = 0.0
+
+    if s == 0.0 and mo.is_integer:
+        m, odd = divmod(mo.k + 1, 2)
 
         def f(t):
             tt = np.asarray(t, dtype=float)
-            return _sin_remainder_vec(spec, tt, m) / tt**q
+            return _trig_remainder_vec(spec, tt, m, odd) / tt**q
 
-        method = "cf-even"
+        correction = 0.5 * raw_moment(spec, mo.k)
     else:
-        m = (k + 1) // 2
-
         def f(t):
             tt = np.asarray(t, dtype=float)
-            return _cos_remainder_vec(spec, tt, m) / tt**q
-
-        method = "cf-odd"
+            z = s + 1j * tt
+            lg = _log_fl_vec(spec, z) if j == -1 else None
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+                if lg is not None:
+                    return np.real(np.exp(lg - q * np.log(z)))
+                return np.real(_remainder_vec(spec, z, j) * inv_power(s, tt, q))
 
     freq = freq_scale(spec)
-    harmonics, gauss, fallback, zero_w = _structure(spec, 0.0)
-    poly = _moment_poly(spec, mo, range(0, mo.ell + 1), zero_w, 0.0)
-    tail = _TailModel(p=p, q=q, s=0.0, harmonics=harmonics, poly=poly,
-                      gauss=gauss, fallback_K=fallback)
-    head = _head_rule(spec, mo, _HEAD_FRACTION / freq, mo.ell + 1)
-    profile = IntegrandProfile(
-        alpha=0.0,
-        tail_envelope=tail.envelope,
-        oscillation_scale=1.0 / freq,
-        tail_closed_form=tail.closed if tail.has_closed else None,
-        head=head,
-        max_panel_width=4.0 * math.pi / freq,
-    )
-    correction = 0.5 * raw_moment(spec, k)
+    head = None
+    alpha = 0.0
+    if s == 0.0:
+        head = _head_rule(spec, mo, _HEAD_FRACTION / freq, mo.ell + 1)
+        # for integer p the would-be t^(ell-p) = 1/t coefficient vanishes by
+        # parity and the integrand extends continuously to 0
+        alpha = mo.ell - p if not mo.is_integer else 0.0
+    profile = _profile([(1.0, spec)], p, s, _moment_terms(spec, mo, j, s), freq, head, alpha)
     return _Kernel(f, profile, gamma_p1(p) / math.pi, correction, method)
 
 
@@ -375,21 +357,9 @@ def _diff_kernel(spec_x, spec_y, mo: MomentOrder) -> _Kernel:
         return np.real(d * w)
 
     freq = max(freq_scale(spec_x), freq_scale(spec_y))
-    hx, gx, fx, zx = _structure(spec_x, 0.0)
-    hy, gy, fy, zy = _structure(spec_y, 0.0)
-    harmonics = hx + [(x, -g) for x, g in hy]
-    poly = _merge_poly([(zx - zy, 0)]) if (zx or zy) else []
-    tail = _TailModel(p=p, q=q, s=0.0, harmonics=harmonics, poly=poly,
-                      gauss=gx + gy, fallback_K=fx + fy)
     head = _head_rule(spec_x, mo, _HEAD_FRACTION / freq, mo.k + 1, other=spec_y)
-    profile = IntegrandProfile(
-        alpha=mo.k - p if mo.k < p else 0.0,
-        tail_envelope=tail.envelope,
-        oscillation_scale=1.0 / freq,
-        tail_closed_form=tail.closed if tail.has_closed else None,
-        head=head,
-        max_panel_width=4.0 * math.pi / freq,
-    )
+    alpha = mo.k - p if mo.k < p else 0.0
+    profile = _profile([(1.0, spec_x), (-1.0, spec_y)], p, 0.0, [], freq, head, alpha)
     return _Kernel(f, profile, gamma_p1(p) / math.pi, 0.0, "diff")
 
 
@@ -456,10 +426,7 @@ def ppm_cf(spec: DistributionSpec, p: float, rel_tol: float = 1e-9) -> MomentRes
     j = ell and no correction.
     """
     mo = MomentOrder.from_p(p)
-    if mo.is_integer:
-        kernel = _cf_integer_kernel(spec, mo)
-    else:
-        kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
+    kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
     return _run(kernel, spec, p, rel_tol)
 
 
@@ -547,11 +514,7 @@ def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
 
 
 def i_p(p: float, v: float, rel_tol: float = 1e-10) -> float:
-    """I_p(v) = int_v^inf Re[e_ell(-iu) / (iu)^(p+1)] du, p noninteger.
-
-    For p in (0, 1) the integrand simplifies to
-    (sin(pi p/2) - sin(pi p/2 + u)) / u^(p+1) and that real form is used.
-    """
+    """I_p(v) = int_v^inf Re[e_ell(-iu) / (iu)^(p+1)] du, p noninteger."""
     mo = MomentOrder.from_p(p)
     if mo.is_integer:
         raise PreconditionError("I_p is defined for noninteger p only")
@@ -561,17 +524,9 @@ def i_p(p: float, v: float, rel_tol: float = 1e-10) -> float:
 
     minus_one = PointMass(-1.0)
     kernel = _transform_kernel(minus_one, mo, 0.0, mo.ell, "i_p")
-    f = kernel.f
-    if p < 1.0:
-        half_pp = 0.5 * math.pi * p
-
-        def f(t):  # noqa: F811  (simplified closed form, identical values)
-            tt = np.asarray(t, dtype=float)
-            return (math.sin(half_pp) - np.sin(half_pp + tt)) / tt ** (p + 1.0)
-
     target = v ** (-p) * min(v, 1.0) if v > 0.0 else 1.0
     abs_tol = 0.5 * rel_tol * target
-    quad = integrate_halfline(f, kernel.profile, rel_tol, abs_tol=abs_tol, start=v)
+    quad = integrate_halfline(kernel.f, kernel.profile, rel_tol, abs_tol=abs_tol, start=v)
     return quad.value
 
 

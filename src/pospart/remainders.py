@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 
-# Tail series stops once the next term drops below this fraction of the
-# accumulated value; beyond double-precision noise floor.
+# Tail series stop once a term is below this fraction of the leading term at
+# the switch radius; beyond double-precision noise floor.
 _SERIES_STOP = 1e-18
 
 
@@ -83,20 +84,28 @@ def _as_array(z, dtype):
     return arr, arr.ndim == 0
 
 
+@lru_cache(maxsize=None)
+def _series_terms(n0: int, step: int, radius: float) -> int:
+    """Terms after the leading one that sum_r x^(n0 + step r) / (n0 + step r)!
+    takes for |x| <= radius, through the first one below _SERIES_STOP times
+    the leading term; the terms left out shrink at least geometrically."""
+    ratio, n, count = 1.0, n0, 0
+    while ratio > _SERIES_STOP:
+        for _ in range(step):
+            n += 1
+            ratio *= radius / n
+        count += 1
+    return count
+
+
 def _exp_tail_series(z: np.ndarray, m: int) -> np.ndarray:
-    # sum_{j >= m+1} z^j / j!, converging for every z; callers only pass
-    # |z| <= switch radius so ~30 terms suffice.
+    # sum_{j >= m+1} z^j / j!; callers only pass |z| <= switch radius
     term = z ** (m + 1) / math.factorial(m + 1)
     acc = term.copy()
-    j = m + 2
-    while True:
+    for j in range(m + 2, m + 2 + _series_terms(m + 1, 1, switch_radius(m))):
         term = term * z / j
         acc = acc + term
-        if np.max(np.abs(term)) <= _SERIES_STOP * max(np.max(np.abs(acc)), 1e-300):
-            return acc
-        j += 1
-        if j > m + 500:  # unreachable for |z| within the switch radius
-            return acc
+    return acc
 
 
 def _exp_taylor_poly(z: np.ndarray, m: int) -> np.ndarray:
@@ -131,19 +140,15 @@ def exp_remainder(z, m: int):
     return complex(out[()]) if scalar else out
 
 
-def _alternating_tail(x2: np.ndarray, lead: np.ndarray, n0: int) -> np.ndarray:
-    # sum_{r>=0} (-1)^r x^(n0 + 2r) / (n0 + 2r)! given the leading term.
+def _alternating_tail(x2: np.ndarray, lead: np.ndarray, n0: int, radius: float) -> np.ndarray:
+    # sum_{r>=0} (-1)^r x^(n0 + 2r) / (n0 + 2r)! given the leading term, for
+    # |x| <= radius
     term = lead.copy()
     acc = lead.copy()
-    n = n0
-    while True:
+    for n in range(n0, n0 + 2 * _series_terms(n0, 2, radius), 2):
         term = -term * x2 / ((n + 1) * (n + 2))
         acc = acc + term
-        n += 2
-        if np.max(np.abs(term)) <= _SERIES_STOP * max(np.max(np.abs(acc)), 1e-300):
-            return acc
-        if n > n0 + 1000:
-            return acc
+    return acc
 
 
 def cos_remainder(x, m: int):
@@ -164,7 +169,7 @@ def cos_remainder(x, m: int):
             xs = xx[small]
             n0 = 2 * m + 2
             lead = xs**n0 / math.factorial(n0)
-            out[small] = _alternating_tail(xs * xs, lead, n0)
+            out[small] = _alternating_tail(xs * xs, lead, n0, switch_radius(m))
         big = ~small
         if big.any():
             xb = xx[big]
@@ -193,7 +198,7 @@ def sin_remainder(x, m: int):
             xs = xx[small]
             n0 = 2 * m + 3
             lead = xs**n0 / math.factorial(n0)
-            out[small] = _alternating_tail(xs * xs, lead, n0)
+            out[small] = _alternating_tail(xs * xs, lead, n0, switch_radius(m))
         big = ~small
         if big.any():
             xb = xx[big]

@@ -112,16 +112,6 @@ def test_validate_quick_deterministic(capsys):
     assert out1 == out2
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("PPM_THREADS", "junk")
-    code, out, err = run_cli(capsys, "moment", "--dist", "point(1)", "--p", "1")
-    assert code == 0
-    assert "PPM_THREADS" in err
-    monkeypatch.setenv("PPM_THREADS", "4")
-    code, _, err = run_cli(capsys, "moment", "--dist", "point(1)", "--p", "1")
-    assert code == 0 and "PPM_THREADS" not in err
-
-
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run_cli(capsys, "moment", "--dist", "point(1)", "--p", "1",
                          "--bogus", "3")

@@ -12,13 +12,13 @@ from pospart.distributions import (
     PointMass,
     Shift,
     raw_moment,
+    _remainder_vec,
 )
 from pospart.errors import MomentMismatch, PreconditionError
 from pospart.moments import (
     MomentOrder,
     MomentRequest,
     _by_parts,
-    _cf_integer_kernel,
     _power_tail,
     _transform_kernel,
     gamma_p1,
@@ -32,6 +32,7 @@ from pospart.moments import (
     ppm_negative_s,
 )
 from pospart.quadrature import integrate_halfline
+from pospart.remainders import inv_power
 
 ETA = Shift(
     IndependentSum(Normal(0.0, 0.75), CenteredScaledPoisson(0.25, 1.0)), -0.8
@@ -84,10 +85,7 @@ def test_tail_model_consistency_atomic(spec, p):
     # the profile's closed-form tail must equal the actual integral of the
     # route integrand over (T1, T2) up to the by-parts remainder bounds
     mo = MomentOrder.from_p(p)
-    if mo.is_integer:
-        kern = _cf_integer_kernel(spec, mo)
-    else:
-        kern = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
+    kern = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
     cf = kern.profile.tail_closed_form
     env = kern.profile.tail_envelope
     t1, t2 = 40.0, 4000.0
@@ -183,12 +181,12 @@ def test_cf_nonnegative_within_budget():
 def test_integer_cf_real_path_equals_complex_path():
     # the real sine/cosine specialisations against the complex evaluation
     for spec in (PointMass(1.3), Normal(0.4, 0.6), ETA):
-        for p in (1.0, 2.0, 3.0, 4.0):
+        for p in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
             mo = MomentOrder.from_p(p)
-            real_k = _cf_integer_kernel(spec, mo)
-            cplx_k = _transform_kernel(spec, mo, 0.0, mo.ell, "cf-complex")
+            real_k = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
             t = np.array([0.05, 0.4, 1.7, 6.3, 21.0])
-            assert np.allclose(real_k.f(t), cplx_k.f(t), rtol=1e-10, atol=1e-13)
+            cplx = np.real(_remainder_vec(spec, 1j * t, mo.ell) * inv_power(0.0, t, p + 1.0))
+            assert np.allclose(real_k.f(t), cplx, rtol=1e-10, atol=1e-13)
 
 
 def test_j_invariance_on_the_line():
@@ -288,8 +286,8 @@ def test_ip_positivity_and_lower_bound():
 
 
 def test_ip_simplified_form_is_used_consistently():
-    # p < 1 runs the simplified real integrand; it must agree with the
-    # complex-kernel evaluation through the shared profile
+    # for p < 1 the I_p integrand has the real closed form
+    # (sin(pi p/2) - sin(pi p/2 + t)) / t^(p+1); the kernel must match it
     p = 0.5
     mo = MomentOrder.from_p(p)
     kern = _transform_kernel(PointMass(-1.0), mo, 0.0, mo.ell, "cf")

@@ -38,22 +38,40 @@ def test_sine_remainder_small_argument():
     assert sin_remainder(0.1, 0) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("m", range(0, 7))
+@pytest.mark.parametrize("m", range(0, 9))
 def test_relative_accuracy_against_high_precision(m):
     # mpmath-free oracle: evaluate the tail series in extended precision via
-    # fractions of factorials at modest |z| and by direct formula at large |z|
+    # fractions of factorials (complex z as a pair of Decimals) at modest |z|
+    # and on the switch-radius circle, and by direct formula at large |z|
     from decimal import Decimal, getcontext
 
     getcontext().prec = 60
-    for z in (0.3, -0.4, 2.0, -7.0, 25.0, 49.0):
-        term = Decimal(z) ** (m + 1) / math.factorial(m + 1)
-        acc = term
-        for j in range(m + 2, m + 220):
-            term = term * Decimal(z) / j
-            acc += term
-        want = float(acc)
-        got = exp_remainder(z, m).real
-        assert got == pytest.approx(want, rel=1e-13)
+
+    def tail(z, n0, step, sign):
+        # sum_r sign^r z^(n0 + step r) / (n0 + step r)! for complex z
+        zr, zi = Decimal(z.real), Decimal(z.imag)
+        re, im = Decimal(1), Decimal(0)
+        for _ in range(n0):
+            re, im = re * zr - im * zi, re * zi + im * zr
+        re, im = re / math.factorial(n0), im / math.factorial(n0)
+        acc_re, acc_im = re, im
+        for n in range(n0 + step, n0 + 220, step):
+            for k in range(n - step + 1, n + 1):
+                re, im = (re * zr - im * zi) / k, (re * zi + im * zr) / k
+            re, im = sign * re, sign * im
+            acc_re, acc_im = acc_re + re, acc_im + im
+        return complex(float(acc_re), float(acc_im))
+
+    radius = switch_radius(m)
+    zs = [0.3, -0.4, 2.0, -7.0, 25.0, 49.0, 1e-6, 1e-6j]
+    zs += [radius * complex(math.cos(phase), math.sin(phase))
+           for phase in (0.0, 0.7, 1.6, 2.1, math.pi, 3.9, 5.2)]
+    for z in zs:
+        want = tail(complex(z), m + 1, 1, 1)
+        assert exp_remainder(z, m) == pytest.approx(want, rel=1e-13)
+    for x in (1e-6, 0.3 * radius, -0.8 * radius, radius, -radius):
+        assert cos_remainder(x, m) == pytest.approx(tail(x, 2 * m + 2, 2, -1).real, rel=1e-13)
+        assert sin_remainder(x, m) == pytest.approx(tail(x, 2 * m + 3, 2, -1).real, rel=1e-13)
 
 
 @given(
