@@ -111,8 +111,7 @@ def _cmd_curve(args) -> int:
     try:
         problem = TailBoundProblem(args.sigma, args.y, args.eps)
         rows = pin_curve(problem, args.x_min, args.x_max, args.steps,
-                         rel_tol=args.rel_tol, tol_x=args.tol_x,
-                         warm_start=not args.no_warm_start)
+                         rel_tol=args.rel_tol, tol_x=args.tol_x)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -168,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--x-min", dest="x_min", type=float, required=True)
             cmd.add_argument("--x-max", dest="x_max", type=float, required=True)
             cmd.add_argument("--steps", type=int, required=True)
-            cmd.add_argument("--no-warm-start", action="store_true")
         cmd.add_argument("--tol-x", dest="tol_x", type=float, default=1e-9)
         cmd.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -85,12 +85,12 @@ class DegenerateMoment(PositivePartError):
 
 
 class BracketFailure(PositivePartError):
-    """Root bracketing did not find a sign change."""
+    """m(t) - x keeps one sign on the whole range where a root could lie."""
 
     def __init__(self, lo: float, hi: float, m_lo: float, m_hi: float):
         super().__init__(
-            "no sign change after 60 bracket expansions: "
-            f"m({lo!r}) = {m_lo!r}, m({hi!r}) = {m_hi!r}"
+            "no root of m(t) = x: m(t) - x keeps one sign on "
+            f"[{lo!r}, {hi!r}], m({lo!r}) = {m_lo!r}, m({hi!r}) = {m_hi!r}"
         )
         self.bracket = (lo, hi)
         self.values = (m_lo, m_hi)

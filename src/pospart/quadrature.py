@@ -158,34 +158,49 @@ class _State:
         n = len(panels)
         if self.evaluations + 15 * n > self.max_evals:
             raise _CapHit()
-        a = np.array([p.a for p in panels])
-        b = np.array([p.b for p in panels])
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        pts = mid[:, None] + half[:, None] * _NODES[None, :]
+        pts, half = gk15_nodes(np.array([p.a for p in panels]), np.array([p.b for p in panels]))
         y = np.asarray(self.f(pts.ravel()), dtype=float).reshape(n, 15)
         self.evaluations += 15 * n
         if not np.all(np.isfinite(y)):
             bad = np.argwhere(~np.isfinite(y))[0]
             raise NonFiniteIntegrand(float(pts[bad[0], bad[1]]))
-        k = half * (y @ _WEIGHTS_K)
-        g = half * (y @ _WEIGHTS_G)
-        resabs = half * (np.abs(y) @ _WEIGHTS_K)
-        mean = k / (2.0 * half)
-        resasc = half * (np.abs(y - mean[:, None]) @ _WEIGHTS_K)
-        raw = np.abs(k - g)
-        # scaled estimate in the Kronrod tradition: the raw Gauss/Kronrod gap
-        # measures the 7-point error, which the 15-point rule beats by a wide
-        # margin on resolved panels
-        err = raw.copy()
-        ok = (resasc > 0.0) & (raw > 0.0)
-        err[ok] = resasc[ok] * np.minimum(1.0, (200.0 * raw[ok] / resasc[ok]) ** 1.5)
-        err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+        k, err = gk15_reduce(y, half)
         for i, p in enumerate(panels):
             p.val = float(k[i])
             p.err = float(err[i])
         if keep_first:
             self.first_panel_peak = (pts[0], np.abs(y[0]))
+
+
+def gk15_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes of each panel (a_i, b_i), shape (n, 15), and the
+    panels' half-widths."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return mid[:, None] + half[:, None] * _NODES[None, :], half
+
+
+def gk15_reduce(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of panels from their node values.
+
+    y has shape (n, 15), one row per panel, half the n half-widths.  The
+    error starts from the Gauss/Kronrod gap and is scaled in the QUADPACK
+    way, resasc * min(1, (200 gap / resasc)^1.5), with a floor of
+    50 eps resabs for rounding.
+    """
+    k = half * (y @ _WEIGHTS_K)
+    g = half * (y @ _WEIGHTS_G)
+    resabs = half * (np.abs(y) @ _WEIGHTS_K)
+    mean = k / (2.0 * half)
+    resasc = half * (np.abs(y - mean[:, None]) @ _WEIGHTS_K)
+    raw = np.abs(k - g)
+    # scaled estimate in the Kronrod tradition: the raw Gauss/Kronrod gap
+    # measures the 7-point error, which the 15-point rule beats by a wide
+    # margin on resolved panels
+    err = raw.copy()
+    ok = (resasc > 0.0) & (raw > 0.0)
+    err[ok] = resasc[ok] * np.minimum(1.0, (200.0 * raw[ok] / resasc[ok]) ** 1.5)
+    return k, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
 class _CapHit(Exception):

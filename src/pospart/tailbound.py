@@ -14,15 +14,25 @@ x is
 
 where t_x is the root of m(t) := t + E(eta-t)_+^3 / E(eta-t)_+^2 = x.
 
-Moments default to the vertical-line route at s* = min(1/y, 2/sigma), which
+Moments come from the vertical-line route at s* = min(1/y, 2/sigma), which
 keeps e^{s y} moderate while the transform still decays like a Gaussian in
 the integration variable; for strongly negative t the line moves inward so
-exp(-s t) cannot dwarf the result, and the characteristic-function route is
-the fallback when the transform magnitude becomes extreme.  Below the
-support's effective left edge (the Poisson floor minus thirty Gaussian
-standard deviations) the positive part equals the variable itself, so raw
-moments apply exactly; that switch keeps the x -> 0 end of a bound curve
-exact and fast.
+exp(-s t) cannot dwarf the result.  Below the support's effective left edge
+(the Poisson floor minus thirty Gaussian standard deviations) the positive
+part equals the variable itself, so raw moments apply exactly; that switch
+keeps the x -> 0 end of a bound curve exact and fast.
+
+Every order p shares the factor exp(0.5 a z^2 + lam e_1(z y) - z t) of the
+line integrand; only z^-(p+1) changes.  The batched engine (_eta_moments)
+therefore evaluates that factor once per (t, node) cell on a Gauss-Kronrod
+grid shared by all levels of similar oscillation scale, and reads off
+E(eta-t)_+^p for p = 1, 2, 3 together.  The paper's identity
+d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
+m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass, so the solver runs a
+bracketed Newton iteration on all levels of a curve at once.  A level whose
+grid error misses its budget, or whose transform magnitude is extreme, takes
+the adaptive single-t route (_moments23, with the characteristic-function
+fallback) instead.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from .distributions import (
 )
 from .errors import BracketFailure, DegenerateMoment, PositivePartError, PreconditionError
 from .moments import gamma_p1, ppm_cf
-from .quadrature import IntegrandProfile, integrate_halfline
+from .quadrature import IntegrandProfile, gk15_nodes, gk15_reduce, integrate_halfline
 from .remainders import exp_remainder
 
 __all__ = [
@@ -60,21 +70,34 @@ _FAR_LEFT_Z = 30.0        # Gaussian z-score beyond which (eta-t) > 0 in effect
 _RIGHT_GUARD_SIGMAS = 40.0
 _TRANSFORM_GUARD = 230.0  # log of the 1e100 transform-magnitude fallback
 _NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
+_ORDERS = (1.0, 2.0, 3.0)
+_PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
+# (t, node) cells per work block of the engine: memory stays bounded however
+# many levels a pass holds.  One level's grid must fit in one block; longer
+# grids (large Poisson rates) take the adaptive route, which is no slower
+# there
+_BLOCK_CELLS = 1 << 16
+_MAX_GRID_PANELS = _BLOCK_CELLS // 15
+# bisection alone narrows [edge, x] to 1e-14 relative width in about 60
+# passes; Newton passes only shorten that
+_MAX_PASSES = 200
+# panel width near u = 0 as a share of the distance to the pole at u = i s
+_GRADE = 0.25
 
 
 @dataclass(frozen=True)
 class TailBoundProblem:
-    """(sigma, y, eps) with sigma, y > 0 and 0 < eps < 1."""
+    """(sigma, y, eps) with finite sigma, y > 0 and 0 < eps < 1."""
 
     sigma: float
     y: float
     eps: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise PreconditionError("sigma must be positive")
-        if not self.y > 0.0:
-            raise PreconditionError("y must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise PreconditionError("sigma must be positive and finite")
+        if not 0.0 < self.y < math.inf:
+            raise PreconditionError("y must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise PreconditionError("eps must be in (0, 1)")
 
@@ -108,24 +131,53 @@ def eta_spec(problem: TailBoundProblem, t: float) -> DistributionSpec:
     )
 
 
-def _log_transform_at(problem: TailBoundProblem, t: float, s: float) -> float:
+def _log_transform_at(problem: TailBoundProblem, t, s):
+    """log E e^{s(eta - t)} for real s with s y <= 1; t and s may be arrays."""
     sy = s * problem.y
-    e1 = math.expm1(sy) - sy if abs(sy) < 700 else math.inf
     return (
         -s * t
         + 0.5 * s * s * (1.0 - problem.eps) * problem.sigma**2
-        + problem.lam * e1
+        + problem.lam * (np.expm1(sy) - sy)
     )
+
+
+def _line(problem: TailBoundProblem, t):
+    """The line offset s(t) = min(1/y, 2/sigma), moved inward to 6/|t| for
+    t < -sigma so exp(-s t) cannot dwarf the result; the line choice only
+    moves the contour, not the value.  t may be an array."""
+    s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
+    # below -sigma the cap 6/|t| applies; above it 6/sigma exceeds s_star
+    return np.minimum(s_star, _NEG_T_EXPONENT_CAP / np.maximum(-t, problem.sigma))
+
+
+def _basis(problem: TailBoundProblem, t, p):
+    """Scale of E(eta-t)_+^p that sets the absolute part of its budget."""
+    return 1.0 + np.maximum(problem.sigma, np.abs(t)) ** p
+
+
+def _envelope(a: float, K, T, q):
+    """Bound on the line integrand's tail beyond T for the order q = p + 1,
+    on arrays: K = e^{log transform} times the smaller of the Gaussian-Mills
+    bound T^-q e^{-a T^2/2} / (a T) and the algebraic bound T^(1-q) / (q-1)."""
+    mills = np.exp(-0.5 * a * T * T) / (a * T)
+    return K * np.minimum(T**-q * mills, T ** (1.0 - q) / (q - 1.0))
+
+
+def _frequency(problem: TailBoundProblem, t):
+    """Dominant oscillation frequency of the line integrand in u."""
+    a = (1.0 - problem.eps) * problem.sigma**2
+    lam, y = problem.lam, problem.y
+    return np.abs(t) + math.sqrt(a) + 2.0 * lam * y + 10.0 * y * math.sqrt(lam)
 
 
 def _eta_laplace_moment(problem: TailBoundProblem, t: float, s: float, p: float,
                         rel_tol: float) -> float:
     """E(eta - t)_+^p on the vertical line at s, with the transform fused
-    into a single exponential.
+    into a single exponential, by adaptive quadrature.
 
     Same mathematics as ppm_laplace(eta_spec(problem, t), p, s, -1) and
     cross-checked against it in the tests; this form skips the per-call
-    kernel assembly, which dominates a bound-curve sweep.
+    kernel assembly.
     """
     a = (1.0 - problem.eps) * problem.sigma**2
     lam, y = problem.lam, problem.y
@@ -140,19 +192,20 @@ def _eta_laplace_moment(problem: TailBoundProblem, t: float, s: float, p: float,
     K = math.exp(_log_transform_at(problem, t, s))
 
     def envelope(T):
+        # _envelope in scalar arithmetic: the integrator calls it per point
         slow = T ** (1.0 - q) / (q - 1.0)
         arg = 0.5 * a * T * T
         mills = math.exp(-arg) / (a * T) if arg < 700.0 else 0.0
         return K * min(T**-q * mills, slow)
 
-    freq = abs(t) + math.sqrt(a) + 2.0 * lam * y + 10.0 * y * math.sqrt(lam)
+    freq = float(_frequency(problem, t))
     profile = IntegrandProfile(
         0.0, envelope, oscillation_scale=1.0 / freq,
         max_panel_width=4.0 * math.pi / freq,
     )
     pref = gamma_p1(p) / math.pi
-    basis = 1.0 + max(problem.sigma, abs(t)) ** p
-    quad = integrate_halfline(f, profile, rel_tol, abs_tol=rel_tol * basis / pref * 0.5)
+    quad = integrate_halfline(f, profile, rel_tol,
+                              abs_tol=rel_tol * _basis(problem, t, p) / pref * 0.5)
     return pref * quad.value
 
 
@@ -163,37 +216,43 @@ def _far_left_edge(problem: TailBoundProblem) -> float:
     return -(problem.lam * problem.y + _FAR_LEFT_Z * gauss_sd)
 
 
-def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
-    """(mu2, mu3, m(t)) for eta - t.
+def _eta_m3(problem: TailBoundProblem) -> float:
+    """E eta^3."""
+    return raw_moment(
+        IndependentSum(
+            Normal(0.0, (1.0 - problem.eps) * (problem.sigma * problem.sigma)),
+            CenteredScaledPoisson(problem.lam, problem.y),
+        ),
+        3,
+    )
 
-    Below the support's effective left edge the positive part equals the
-    variable itself, so raw moments are exact and m(t) collapses to the
-    cancellation-free closed form (m3 - 2 sigma^2 t) / (t^2 + sigma^2).
+
+def _far_left(problem: TailBoundProblem, t):
+    """(mu1, mu2, mu3, m) at or below the far-left edge, where (eta-t)_+ is
+    eta - t itself: raw moments, and m(t) in the cancellation-free form
+    (m3 - 2 sigma^2 t) / (t^2 + sigma^2).  t may be an array."""
+    var = problem.sigma * problem.sigma
+    m3 = _eta_m3(problem)
+    mu2 = t * t + var
+    return -t, mu2, m3 - 3.0 * var * t - t**3, (m3 - 2.0 * var * t) / mu2
+
+
+def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
+    """(mu2, mu3, m(t)) for eta - t by the adaptive single-t route.
+
+    Below the support's effective left edge the raw moments are exact.  The
+    characteristic-function route takes over where the transform magnitude
+    on the line becomes extreme.
     """
-    sigma = problem.sigma
-    var = sigma * sigma
     if t <= _far_left_edge(problem):
-        m3 = raw_moment(
-            IndependentSum(
-                Normal(0.0, (1.0 - problem.eps) * var),
-                CenteredScaledPoisson(problem.lam, problem.y),
-            ),
-            3,
-        )
-        mu2 = t * t + var
-        mu3 = m3 - 3.0 * var * t - t**3
-        return mu2, mu3, (m3 - 2.0 * var * t) / mu2
-    if t >= _RIGHT_GUARD_SIGMAS * sigma:
+        return _far_left(problem, t)[1:]
+    if t >= _RIGHT_GUARD_SIGMAS * problem.sigma:
         raise DegenerateMoment(t)
-    s_star = min(1.0 / problem.y, 2.0 / sigma)
-    if t < -sigma:
-        # keep exp(-s t) from dwarfing the result when t is far negative;
-        # the line choice only moves the contour, not the value
-        s_star = min(s_star, _NEG_T_EXPONENT_CAP / (-t))
+    s_star = float(_line(problem, t))
     if _log_transform_at(problem, t, s_star) <= _TRANSFORM_GUARD:
         mu2 = _eta_laplace_moment(problem, t, s_star, 2.0, rel_tol)
         mu3 = _eta_laplace_moment(problem, t, s_star, 3.0, rel_tol)
-        floor = rel_tol * (1.0 + max(sigma, abs(t)) ** 2)
+        floor = rel_tol * _basis(problem, t, 2.0)
     else:
         spec = eta_spec(problem, t)
         r2 = ppm_cf(spec, 2.0, rel_tol)
@@ -210,91 +269,265 @@ def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
     return _moments23(problem, t, rel_tol)[2]
 
 
-def solve_tx(
-    problem: TailBoundProblem,
-    x: float,
-    tol_x: float = 1e-9,
-    rel_tol: Optional[float] = None,
-    bracket_seed: Optional[float] = None,
-    bracket_width: Optional[float] = None,
-) -> float:
-    """The root t_x of m(t) = x, by bracketing plus a secant/bisection hybrid.
+@dataclass
+class _EtaMoments:
+    """Moments of eta - t for a batch of levels t, one column per level.
 
-    m(t) - t is a ratio of positive moments, so m > t everywhere: starting
-    from the seed (x itself when none is given, since m(x) > x) the bracket
-    expands geometrically toward the root until m changes side.  A probe
-    already within tol_x is accepted outright, which handles the x -> 0 end
-    where the root runs off to -infinity while m(t) - x stays one-sided.
+    mu[p-1] is E(eta-t)_+^p and err[p-1] its error bar, for p = 1, 2, 3; m is
+    m(t).  Rows taken by the adaptive fallback carry no error bars (NaN);
+    their mu1 is the grid's, else the adaptive route's, else NaN.  failure
+    holds the PositivePartError a row raised, else None.
+    """
+
+    mu: np.ndarray
+    err: np.ndarray
+    m: np.ndarray
+    failure: list
+
+
+def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
+                  log_k: np.ndarray, rel_tol: float):
+    """mu1..mu3 and their error bars on shared Gauss-Kronrod grids.
+
+    Levels are bucketed by oscillation frequency (within a factor 2); each
+    bucket shares one grid.  Near u = 0 each panel spans a quarter of its
+    left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
+    the bucket); the widths grow until they reach 2/freq and stay there.  The
+    grid ends where the tail envelope of every level and order fits a
+    quarter of the absolute part of its budget.  A level's error bar is its
+    summed panel errors plus that envelope.  Buckets whose grid would be
+    longer than _MAX_GRID_PANELS are left NaN.
+    """
+    a = (1.0 - problem.eps) * problem.sigma**2
+    lam, y = problem.lam, problem.y
+    q = np.array(_ORDERS)[:, None] + 1.0
+    K = np.exp(log_k)
+    target = 0.125 * rel_tol * _basis(problem, t, q - 1.0) / _PREF
+    # a grid end that meets every target: at T >= 1 the Mills bound is below
+    # e^{-a T^2/2}/a, and the algebraic bound inverts exactly
+    with np.errstate(over="ignore"):
+        t_gauss = np.maximum(1.0, np.sqrt(2.0 * np.maximum(np.log(K / (a * target)), 0.0) / a))
+        t_slow = (K / ((q - 1.0) * target)) ** (1.0 / (q - 1.0))
+    t_end = np.minimum(t_gauss, t_slow).max(axis=0)
+    freq = _frequency(problem, t)
+    bucket = np.ceil(np.log2(freq / float(_frequency(problem, 0.0))))
+    mu = np.full((3, t.size), np.nan)
+    err = np.full((3, t.size), np.nan)
+    for b in np.unique(bucket):
+        rows = np.flatnonzero(bucket == b)
+        cap = 2.0 / freq[rows].max()
+        s_min = s[rows].min()
+        edges = [0.0]
+        while edges[-1] < t_end[rows].max():
+            width = _GRADE * math.hypot(s_min, edges[-1])
+            if width >= cap:
+                break
+            edges.append(edges[-1] + width)
+        n_flat = max(t_end[rows].max() - edges[-1], 0.0) / cap
+        if not len(edges) + n_flat <= _MAX_GRID_PANELS:
+            continue
+        edges = np.concatenate([edges, edges[-1] + cap * np.arange(1, math.ceil(n_flat) + 1)])
+        # cut at the first edge where every envelope fits its target; the
+        # envelopes fall with T, so bisect on the edge index
+        lo, hi = 0, edges.size - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.all(_envelope(a, K[rows], edges[mid], q) <= target[:, rows]):
+                hi = mid
+            else:
+                lo = mid
+        edges = edges[: hi + 1]
+        T = edges[-1]
+        pts, half = gk15_nodes(edges[:-1], edges[1:])
+        u = pts.ravel()
+        n_panels = half.size
+        per_block = max(1, _BLOCK_CELLS // u.size)
+        for first in range(0, rows.size, per_block):
+            r = rows[first: first + per_block]
+            z = s[r, None] + 1j * u[None, :]
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                w = np.exp(-z * t[r, None] + 0.5 * a * z * z + lam * exp_remainder(z * y, 1))
+            iz = 1.0 / z
+            f = w * iz * iz
+            halves = np.tile(half, r.size)
+            for p in range(3):
+                k, e = gk15_reduce(f.real.reshape(-1, 15), halves)
+                mu[p, r] = k.reshape(r.size, n_panels).sum(axis=1)
+                err[p, r] = e.reshape(r.size, n_panels).sum(axis=1)
+                f = f * iz
+        err[:, rows] += _envelope(a, K[rows], T, q)
+    return _PREF * mu, _PREF * err
+
+
+def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
+    """mu1, mu2, mu3 and m(t) of eta - t for every level in ts in one pass.
+
+    Far-left levels take the closed form.  The others share Gauss-Kronrod
+    grids on their lines (_grid_moments); a level falls back to the adaptive
+    _moments23 when its transform guard trips, when a mu2 or mu3 error bar
+    misses the budget max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)),
+    or when either value is not finite or not above the degeneracy floor.
+    mu1 only steers the Newton step: a level that falls back keeps the grid's
+    mu1 whenever it is finite and positive, else takes it from the adaptive
+    route too.
+    """
+    ts = np.asarray(ts, dtype=float)
+    n = ts.size
+    mu = np.full((3, n), np.nan)
+    err = np.full((3, n), np.nan)
+    m = np.full(n, np.nan)
+    left = ts <= _far_left_edge(problem)
+    *moms, m[left] = _far_left(problem, ts[left])
+    mu[:, left] = moms
+    err[:, left] = 0.0
+    s = _line(problem, ts)
+    log_k = _log_transform_at(problem, ts, s)
+    line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma) & (log_k <= _TRANSFORM_GUARD)
+    if line.any():
+        mu[:, line], err[:, line] = _grid_moments(problem, ts[line], s[line], log_k[line],
+                                                  rel_tol)
+    basis = _basis(problem, ts, np.array(_ORDERS)[:, None])
+    with np.errstate(invalid="ignore"):
+        within = np.isfinite(mu) & (err <= np.maximum(rel_tol * np.abs(mu), 0.5 * rel_tol * basis))
+        good = line & within[1] & within[2] & (mu[1] > rel_tol * basis[1]) & (mu[2] > 0.0)
+        mu[0, ~(np.isfinite(mu[0]) & (mu[0] > 0.0))] = np.nan
+    m[good] = ts[good] + mu[2, good] / mu[1, good]
+    failure = [None] * n
+    for i in np.flatnonzero(~left & ~good):
+        mu[1:, i] = np.nan
+        err[:, i] = np.nan
+        try:
+            mu[1, i], mu[2, i], m[i] = _moments23(problem, float(ts[i]), rel_tol)
+            if line[i] and np.isnan(mu[0, i]):
+                mu[0, i] = _eta_laplace_moment(problem, float(ts[i]), float(s[i]), 1.0, rel_tol)
+        except PositivePartError as exc:
+            failure[i] = exc
+    return _EtaMoments(mu, err, m, failure)
+
+
+def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
+         m: float) -> TailBoundResult:
+    """The result at root t.  Pin = mu2^3 / mu3^2, except at the far left,
+    where |t| can reach 1e9 sigma and that ratio rounds above 1: there it is
+    exp(3 log1p(sigma^2/t^2) - 2 log1p(3 sigma^2/t^2 - m3/t^3))."""
+    if t > _far_left_edge(problem):
+        value = mu2**3 / mu3**2
+    else:
+        r = problem.sigma**2 / (t * t)
+        value = math.exp(3.0 * math.log1p(r)
+                         - 2.0 * math.log1p(3.0 * r - _eta_m3(problem) / t**3))
+    return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x))
+
+
+def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
+    """One outcome per level x: a TailBoundResult, or the PositivePartError
+    that ended that level.
+
+    m is increasing (m' >= 0 by Cauchy-Schwarz) and tends to 0 as t -> -inf.
+    Levels at or below m(edge), the far-left edge, solve the closed-form
+    quadratic x t^2 + 2 sigma^2 t + x sigma^2 - m3 = 0; levels x <= tol_x/2
+    take the root at tol_x/2, since m never reaches 0.  Every other root lies
+    in [edge, x] because m(x) > x.  From t = x each pass evaluates all open
+    levels together and takes the Newton step with m' = 2 mu1 mu3/mu2^2 - 2,
+    bisecting when the step leaves the bracket or the level has no mu1.  A
+    level is accepted once |m - x| <= tol_x, with the moments of that pass.
+    Where a degenerate moment stops a probe the bracket closes from the
+    right, and a level whose bracket then narrows to rounding level without
+    meeting tol_x fails with it; otherwise such a level returns its best
+    probe with the residual reached.
     """
     if not (1e-12 <= tol_x <= 1e-3):
         raise PreconditionError(f"tol_x must lie in [1e-12, 1e-3], got {tol_x!r}")
-    if rel_tol is None:
-        rel_tol = max(min(0.05 * tol_x, 1e-9), 1e-13)
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise PreconditionError("levels x must be finite")
+    tol = max(min(0.05 * tol_x, rel_tol), 1e-13)
+    var = problem.sigma * problem.sigma
+    edge = _far_left_edge(problem)
+    m3 = _eta_m3(problem)
+    m_edge = _far_left(problem, edge)[3]
+    out: list = [None] * xs.size
+    far = xs <= m_edge
+    for i in np.flatnonzero(far):
+        level = float(xs[i])
+        xt = max(level, 0.5 * tol_x)
+        root = (-var - math.sqrt(var * var - xt * (xt * var - m3))) / xt
+        _, mu2, mu3, m = _far_left(problem, root)
+        out[i] = (_row(problem, level, root, mu2, mu3, m) if abs(m - level) <= tol_x
+                  else BracketFailure(-math.inf, edge, 0.0, m_edge))
 
-    def g(t):
-        try:
-            return m_of_t(problem, t, rel_tol) - x
-        except DegenerateMoment:
-            # beyond the right guard m(t) = t + (positive); the sign is known
-            return (t - x) + 1.0
+    idx = np.flatnonzero(~far)
+    x = xs[idx]
+    lo = np.full(idx.size, edge)
+    hi = x.copy()
+    t = x.copy()
+    best: list = [None] * idx.size      # (|m - x|, row) of the closest probe
+    stop: list = [None] * idx.size      # the DegenerateMoment that last cut the bracket
 
-    start = x if bracket_seed is None else bracket_seed
-    g_start = g(start)
-    if abs(g_start) <= tol_x:
-        return start
-    step = bracket_width or (4.0 * problem.sigma + 4.0 * problem.y + 1.0)
-    if g_start > 0.0:
-        hi, g_hi = start, g_start
-        lo, g_lo = hi - step, g(hi - step)
-        direction = -1.0
-    else:
-        lo, g_lo = start, g_start
-        hi, g_hi = lo + step, g(lo + step)
-        direction = 1.0
-    expansions = 0
-    while (g_lo > 0.0) if direction < 0 else (g_hi < 0.0):
-        moving = g_lo if direction < 0 else g_hi
-        if abs(moving) <= tol_x:
-            return lo if direction < 0 else hi
-        expansions += 1
-        if expansions > 60:
-            raise BracketFailure(lo, hi, g_lo + x, g_hi + x)
-        step *= 2.0
-        if direction < 0:
-            hi, g_hi = lo, g_lo
-            lo = lo - step
-            g_lo = g(lo)
-        else:
-            lo, g_lo = hi, g_hi
-            hi = hi + step
-            g_hi = g(hi)
-    # secant within the bracket, with a bisection safeguard: whenever two
-    # consecutive steps fail to halve the bracket the next step bisects, so a
-    # flat stretch (the far-left asymptote) cannot stall the iteration
-    t_a, g_a = lo, g_lo
-    t_b, g_b = hi, g_hi
-    width_two_ago = t_b - t_a
-    for it in range(300):
-        width = t_b - t_a
-        use_bisect = it % 2 == 1 and width > 0.25 * width_two_ago
-        if not use_bisect and g_b != g_a:
-            t_c = t_b - g_b * (t_b - t_a) / (g_b - g_a)
-            if not (t_a < t_c < t_b):
-                t_c = 0.5 * (t_a + t_b)
-        else:
-            t_c = 0.5 * (t_a + t_b)
-        g_c = g(t_c)
-        if abs(g_c) <= tol_x:
-            return t_c
-        if g_c < 0.0:
-            t_a, g_a = t_c, g_c
-        else:
-            t_b, g_b = t_c, g_c
-        if it % 2 == 1:
-            width_two_ago = width
-        if t_b - t_a <= 1e-14 * (1.0 + abs(t_b)):
-            return 0.5 * (t_a + t_b)
-    return 0.5 * (t_a + t_b)
+    def settle(j):
+        # no probe met tol_x: a root past a degenerate probe is unusable,
+        # otherwise the closest probe reports the residual it reached
+        return stop[j] if stop[j] is not None else best[j][1]
+
+    open_ = list(range(idx.size))
+    for _ in range(_MAX_PASSES):
+        if not open_:
+            break
+        ev = _eta_moments(problem, t[open_], tol)
+        still = []
+        for k, j in enumerate(open_):
+            exc = ev.failure[k]
+            step = math.nan
+            if isinstance(exc, DegenerateMoment):
+                hi[j] = t[j]
+                stop[j] = exc
+            elif exc is not None:
+                out[idx[j]] = exc
+                continue
+            else:
+                mu1, mu2, mu3 = ev.mu[:, k]
+                g = ev.m[k] - x[j]
+                if best[j] is None or abs(g) < best[j][0]:
+                    best[j] = (abs(g), _row(problem, float(x[j]), float(t[j]), float(mu2),
+                                            float(mu3), float(ev.m[k])))
+                if abs(g) <= tol_x:
+                    out[idx[j]] = best[j][1]
+                    continue
+                if g < 0.0:
+                    lo[j] = t[j]
+                else:
+                    hi[j] = t[j]
+                slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
+                if slope > 0.0:
+                    step = t[j] - g / slope
+            if not lo[j] < step < hi[j]:
+                step = 0.5 * (lo[j] + hi[j])
+            if hi[j] - lo[j] <= 1e-14 * (1.0 + abs(hi[j])):
+                out[idx[j]] = settle(j)
+                continue
+            t[j] = step
+            still.append(j)
+        open_ = still
+    for j in open_:
+        out[idx[j]] = settle(j)
+    return out
+
+
+def solve_tx(
+    problem: TailBoundProblem,
+    x,
+    tol_x: float = 1e-9,
+    rel_tol: float = 1e-9,
+):
+    """The root t_x of m(t) = x; x may be one level or an array of levels,
+    which are solved together (see _solve).  Moments are computed to
+    max(min(0.05 tol_x, rel_tol), 1e-13)."""
+    roots = []
+    for row in _solve(problem, np.atleast_1d(x), tol_x, rel_tol):
+        if isinstance(row, PositivePartError):
+            raise row
+        roots.append(row.t_x)
+    return roots[0] if np.ndim(x) == 0 else np.array(roots)
 
 
 def pin(
@@ -302,17 +535,12 @@ def pin(
     x: float,
     rel_tol: float = 1e-9,
     tol_x: float = 1e-9,
-    bracket_seed: Optional[float] = None,
-    bracket_width: Optional[float] = None,
 ) -> TailBoundResult:
     """The bound at a single level x, with the solved root and both moments."""
-    t_x = solve_tx(problem, x, tol_x, bracket_seed=bracket_seed,
-                   bracket_width=bracket_width)
-    mom_tol = max(min(0.05 * tol_x, rel_tol), 1e-13)
-    mu2, mu3, m_val = _moments23(problem, t_x, mom_tol)
-    value = mu2**3 / mu3**2
-    residual = abs(m_val - x)
-    return TailBoundResult(x=x, t_x=t_x, pin=value, mu2=mu2, mu3=mu3, residual=residual)
+    row = _solve(problem, [x], tol_x, rel_tol)[0]
+    if isinstance(row, PositivePartError):
+        raise row
+    return row
 
 
 def pin_curve(
@@ -322,40 +550,22 @@ def pin_curve(
     steps: int,
     rel_tol: float = 1e-9,
     tol_x: float = 1e-9,
-    warm_start: bool = True,
 ) -> list[TailBoundResult]:
-    """The bound on a uniform grid of x values, ascending.
-
-    With warm_start the previous root seeds the next bracket.  A failing
-    point yields a NaN row carrying the error message instead of aborting
-    the remaining grid.
-    """
+    """The bound on a uniform grid of x values, ascending, all levels solved
+    together.  A failing level yields a NaN row carrying the error message
+    instead of aborting the remaining grid."""
     if steps < 2:
         raise PreconditionError("need at least two grid points")
     if not x_min < x_max:
         raise PreconditionError("x_min must be below x_max")
     h = (x_max - x_min) / (steps - 1)
+    xs = [x_min + h * i for i in range(steps)]
     out = []
-    seed = None
-    prev_seed = None
-    for i in range(steps):
-        x = x_min + h * i
-        width = None
-        if warm_start and seed is not None and prev_seed is not None:
-            default_step = 4.0 * problem.sigma + 4.0 * problem.y + 1.0
-            width = min(
-                max(2.0 * (seed - prev_seed), 1e-6 * (1.0 + abs(seed))),
-                default_step,
-            )
-        try:
-            row = pin(problem, x, rel_tol, tol_x,
-                      bracket_seed=seed if warm_start else None,
-                      bracket_width=width)
-            prev_seed, seed = seed, row.t_x
-        except PositivePartError as exc:
+    for x, row in zip(xs, _solve(problem, xs, tol_x, rel_tol)):
+        if isinstance(row, PositivePartError):
             row = TailBoundResult(
                 x=x, t_x=math.nan, pin=math.nan, mu2=math.nan, mu3=math.nan,
-                residual=math.nan, error=str(exc),
+                residual=math.nan, error=str(row),
             )
         out.append(row)
     return out

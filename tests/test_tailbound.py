@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pospart import tailbound
 from pospart.distributions import raw_moment
-from pospart.errors import DegenerateMoment, PreconditionError
+from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError
 from pospart.moments import ppm_cf, ppm_laplace
 from pospart.oracles import density_ppm, naive_series_ppm
 from pospart.tailbound import (
     TailBoundProblem,
     _eta_laplace_moment,
+    _eta_moments,
     eta_spec,
     m_of_t,
     pin,
@@ -27,6 +29,8 @@ def test_problem_validation():
         TailBoundProblem(1.0, 1.0, 1.5)
     with pytest.raises(PreconditionError):
         TailBoundProblem(1.0, -1.0, 0.5)
+    with pytest.raises(PreconditionError):
+        TailBoundProblem(math.inf, 1.0, 0.5)
 
 
 def test_eta_transform_and_variance():
@@ -95,8 +99,10 @@ def test_solve_residuals_on_grid():
 
 
 def test_solve_monotone_roots():
-    roots = [solve_tx(P_UNIT, x, tol_x=1e-9) for x in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    # an array of levels is solved together
+    roots = solve_tx(P_UNIT, [0.5, 1.0, 1.5, 2.0, 3.0], tol_x=1e-9)
     assert all(a <= b + 1e-9 for a, b in zip(roots, roots[1:]))
+    assert roots[1] == pytest.approx(solve_tx(P_UNIT, 1.0, tol_x=1e-9), abs=1e-8)
 
 
 def test_solver_tolerance_domain():
@@ -121,7 +127,18 @@ def test_pin_record_consistency():
 def test_pin_lyapunov_bound_on_grid():
     for x in np.linspace(0.0, 5.0, 11):
         row = pin(P_UNIT, float(x), rel_tol=1e-8)
-        assert 0.0 < row.pin <= 1.0 + 1e-12
+        assert 0.0 < row.pin <= 1.0
+
+
+def test_far_left_pin_stays_in_unit_interval():
+    # at x = 0 the root sits near -2 sigma^2 / tol_x, where mu2^3 / mu3^2
+    # rounds above 1 unless it is formed from log1p terms
+    for y in (0.05, 0.2, 1.0, 3.0, 10.0):
+        for eps in (0.05, 0.3, 0.5, 0.7, 0.95):
+            problem = TailBoundProblem(1.0, y, eps)
+            for row in pin_curve(problem, 0.0, 5.0, 2, rel_tol=1e-7):
+                assert not row.is_failure(), (y, eps, row.error)
+                assert 0.0 < row.pin <= 1.0, (y, eps, row)
 
 
 def test_pin_gaussian_limit():
@@ -138,12 +155,75 @@ def test_curve_shapes_and_failure_isolation():
     assert [r.x for r in rows] == pytest.approx(list(np.linspace(0.0, 5.0, 21)))
     assert all(not r.is_failure() for r in rows)
     assert all(rows[i].pin >= rows[i + 1].pin - 1e-12 for i in range(20))
+    # m > 0, so levels below -tol_x / 2 have no root; only those rows fail
+    rows = pin_curve(P_UNIT, -1.0, 1.0, 5, rel_tol=1e-8)
+    assert [r.is_failure() for r in rows] == [True, True, False, False, False]
+    assert all(math.isnan(r.pin) and "no root" in r.error for r in rows[:2])
+    with pytest.raises(BracketFailure):
+        pin(P_UNIT, -1e-3)
 
 
-def test_curve_warm_cold_agreement():
-    warm = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-8)
-    cold = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-8, warm_start=False)
-    assert max(abs(a.pin - b.pin) for a, b in zip(warm, cold)) <= 1e-9
+def _assert_rows_match_series(problem, rows, rtol):
+    for r in rows:
+        assert not r.is_failure(), (r.x, r.error)
+        mu2 = naive_series_ppm(problem, r.t_x, 2)
+        mu3 = naive_series_ppm(problem, r.t_x, 3)
+        assert abs(r.mu2 - mu2.value) <= rtol * mu2.value + mu2.half_width, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3.value) <= rtol * mu3.value + mu3.half_width, (r.x, r.mu3, mu3)
+
+
+def test_curve_rows_match_series_oracle():
+    rows = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-7)
+    _assert_rows_match_series(P_UNIT, rows, 1e-9)
+    assert all(r.residual <= 1e-9 for r in rows)
+
+
+def test_fallback_rows_match_series_oracle(monkeypatch):
+    # a shared grid that misses its budget (as at y / sigma >= 20) sends each
+    # line level to the adaptive route, which also supplies mu1 for the step
+    def missed(problem, t, *args):
+        return np.full((3, t.size), np.nan), np.full((3, t.size), np.nan)
+
+    monkeypatch.setattr(tailbound, "_grid_moments", missed)
+    ev = _eta_moments(P_UNIT, [-2.0, 1.0], 5e-11)
+    assert np.all(np.isnan(ev.err)) and np.all(ev.mu[0] > 0.0)
+    rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
+    # the adaptive route keeps to the budget, whose absolute part allows
+    # 1e-7 relative at the right end
+    _assert_rows_match_series(P_UNIT, rows, 1e-6)
+    assert all(r.residual <= 1e-9 for r in rows)
+
+
+def test_right_tail_moments_regression():
+    # here the absolute part of the moment budget is wide enough to let mu3
+    # drift by 1e-6 relative, which moves m(t) by 7e-7 against the oracle;
+    # the row is the one at x = 4.35 of the benchmark's 101-point curve
+    problem = TailBoundProblem(1.0, 1.001074356060161, 0.08100531266023471)
+    row = pin_curve(problem, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)[87]
+    assert row.x == pytest.approx(4.35)
+    mu2 = naive_series_ppm(problem, row.t_x, 2).value
+    mu3 = naive_series_ppm(problem, row.t_x, 3).value
+    assert row.mu2 == pytest.approx(mu2, rel=1e-6)
+    assert row.mu3 == pytest.approx(mu3, rel=1e-6)
+    assert abs(row.t_x + mu3 / mu2 - row.x) <= 10.0 * 1e-9
+
+
+def test_engine_moments_slope_and_error_bars():
+    # d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) makes m'(t) = 2 mu1 mu3 / mu2^2 - 2,
+    # which Cauchy-Schwarz keeps >= 0; compare with a central difference of m
+    ts = np.array([-3.0, -1.0, 0.0, 0.7, 2.0, 3.5])
+    h = 1e-4
+    ev = _eta_moments(P_UNIT, ts, 1e-12)
+    mu1, mu2, mu3 = ev.mu
+    slope = 2.0 * mu1 * mu3 / mu2**2 - 2.0
+    plus = _eta_moments(P_UNIT, ts + h, 1e-12).m
+    minus = _eta_moments(P_UNIT, ts - h, 1e-12).m
+    assert np.all(slope >= 0.0)
+    assert np.allclose(slope, (plus - minus) / (2.0 * h), rtol=1e-6, atol=1e-7)
+    for i, t in enumerate(ts):
+        for p in (1, 2, 3):
+            ref = naive_series_ppm(P_UNIT, float(t), p)
+            assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width
 
 
 def test_curve_validation():
