@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import PositivePartError, PreconditionError, QuadratureError, SpecParseError
+from .errors import PositivePartError, PreconditionError, SpecParseError
 from .moments import MomentRequest
 from .specparse import parse_spec
 from .tailbound import TailBoundProblem, pin, pin_curve
@@ -27,6 +27,9 @@ __all__ = ["main", "console_main"]
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
+# what ends a run with "numerical failure" and exit 3: the package's own
+# failures, and float overflow or division by zero from extreme inputs
+_NUMERICAL_FAILURES = (PositivePartError, ArithmeticError)
 
 
 def _fmt(v: float) -> str:
@@ -61,13 +64,10 @@ def _cmd_moment(args) -> int:
             s=args.s, j=args.j, other=other, rel_tol=args.rel_tol,
         )
         result = request.compute()
-    except SpecParseError as exc:
+    except (SpecParseError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (QuadratureError, PositivePartError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     quad = result.quadrature
@@ -99,7 +99,7 @@ def _cmd_pin(args) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except PositivePartError as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     _emit(_tail_rows([row]), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
@@ -115,6 +115,9 @@ def _cmd_curve(args) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except _NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     failures = [r for r in rows if r.is_failure()]
     for r in failures:
         print(f"note: x={r.x:g} failed: {r.error}", file=sys.stderr)

@@ -11,7 +11,9 @@ and a seeded sampler.  Specs are immutable trees built from six variants:
     Shift(inner, c)                 X + c
     IndependentSum(left, right)     X + Y independent
 
-All operations here are pure; sampling takes an explicit seed.
+All operations here are pure; sampling takes an explicit seed.  Of the
+third-party packages the module imports numpy only: scipy's gammaln is
+loaded by the large-rate Poisson sampler on its first use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PreconditionError, StripViolation
 from .remainders import exp_remainder, cos_remainder, sin_remainder
@@ -246,7 +247,9 @@ def fl_transform(spec: DistributionSpec, z: complex) -> complex:
     return complex(out[()]) if np.ndim(z) == 0 else out
 
 
-@lru_cache(maxsize=None)
+# bounded: match_discrete asks for at most 2k+3 orders of one spec (and of
+# its subtrees) per call, far below the size, so hits within a call are kept
+@lru_cache(maxsize=1024)
 def _raw_moment_cached(spec, r: int) -> float:
     if r == 0:
         return 1.0
@@ -537,6 +540,8 @@ def _poisson_inversion(rng, lam: float, n: int) -> np.ndarray:
 def _poisson_ptrs(rng, lam: float, n: int) -> np.ndarray:
     # Hoermann's transformed rejection with squeeze, vectorised over the
     # not-yet-accepted mask.  Only used for lam > 30.
+    from scipy.special import gammaln
+
     out = np.empty(n)
     todo = np.arange(n)
     b = 0.931 + 2.53 * math.sqrt(lam)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .distributions import (
     DistributionSpec,
@@ -498,7 +497,10 @@ def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
         prev_ratio = ratio
         if jj + 1 < n:
             off[jj] = r[jj + 1, jj + 1] / r[jj, jj]
-    nodes, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    # Golub-Welsch: nodes are the eigenvalues of the (at most about 6x6)
+    # Jacobi matrix, weights the squared first components of its eigenvectors
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
     weights = mom[0] * vecs[0] ** 2
     weights = weights / math.fsum(float(w) for w in weights)
     # eigensolver noise can leave a symmetric rule's zero node at ~1e-15,

@@ -9,6 +9,10 @@ distribution catalog):
     moments, the straightforward approach the transform route replaces
     (slow and fragile for small y, so tests keep it to moderate scales),
   * mc_ppm / mc_tail: seeded Monte Carlo with five-sigma error bars.
+
+scipy (quad, the normal and Poisson distributions) is imported inside the
+oracle functions that use it, so importing this module, and with it the
+package and the CLI, loads numpy only.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import stats as _scistats
 
 from .distributions import DistributionSpec, Normal, Shift, sample
 from .errors import PreconditionError, SeriesGuard
@@ -58,6 +60,9 @@ def _as_normal(spec) -> tuple[float, float]:
 
 def density_ppm(spec: DistributionSpec, p: float, rel_tol: float = 1e-11) -> OracleEstimate:
     """E X_+^p by adaptive quadrature of x^p against the Gaussian density."""
+    from scipy import integrate as _sciint
+    from scipy import stats as _scistats
+
     if not p > 0:
         raise PreconditionError("order must be positive")
     mu, sd = _as_normal(spec)
@@ -82,6 +87,8 @@ def density_ppm(spec: DistributionSpec, p: float, rel_tol: float = 1e-11) -> Ora
 def _normal_pos_moment(mu: float, sd: float, p: int) -> float:
     # closed recursion: I_p = mu I_{p-1} + (p-1) sd^2 I_{p-2},
     # I_0 = Phi(mu/sd), I_1 = mu Phi(mu/sd) + sd phi(mu/sd)
+    from scipy import stats as _scistats
+
     z = mu / sd
     cdf = float(_scistats.norm.cdf(z))
     pdf = float(_scistats.norm.pdf(z))
@@ -102,6 +109,8 @@ def naive_series_ppm(problem: TailBoundProblem, t: float, p: int,
     remaining Poisson mass times a growth-adjusted term bound is negligible;
     window_pad widens it further (used by tests to show insensitivity).
     """
+    from scipy import stats as _scistats
+
     if p not in (1, 2, 3, 4):
         raise PreconditionError("naive series oracle supports p in {1, 2, 3, 4}")
     lam = problem.lam

@@ -30,9 +30,8 @@ E(eta-t)_+^p for p = 1, 2, 3 together.  The paper's identity
 d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
 m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass, so the solver runs a
 bracketed Newton iteration on all levels of a curve at once.  A level whose
-grid error misses its budget, or whose transform magnitude is extreme, takes
-the adaptive single-t route (_moments23, with the characteristic-function
-fallback) instead.
+grid error misses its budget takes the adaptive single-t route (_moments23)
+instead.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .distributions import (
     raw_moment,
 )
 from .errors import BracketFailure, DegenerateMoment, PositivePartError, PreconditionError
-from .moments import gamma_p1, ppm_cf
+from .moments import gamma_p1
 from .quadrature import IntegrandProfile, gk15_nodes, gk15_reduce, integrate_halfline
 from .remainders import exp_remainder
 
@@ -68,7 +67,6 @@ __all__ = [
 
 _FAR_LEFT_Z = 30.0        # Gaussian z-score beyond which (eta-t) > 0 in effect
 _RIGHT_GUARD_SIGMAS = 40.0
-_TRANSFORM_GUARD = 230.0  # log of the 1e100 transform-magnitude fallback
 _NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
 _ORDERS = (1.0, 2.0, 3.0)
 _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
@@ -146,7 +144,10 @@ def _line(problem: TailBoundProblem, t):
     t < -sigma so exp(-s t) cannot dwarf the result; the line choice only
     moves the contour, not the value.  t may be an array."""
     s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
-    # below -sigma the cap 6/|t| applies; above it 6/sigma exceeds s_star
+    # below -sigma the cap 6/|t| applies; above it 6/sigma exceeds s_star.
+    # On this line the log transform stays below about 8.9, so the line
+    # integrand cannot overflow: -s t <= 6, a s^2/2 <= 2 (1-eps) and, with
+    # s y <= 1 and e_1(x) <= (e-2) x^2 there, lam e_1(s y) <= 4 (e-2) eps.
     return np.minimum(s_star, _NEG_T_EXPONENT_CAP / np.maximum(-t, problem.sigma))
 
 
@@ -240,26 +241,16 @@ def _far_left(problem: TailBoundProblem, t):
 def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
     """(mu2, mu3, m(t)) for eta - t by the adaptive single-t route.
 
-    Below the support's effective left edge the raw moments are exact.  The
-    characteristic-function route takes over where the transform magnitude
-    on the line becomes extreme.
+    Below the support's effective left edge the raw moments are exact.
     """
     if t <= _far_left_edge(problem):
         return _far_left(problem, t)[1:]
     if t >= _RIGHT_GUARD_SIGMAS * problem.sigma:
         raise DegenerateMoment(t)
     s_star = float(_line(problem, t))
-    if _log_transform_at(problem, t, s_star) <= _TRANSFORM_GUARD:
-        mu2 = _eta_laplace_moment(problem, t, s_star, 2.0, rel_tol)
-        mu3 = _eta_laplace_moment(problem, t, s_star, 3.0, rel_tol)
-        floor = rel_tol * _basis(problem, t, 2.0)
-    else:
-        spec = eta_spec(problem, t)
-        r2 = ppm_cf(spec, 2.0, rel_tol)
-        r3 = ppm_cf(spec, 3.0, rel_tol)
-        mu2, mu3 = r2.value, r3.value
-        floor = 10.0 * r2.reported_error
-    if not math.isfinite(mu2) or mu2 <= floor:
+    mu2 = _eta_laplace_moment(problem, t, s_star, 2.0, rel_tol)
+    mu3 = _eta_laplace_moment(problem, t, s_star, 3.0, rel_tol)
+    if not math.isfinite(mu2) or mu2 <= rel_tol * _basis(problem, t, 2.0):
         raise DegenerateMoment(t)
     return mu2, mu3, t + mu3 / mu2
 
@@ -364,9 +355,9 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
 
     Far-left levels take the closed form.  The others share Gauss-Kronrod
     grids on their lines (_grid_moments); a level falls back to the adaptive
-    _moments23 when its transform guard trips, when a mu2 or mu3 error bar
-    misses the budget max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)),
-    or when either value is not finite or not above the degeneracy floor.
+    _moments23 when a mu2 or mu3 error bar misses the budget
+    max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)), or when either
+    value is not finite or not above the degeneracy floor.
     mu1 only steers the Newton step: a level that falls back keeps the grid's
     mu1 whenever it is finite and positive, else takes it from the adaptive
     route too.
@@ -382,7 +373,7 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
     err[:, left] = 0.0
     s = _line(problem, ts)
     log_k = _log_transform_at(problem, ts, s)
-    line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma) & (log_k <= _TRANSFORM_GUARD)
+    line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma)
     if line.any():
         mu[:, line], err[:, line] = _grid_moments(problem, ts[line], s[line], log_k[line],
                                                   rel_tol)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,47 @@ def test_moment_negative_strip_method(capsys):
                            "--method", "negative")
     assert code == 2
     assert "integer" in err
+
+
+@pytest.mark.parametrize("dist, p", [
+    ("normal(0,1e-300)", "2"),   # OverflowError in the head rule
+    ("point(1e200)", "2"),       # OverflowError in the raw moments
+    ("point(1)", "1e-300"),      # ZeroDivisionError in the tail envelope
+])
+def test_float_overflow_exits_three(capsys, dist, p):
+    code, out, err = run_cli(capsys, "moment", "--dist", dist, "--p", p)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
+_IMPORT_PATH_SCRIPT = """
+import sys
+import pospart, pospart.cli, pospart.validate
+from pospart.cli import main
+runs = (
+    ["moment", "--dist", "normal(0,1)", "--p", "2.5"],
+    ["moment", "--dist", "cpoisson(3,0.5)", "--p", "1.5", "--method", "diff"],
+    ["pin", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x", "2"],
+    ["curve", "--sigma", "1", "--y", "1", "--eps", "0.5",
+     "--x-min", "0", "--x-max", "2", "--steps", "3"],
+)
+codes = [main(argv) for argv in runs]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("RESULT", codes, loaded)
+"""
+
+
+def test_runtime_path_loads_no_scipy():
+    # the transform pipeline and the CLI's moment/pin/curve commands run on
+    # numpy alone; scipy is left to the oracles and the sampler, which load
+    # it on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = proc.stdout.strip().splitlines()[-1]
+    assert result == "RESULT [0, 0, 0, 0] []", result

@@ -112,6 +112,22 @@ def test_solver_tolerance_domain():
         solve_tx(P_UNIT, 1.0, tol_x=1e-13)
 
 
+def test_log_transform_on_the_line_stays_small():
+    # the bound in _line (about 8.9) is why the line route needs no guard
+    # against an overflowing transform
+    rng = np.random.default_rng(4)
+    for _ in range(3000):
+        sigma = math.exp(rng.uniform(-5.0, 5.0))
+        problem = TailBoundProblem(sigma, math.exp(rng.uniform(-8.0, 8.0)),
+                                   rng.uniform(1e-9, 1.0))
+        if rng.random() < 0.5:
+            t = -math.exp(rng.uniform(-10.0, 20.0))
+        else:
+            t = rng.uniform(0.0, 40.0) * sigma
+        s = tailbound._line(problem, t)
+        assert tailbound._log_transform_at(problem, t, s) <= 10.0
+
+
 def test_degenerate_far_right():
     with pytest.raises(DegenerateMoment):
         m_of_t(P_UNIT, 60.0)
