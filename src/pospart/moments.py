@@ -66,6 +66,7 @@ from .errors import (
 )
 from .quadrature import HeadRule, IntegrandProfile, QuadratureResult, integrate_halfline, partial_integrals
 from .remainders import MomentOrder, inv_power
+from .specparse import render
 
 __all__ = [
     "MomentOrder",
@@ -122,6 +123,38 @@ class MomentResult:
 # ---------------------------------------------------------------------------
 
 
+def _by_parts_coefs(x: float, q: float, k: int) -> list:
+    """a_0 .. a_k of the by-parts series below: a_0 = 1, a_{n+1} = a_n (q+n)/x."""
+    a = [1.0]
+    for n in range(k):
+        a.append(a[-1] * (q + n) / x)
+    return a
+
+
+def _by_parts_powers(s: float, T: float, q: float, k: int) -> list:
+    """(s+iT)^(-q-n) for n < k."""
+    zT = s + 1j * T
+    zpow = inv_power(s, T, q)
+    out = [zpow]
+    for _ in range(k - 1):
+        zpow = zpow / zT
+        out.append(zpow)
+    return out
+
+
+def _by_parts_remainder(a_k: float, decay: float, q: float, k: int) -> float:
+    """|a_k| T^(1-q-k) / (q+k-1), given decay = T^(1-q-k)."""
+    return abs(a_k) * decay / (q + k - 1.0)
+
+
+def _by_parts_sum(x: float, T: float, a: list, zpows: list) -> complex:
+    eiTx = cmath.exp(1j * T * x)
+    val = 0.0 + 0.0j
+    for an, zpow in zip(a, zpows):
+        val += an * (-(zpow * eiTx) / (1j * x))
+    return val
+
+
 def _by_parts(x: float, s: float, q: float, T: float, k: int):
     """Closed tail of a single harmonic: int_T^inf e^{itx} (s+it)^{-q} dt.
 
@@ -133,17 +166,9 @@ def _by_parts(x: float, s: float, q: float, T: float, k: int):
     with remainder bounded by |a_k| T^{1-q-k}/(q+k-1).  Exact for any T > 0,
     not merely asymptotic, so the bound is rigorous wherever the solver puts T.
     """
-    zT = s + 1j * T
-    eiTx = cmath.exp(1j * T * x)
-    a = 1.0
-    val = 0.0 + 0.0j
-    zpow = inv_power(s, T, q)
-    for n in range(k):
-        val += a * (-(zpow * eiTx) / (1j * x))
-        a = a * (q + n) / x
-        zpow = zpow / zT
-    bound = abs(a) * T ** (1.0 - q - k) / (q + k - 1.0)
-    return val, bound
+    a = _by_parts_coefs(x, q, k)
+    val = _by_parts_sum(x, T, a, _by_parts_powers(s, T, q, k))
+    return val, _by_parts_remainder(a[k], T ** (1.0 - q - k), q, k)
 
 
 def _power_tail(coef: float, r: float, p: float, s: float, T: float) -> float:
@@ -154,6 +179,12 @@ def _power_tail(coef: float, r: float, p: float, s: float, T: float) -> float:
 
 @dataclass
 class _TailModel:
+    """Closed form and envelope of the integrand's tail beyond T.
+
+    Each harmonic is summed by ``_by_parts``; the powers of (s+iT) are shared
+    by all harmonics of a call and the coefficients a_n are fixed per model.
+    """
+
     p: float
     q: float
     s: float
@@ -163,19 +194,28 @@ class _TailModel:
     fallback_K: float        # residual with no decay beyond |z|^-q
     k: int = _BYPARTS_TERMS
 
+    def __post_init__(self):
+        self._coefs = [_by_parts_coefs(x, self.q, self.k) for x, _ in self.harmonics]
+
     def closed(self, T: float) -> float:
-        acc = [
-            (gamma * _by_parts(x, self.s, self.q, T, self.k)[0]).real
-            for x, gamma in self.harmonics
-        ]
+        acc = []
+        if self.harmonics:
+            zpows = _by_parts_powers(self.s, T, self.q, self.k)
+            acc = [
+                (gamma * _by_parts_sum(x, T, a, zpows)).real
+                for (x, gamma), a in zip(self.harmonics, self._coefs)
+            ]
         acc += [_power_tail(coef, r, self.p, self.s, T) for coef, r in self.poly]
         return math.fsum(acc)
 
     def envelope(self, T: float) -> float:
         acc = 0.0
         slow = T ** (1.0 - self.q) / (self.q - 1.0)
-        for x, gamma in self.harmonics:
-            acc += abs(gamma) * _by_parts(x, self.s, self.q, T, self.k)[1]
+        if self.harmonics:
+            q, k = self.q, self.k
+            decay = T ** (1.0 - q - k)
+            for (_, gamma), a in zip(self.harmonics, self._coefs):
+                acc += abs(gamma) * _by_parts_remainder(a[k], decay, q, k)
         for K, vg in self.gauss:
             mills = math.exp(-0.5 * vg * T * T) / (vg * T) if vg * T * T < 1400 else 0.0
             acc += K * min(T ** (-self.q) * mills, slow)
@@ -195,9 +235,14 @@ def _structure(spec, s: float):
     the nonzero atoms as (x, w e^{sx}); specs with a Gaussian component are
     covered by |E e^{(s+it)X}| <= E e^{sX} * exp(-vg t^2/2) instead; anything
     left over (an unexpanded compound-Poisson factor, dropped atom mass)
-    falls back to the decay-free bound.
+    falls back to the decay-free bound.  Raises PreconditionError when
+    E e^{sX} is not finite in floating point: no tail bound can scale by it.
     """
-    phis = float(np.real(_fl_vec(spec, complex(s))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = float(np.real(_fl_vec(spec, complex(s))))
+    if not math.isfinite(phis):
+        raise PreconditionError(
+            f"E e^(sX) is not finite in floating point at s = {s!r} for {render(spec)}")
     vg = gaussian_var(spec)
     if vg > 0.0:
         return [], [(phis, vg)], 0.0, 0.0

@@ -23,12 +23,16 @@ The error budget is split half to panel adaptivity, a quarter to truncation,
 and a quarter held in reserve, so the accounting stays auditable.
 
 Everything here is pure and deterministic: identical inputs give bit-identical
-results (sums are reduced in ascending panel order with math.fsum).
+results.  Every panel sum is math.fsum's correctly rounded value of the exact
+sum, so it does not depend on the order of the panels.  Panels live in
+parallel arrays; each refinement round bisects the (at most 64) splittable
+panels with the largest errors, largest first and ties to the lower index
+(the order of heapq.nlargest), and keeps the value and error totals as exact
+running sums.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,6 +86,8 @@ class QuadratureResult:
     ``err_est`` sums the panel Gauss-vs-Kronrod discrepancies; ``tail_bound``
     covers everything handled analytically (truncation envelope, head-rule
     remainder, sub-grading leftovers).  The reported total error is their sum.
+    ``refine_capped`` is set when refinement stopped at its round cap with
+    ``err_est`` still above its half of the budget.
     """
 
     value: float
@@ -90,6 +96,7 @@ class QuadratureResult:
     panels_used: int
     evaluations: int
     truncation_T: float
+    refine_capped: bool = False
 
     @property
     def total_error(self) -> float:
@@ -133,14 +140,33 @@ class IntegrandProfile:
             raise PreconditionError("oscillation scale must be positive")
 
 
-class _Panel:
+class _Panels:
+    """Panels (a_i, b_i) in ascending order with their Kronrod values and
+    error estimates, held as parallel float64 arrays."""
+
     __slots__ = ("a", "b", "val", "err")
 
-    def __init__(self, a: float, b: float, val: float = 0.0, err: float = 0.0):
-        self.a = a
-        self.b = b
-        self.val = val
-        self.err = err
+    def __init__(self, a, b):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.val = np.zeros(len(self.a))
+        self.err = np.zeros(len(self.a))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def put(self, lo: int, hi: int, *parts: "_Panels") -> None:
+        """Replace panels lo..hi-1 by the panels of ``parts``, in order."""
+        for name in self.__slots__:
+            mine = getattr(self, name)
+            setattr(self, name, np.concatenate(
+                [mine[:lo], *(getattr(p, name) for p in parts), mine[hi:]]))
+
+    def value(self) -> float:
+        return math.fsum(self.val.tolist())
+
+    def error(self) -> float:
+        return math.fsum(self.err.tolist())
 
 
 class _State:
@@ -152,24 +178,26 @@ class _State:
         self.evaluations = 0
         self.first_panel_peak = None  # max |f| / t^alpha estimate support
 
-    def eval_panels(self, panels: list[_Panel], keep_first: bool = False):
-        if not panels:
-            return
-        n = len(panels)
+    def eval(self, a: np.ndarray, b: np.ndarray, keep_first: bool = False):
+        """Kronrod values and error estimates of the panels (a_i, b_i)."""
+        n = len(a)
         if self.evaluations + 15 * n > self.max_evals:
             raise _CapHit()
-        pts, half = gk15_nodes(np.array([p.a for p in panels]), np.array([p.b for p in panels]))
+        pts, half = gk15_nodes(a, b)
         y = np.asarray(self.f(pts.ravel()), dtype=float).reshape(n, 15)
         self.evaluations += 15 * n
         if not np.all(np.isfinite(y)):
             bad = np.argwhere(~np.isfinite(y))[0]
             raise NonFiniteIntegrand(float(pts[bad[0], bad[1]]))
-        k, err = gk15_reduce(y, half)
-        for i, p in enumerate(panels):
-            p.val = float(k[i])
-            p.err = float(err[i])
         if keep_first:
             self.first_panel_peak = (pts[0], np.abs(y[0]))
+        return gk15_reduce(y, half)
+
+    def panels(self, a, b, keep_first: bool = False) -> _Panels:
+        """The panels (a_i, b_i), evaluated."""
+        fresh = _Panels(a, b)
+        fresh.val, fresh.err = self.eval(fresh.a, fresh.b, keep_first)
+        return fresh
 
 
 def gk15_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +257,7 @@ def _initial_boundaries(profile: IntegrandProfile, start: float) -> tuple[list[f
 def _grow(
     state: _State,
     profile: IntegrandProfile,
-    panels: list[_Panel],
+    panels: _Panels,
     width: float,
     rel_tol: float,
     abs_tol: float,
@@ -239,33 +267,35 @@ def _grow(
     cap = profile.max_panel_width or math.inf
     tail_cf = profile.tail_closed_form
     chunk = 8
-    body = math.fsum(p.val for p in panels)
-    while True:
-        T = panels[-1].b
-        running = head_value + body + (tail_cf(T) if tail_cf else 0.0)
-        budget = max(rel_tol * abs(running), abs_tol)
-        env = profile.tail_envelope(T)
-        if not math.isfinite(env):
-            env = math.inf
-        if env <= 0.25 * budget or env <= 1e-305:
-            return T
-        if T >= 8e307:
-            return T  # envelope never satisfied; tail_bound stays honest
-        fresh = []
-        for _ in range(chunk):
-            a = panels[-1].b if not fresh else fresh[-1].b
-            w = min(width, cap)
-            fresh.append(_Panel(a, a + w))
-            width = min(width * 2.0, cap)
-            if fresh[-1].b >= 8e307:
-                break
-        state.eval_panels(fresh)
-        panels.extend(fresh)
-        body += math.fsum(p.val for p in fresh)
-        chunk = min(chunk * 2, 32)
+    body = panels.value()
+    T = float(panels.b[-1])
+    grown = []  # joined to the panels once, also when the cap stops growth
+    try:
+        while True:
+            running = head_value + body + (tail_cf(T) if tail_cf else 0.0)
+            budget = max(rel_tol * abs(running), abs_tol)
+            env = profile.tail_envelope(T)
+            if not math.isfinite(env):
+                env = math.inf
+            if env <= 0.25 * budget or env <= 1e-305:
+                return T
+            if T >= 8e307:
+                return T  # envelope never satisfied; tail_bound stays honest
+            edges = [T]
+            for _ in range(chunk):
+                edges.append(edges[-1] + min(width, cap))
+                width = min(width * 2.0, cap)
+                if edges[-1] >= 8e307:
+                    break
+            grown.append(state.panels(edges[:-1], edges[1:]))
+            body += grown[-1].value()
+            T = edges[-1]
+            chunk = min(chunk * 2, 32)
+    finally:
+        panels.put(len(panels), len(panels), *grown)
 
 
-def _trim(state: _State, profile: IntegrandProfile, panels: list[_Panel],
+def _trim(state: _State, profile: IntegrandProfile, panels: _Panels,
           rel_tol: float, abs_tol: float, head_value: float) -> float:
     """Cut back to where the envelope first fits the truncation share.
 
@@ -276,14 +306,15 @@ def _trim(state: _State, profile: IntegrandProfile, panels: list[_Panel],
     budget is actually used rather than overshot."""
     tail_cf = profile.tail_closed_form
     acc = head_value
-    for i, p in enumerate(panels):
-        acc += p.val
-        T = p.b
+    for i, (a, b, val) in enumerate(zip(panels.a.tolist(), panels.b.tolist(),
+                                        panels.val.tolist())):
+        acc += val
+        T = b
         run = acc + (tail_cf(T) if tail_cf else 0.0)
         env = profile.tail_envelope(T)
         share = 0.25 * max(rel_tol * abs(run), abs_tol)
         if math.isfinite(env) and (env <= share or env <= 1e-305):
-            lo, hi = p.a, p.b
+            lo, hi = a, b
             for _ in range(24):
                 mid = 0.5 * (lo + hi)
                 e_mid = profile.tail_envelope(mid)
@@ -292,21 +323,19 @@ def _trim(state: _State, profile: IntegrandProfile, panels: list[_Panel],
                 else:
                     lo = mid
             T = hi
-            if T < p.b - 1e-12 * (abs(p.b) + 1.0) and T > p.a * (1.0 + 1e-12):
-                shortened = _Panel(p.a, T)
-                state.eval_panels([shortened])
-                panels[i] = shortened
+            if T < b - 1e-12 * (abs(b) + 1.0) and T > a * (1.0 + 1e-12):
+                panels.put(i, len(panels), state.panels([a], [T]))
             else:
-                T = p.b
-            del panels[i + 1 :]
+                T = b
+                panels.put(i + 1, len(panels))
             return T
-    return panels[-1].b
+    return float(panels.b[-1])
 
 
 def _deepen(
     state: _State,
     profile: IntegrandProfile,
-    panels: list[_Panel],
+    panels: _Panels,
     rel_tol: float,
     abs_tol: float,
     head_value: float,
@@ -320,56 +349,90 @@ def _deepen(
         pts, mags = state.first_panel_peak
         with np.errstate(divide="ignore"):
             c_hat = float(np.max(mags / pts**alpha))
-        delta = panels[0].a
+        delta = float(panels.a[0])
         stub = 2.0 * c_hat * delta ** (alpha + 1.0) / (alpha + 1.0)
-        T = panels[-1].b
-        run = head_value + math.fsum(p.val for p in panels) + (
-            tail_cf(T) if tail_cf else 0.0
-        )
+        T = float(panels.b[-1])
+        run = head_value + panels.value() + (tail_cf(T) if tail_cf else 0.0)
         budget = max(rel_tol * abs(run), abs_tol)
         if stub <= 0.125 * budget or delta <= 1e-290 or c_hat == 0.0:
             return stub
         bounds = [delta * 4.0 ** (-i) for i in range(20, -1, -1)]
-        fresh = [_Panel(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        state.eval_panels(fresh, keep_first=True)
-        panels[0:0] = fresh
+        panels.put(0, 0, state.panels(bounds[:-1], bounds[1:], keep_first=True))
     return stub
+
+
+def _worst(err: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The indices in ``cand`` of the _SPLIT_BATCH largest errors, largest
+    first and ties to the lower index: the order of heapq.nlargest."""
+    e = err[cand]
+    if len(cand) > _SPLIT_BATCH:
+        kth = np.partition(e, len(e) - _SPLIT_BATCH)[len(e) - _SPLIT_BATCH]
+        keep = e >= kth
+        cand, e = cand[keep], e[keep]
+    return cand[np.argsort(-e, kind="stable")[:_SPLIT_BATCH]]
+
+
+def _exact_parts(xs: list) -> list:
+    """Floats whose exact sum is that of ``xs``, the first being fsum(xs).
+
+    Each next float is fsum of what the previous ones miss.  fsum rounds
+    correctly and a sum of doubles is a multiple of 2^-1074, so the chain
+    ends at an exact zero after a few terms."""
+    out = []
+    while True:
+        x = math.fsum(xs)
+        if x == 0.0 or not math.isfinite(x):
+            return out or [x]
+        out.append(x)
+        xs = xs + [-x]
 
 
 def _refine(
     state: _State,
-    panels: list[_Panel],
+    panels: _Panels,
     rel_tol: float,
     abs_tol: float,
     base_value: float,
-):
-    """Bisect worst panels until their summed error fits half the budget."""
-    for _ in range(_MAX_REFINE_ROUNDS):
-        total = math.fsum(p.val for p in panels) + base_value
+) -> bool:
+    """Bisect worst panels until their summed error fits half the budget.
+
+    The value and error totals are fsum over all panels, kept as exact
+    running sums so a round costs O(split panels) in the interpreter.
+    Returns True when the round cap ends it with the error still above half
+    the budget."""
+    vals = _exact_parts(panels.val.tolist())
+    errs = _exact_parts(panels.err.tolist())
+    for rounds in range(_MAX_REFINE_ROUNDS + 1):
+        total = vals[0] + base_value
         budget = max(rel_tol * abs(total), abs_tol)
         target = 0.5 * budget
-        err = math.fsum(p.err for p in panels)
-        if err <= target:
-            return
+        if errs[0] <= target:
+            return False
+        if rounds == _MAX_REFINE_ROUNDS:
+            return True
+        a, b, err = panels.a, panels.b, panels.err
         floor = target / (2.0 * len(panels))
-        splittable = (
-            i for i, p in enumerate(panels)
-            if p.err > floor and (p.b - p.a) > 1e-15 * (abs(p.a) + 1.0)
-        )
-        order = heapq.nlargest(_SPLIT_BATCH, splittable, key=lambda i: panels[i].err)
-        if not order:
-            worst = max(range(len(panels)), key=lambda i: panels[i].err)
-            if (panels[worst].b - panels[worst].a) <= 1e-15 * (abs(panels[worst].a) + 1.0):
-                return  # nothing splittable left; report the error honestly
-            order = [worst]
-        children = []
-        for i in order:
-            p = panels[i]
-            mid = 0.5 * (p.a + p.b)
-            children.append((i, _Panel(p.a, mid), _Panel(mid, p.b)))
-        state.eval_panels([c for _, l, r in children for c in (l, r)])
-        for i, left, right in sorted(children, key=lambda c: -c[0]):
-            panels[i : i + 1] = [left, right]
+        wide = (b - a) > 1e-15 * (np.abs(a) + 1.0)
+        order = _worst(err, np.flatnonzero((err > floor) & wide))
+        if not len(order):
+            worst = int(np.argmax(err))
+            if not wide[worst]:
+                return False  # nothing splittable left; report the error honestly
+            order = np.array([worst])
+        # children left, right per parent, parents in selection order
+        mid = 0.5 * (a[order] + b[order])
+        children = state.panels(np.stack([a[order], mid], axis=1).ravel(),
+                                np.stack([mid, b[order]], axis=1).ravel())
+        vals = _exact_parts(vals + children.val.tolist() + (-panels.val[order]).tolist())
+        errs = _exact_parts(errs + children.err.tolist() + (-err[order]).tolist())
+        counts = np.ones(len(panels), dtype=int)
+        counts[order] = 2
+        left = (np.cumsum(counts) - counts)[order]  # where each left child lands
+        slots = np.stack([left, left + 1], axis=1).ravel()
+        for name in _Panels.__slots__:
+            spliced = np.repeat(getattr(panels, name), counts)
+            spliced[slots] = getattr(children, name)
+            setattr(panels, name, spliced)
 
 
 def integrate_halfline(
@@ -400,42 +463,37 @@ def integrate_halfline(
 
     boundaries, width = _initial_boundaries(profile, start)
     state = _State(f, max_evals)
-    panels = [_Panel(a, b) for a, b in zip(boundaries[:-1], boundaries[1:])]
-    sub_grading = bool(panels)  # true only for the alpha < 0 chain
-    if not panels:
-        panels = [_Panel(boundaries[0], boundaries[0] + width)]
-        width = min(width * 2.0, profile.max_panel_width or math.inf)
-    else:
-        panels.append(_Panel(panels[-1].b, panels[-1].b + width))
-        width = min(width * 2.0, profile.max_panel_width or math.inf)
+    sub_grading = len(boundaries) > 1  # true only for the alpha < 0 chain
+    edges = boundaries + [boundaries[-1] + width]
+    width = min(width * 2.0, profile.max_panel_width or math.inf)
+    panels = _Panels(edges[:-1], edges[1:])
 
-    def _partial(T):
-        body = math.fsum(p.val for p in panels)
+    def _partial(T, capped=False):
         cf = profile.tail_closed_form(T) if profile.tail_closed_form else 0.0
         env = profile.tail_envelope(T)
         return QuadratureResult(
-            value=head_value + body + cf,
-            err_est=math.fsum(p.err for p in panels),
+            value=head_value + panels.value() + cf,
+            err_est=panels.error(),
             tail_bound=(env if math.isfinite(env) else math.inf) + head_bound,
             panels_used=len(panels),
             evaluations=state.evaluations,
             truncation_T=T,
+            refine_capped=capped,
         )
 
     try:
-        state.eval_panels(panels, keep_first=sub_grading)
+        panels.val, panels.err = state.eval(panels.a, panels.b, keep_first=sub_grading)
         _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
         stub_bound = 0.0
         if sub_grading and state.first_panel_peak is not None:
             stub_bound = _deepen(state, profile, panels, rel_tol, abs_tol, head_value)
         T = _trim(state, profile, panels, rel_tol, abs_tol, head_value)
         base = head_value + (profile.tail_closed_form(T) if profile.tail_closed_form else 0.0)
-        _refine(state, panels, rel_tol, abs_tol, base)
+        capped = _refine(state, panels, rel_tol, abs_tol, base)
     except _CapHit:
-        raise BudgetExceeded(_partial(panels[-1].b), max_evals) from None
+        raise BudgetExceeded(_partial(float(panels.b[-1])), max_evals) from None
 
-    T = panels[-1].b
-    result = _partial(T)
+    result = _partial(float(panels.b[-1]), capped)
     result.tail_bound += stub_bound
     return result
 
@@ -467,25 +525,24 @@ def partial_integrals(
     out = [(vs[0], base.value)]
     state = _State(f, max_evals - base.evaluations)
     acc = base.value
+    capped = base.refine_capped
     cap = profile.max_panel_width or math.inf
     for hi, lo in zip(vs, vs[1:]):
-        panels = []
-        a = lo
-        while a < hi:
+        edges = [lo]
+        while edges[-1] < hi:
+            a = edges[-1]
             b = min(a + min(max(a, lo), cap), hi)
-            if b <= a:
-                b = hi
-            panels.append(_Panel(a, b))
-            a = b
+            edges.append(hi if b <= a else b)
+        panels = _Panels(edges[:-1], edges[1:])
         try:
-            state.eval_panels(panels)
-            _refine(state, panels, rel_tol, max(abs_tol, 0.0), acc)
+            panels.val, panels.err = state.eval(panels.a, panels.b)
+            capped = _refine(state, panels, rel_tol, max(abs_tol, 0.0), acc) or capped
         except _CapHit:
             raise BudgetExceeded(
                 QuadratureResult(acc, math.inf, math.inf, len(panels),
-                                 state.evaluations, hi),
+                                 state.evaluations, hi, capped),
                 max_evals,
             ) from None
-        acc = acc + math.fsum(p.val for p in panels)
+        acc = acc + panels.value()
         out.append((lo, acc))
     return out

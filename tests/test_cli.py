@@ -157,6 +157,25 @@ def test_float_overflow_exits_three(capsys, dist, p):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dist", "cpoisson(0.001,30)", "--method", "laplace", "--p", "1.5"],
+    ["--dist", "discrete(-800:0.5,1:0.5)", "--method", "negative", "--p", "2"],
+])
+def test_transform_overflow_at_s_exits_two(argv):
+    # E e^{sX} overflows at the default s: a precondition on s, reported
+    # without a numpy warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "pospart", "moment", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "s = " in proc.stderr and "error:" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _IMPORT_PATH_SCRIPT = """
 import sys
 import pospart, pospart.cli, pospart.validate

@@ -18,6 +18,7 @@ from pospart.errors import MomentMismatch, PreconditionError
 from pospart.moments import (
     MomentOrder,
     MomentRequest,
+    _TailModel,
     _by_parts,
     _power_tail,
     _transform_kernel,
@@ -77,6 +78,38 @@ def test_by_parts_matches_quadrature():
                 hi, bound_hi = _by_parts(x, s, q, 2000.0, 6)
                 lo, bound_lo = _by_parts(x, s, q, 9.0, 6)
                 assert abs((lo - hi) - window) <= 1e-6 + bound_hi + bound_lo
+
+
+def test_tail_model_equals_per_harmonic_by_parts():
+    # the model shares the (s+iT) powers across harmonics and fixes the a_n
+    # per model; its sums must stay bit-identical to one _by_parts per harmonic
+    rng = np.random.default_rng(11)
+    for s in (0.0, 0.5, -0.5):
+        for p in (0.5, 1.0, 2.5, 4.0):
+            q = p + 1.0
+            n = int(rng.integers(1, 40))
+            xs = 10.0 ** rng.uniform(-3.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            harmonics = [(float(x), float(g)) for x, g in zip(xs, rng.normal(0.0, 1.0, n))]
+            poly = [(0.3, 0)]  # r < p, as the routes build them
+            gauss = [(0.8, 2.0)]
+            model = _TailModel(p=p, q=q, s=s, harmonics=harmonics, poly=poly,
+                               gauss=gauss, fallback_K=0.25)
+            k = model.k
+            for T in 10.0 ** rng.uniform(-2.0, 6.0, 12):
+                T = float(T)
+                closed = math.fsum(
+                    [(g * _by_parts(x, s, q, T, k)[0]).real for x, g in harmonics]
+                    + [_power_tail(c, r, p, s, T) for c, r in poly])
+                env = 0.0
+                slow = T ** (1.0 - q) / (q - 1.0)
+                for x, g in harmonics:
+                    env += abs(g) * _by_parts(x, s, q, T, k)[1]
+                for K, vg in gauss:
+                    mills = math.exp(-0.5 * vg * T * T) / (vg * T) if vg * T * T < 1400 else 0.0
+                    env += K * min(T ** (-q) * mills, slow)
+                env += 0.25 * slow
+                assert model.closed(T) == closed
+                assert model.envelope(T) == env
 
 
 @pytest.mark.parametrize("spec", [PointMass(1.3), FiniteDiscrete(((-1.5, 0.25), (0.0, 0.25), (2.0, 0.5)))])

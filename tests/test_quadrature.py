@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 
 from corpus import build_corpus
 from pospart.errors import BudgetExceeded, NonFiniteIntegrand, PreconditionError
-from pospart.quadrature import HeadRule, IntegrandProfile, integrate_halfline, partial_integrals
+from pospart.quadrature import (
+    _SPLIT_BATCH,
+    HeadRule,
+    IntegrandProfile,
+    _exact_parts,
+    _worst,
+    integrate_halfline,
+    partial_integrals,
+)
 
 
 def test_exponential_example():
@@ -175,3 +184,93 @@ def test_partial_integrals_tail_integrand_rate():
     # the oracle misses (40, inf), bounded by the profile's own envelope
     assert abs(tail - oracle) <= kern.profile.tail_envelope(40.0) + abs(
         kern.profile.tail_closed_form(40.0)) + 1e-6
+
+
+# -- refinement: the round-cap flag and bit-identical panel selection ------
+
+
+def _many_jumps(seed=7, count=1000, end=50.0):
+    """A seeded step function on (0, end) with ``count`` jumps: each jump
+    needs ~45 bisections at rel_tol 1e-10, far more than 500 rounds of 64."""
+    rng = np.random.default_rng(seed)
+    jumps = np.sort(rng.uniform(0.0, end, count))
+    heights = rng.uniform(-1.0, 1.0, count + 1)
+    f = lambda t: np.where(t < end, heights[np.searchsorted(jumps, t)], 0.0)
+    return f, IntegrandProfile(0.0, lambda T: max(end - T, 0.0), max_panel_width=1.0)
+
+
+def test_refine_cap_is_reported():
+    f, prof = _many_jumps()
+    capped = integrate_halfline(f, prof, 1e-10)
+    assert capped.refine_capped
+    assert capped.evaluations == 960_480  # 500 rounds of 64 split panels
+    assert capped.err_est > 0.5e-10 * abs(capped.value)
+    smooth = integrate_halfline(lambda t: np.exp(-t),
+                                IntegrandProfile(0.0, lambda T: math.exp(-T)), 1e-10)
+    assert not smooth.refine_capped
+
+
+def test_worst_panels_follow_nlargest_order():
+    # ties go to the lower index and at most _SPLIT_BATCH panels are taken,
+    # exactly as heapq.nlargest picks them
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 64, 65, 200, 3000):
+        err = rng.integers(0, 6, n).astype(float) * 0.125
+        cand = np.flatnonzero(err > 0.125)
+        want = heapq.nlargest(_SPLIT_BATCH, cand.tolist(), key=lambda i: err[i])
+        assert _worst(err, cand).tolist() == want
+
+
+def test_exact_parts_track_fsum_of_a_changing_set():
+    # the running totals of refinement: add some values, remove others, and
+    # the first part must stay fsum of what is left, bit for bit
+    rng = np.random.default_rng(5)
+    live, parts = [], [0.0]
+    for _ in range(300):
+        add = (rng.standard_normal(8) * 10.0 ** rng.integers(-20, 20, 8)).tolist()
+        drop, live = live[:5], live[5:] + add
+        parts = _exact_parts(parts + add + [-x for x in drop])
+        assert parts[0] == math.fsum(live)
+
+
+def _bits(r):
+    return r.value.hex(), r.err_est.hex(), r.panels_used, r.evaluations
+
+
+def test_refine_heavy_moment_bits():
+    # golden values: refinement has to pick, split and sum the panels in the
+    # same order as the list-of-panels integrator it replaced
+    from pospart.distributions import CenteredScaledPoisson
+    from pospart.moments import match_discrete, ppm_cf, ppm_diff
+
+    spec = CenteredScaledPoisson(3.0, 0.5)
+    assert _bits(ppm_cf(spec, 2.5).quadrature) == (
+        "0x1.06b47683d9c5ep-1", "0x1.e02baa707c6e9p-47", 84, 1350)
+    quad = ppm_diff(spec, match_discrete(spec, 4.0), 4.0).quadrature
+    assert _bits(quad) == ("0x1.7e7725a21b5c7p-12", "0x1.d836504180866p-34", 31812, 953790)
+    assert quad.refine_capped
+
+
+def test_partial_integrals_bits():
+    from pospart.distributions import PointMass
+    from pospart.moments import MomentOrder, _transform_kernel
+
+    mo = MomentOrder.from_p(0.5)
+    kern = _transform_kernel(PointMass(-1.0), mo, 0.0, mo.ell, "bits")
+    pairs = partial_integrals(kern.f, kern.profile, [1.0, 0.1, 0.01, 0.001], 1e-10,
+                              abs_tol=1e-12)
+    assert [val.hex() for _, val in pairs] == [
+        "0x1.24121087cf67fp+0", "0x1.c22a15cdfb8f6p-2",
+        "0x1.2125b28b976c8p-3", "0x1.6e4bdab010418p-5"]
+
+
+def test_tied_panel_errors_bits():
+    # a jump of height +1 or -1 at the same offset in each of 100 unit
+    # panels: all 100 panel errors tie exactly, the first round splits the
+    # 64 leftmost, and the value shows which side the ties went to
+    f = lambda t: np.where(t < 100.0, np.where(t < 70.0, 1.0, -1.0) * (t % 1.0 < 0.3), 0.0)
+    prof = IntegrandProfile(0.0, lambda T: max(100.0 - T, 0.0),
+                            oscillation_scale=2.0, max_panel_width=1.0)
+    r = integrate_halfline(f, prof, 1e-10)
+    assert _bits(r) == ("0x1.8000000000c8cp+3", "0x1.389c21d5186abp-31", 3684, 109335)
+    assert not r.refine_capped
