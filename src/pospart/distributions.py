@@ -77,6 +77,10 @@ class StripBounds:
 class PointMass:
     x: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise PreconditionError("atom must be finite")
+
 
 @dataclass(frozen=True)
 class FiniteDiscrete:
@@ -85,6 +89,8 @@ class FiniteDiscrete:
     def __post_init__(self):
         if len(self.atoms) == 0:
             raise PreconditionError("a discrete spec needs at least one atom")
+        if not all(math.isfinite(x) for x, _ in self.atoms):
+            raise PreconditionError("atoms must be finite")
         total = math.fsum(w for _, w in self.atoms)
         if any(w <= 0.0 for _, w in self.atoms):
             raise PreconditionError("atom weights must be positive")
@@ -100,8 +106,10 @@ class Normal:
     var: float
 
     def __post_init__(self):
-        if not self.var > 0.0:
-            raise PreconditionError("variance must be positive")
+        if not math.isfinite(self.mu):
+            raise PreconditionError("mean must be finite")
+        if not 0.0 < self.var < math.inf:
+            raise PreconditionError("variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -112,16 +120,20 @@ class CenteredScaledPoisson:
     y: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise PreconditionError("rate must be positive")
-        if not self.y > 0.0:
-            raise PreconditionError("scale must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise PreconditionError("rate must be positive and finite")
+        if not 0.0 < self.y < math.inf:
+            raise PreconditionError("scale must be positive and finite")
 
 
 @dataclass(frozen=True)
 class Shift:
     inner: "DistributionSpec"
     c: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise PreconditionError("shift must be finite")
 
 
 @dataclass(frozen=True)

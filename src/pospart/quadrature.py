@@ -211,16 +211,16 @@ def gk15_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gk15_reduce(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and error estimates of panels from their node values.
 
-    y has shape (n, 15), one row per panel, half the n half-widths.  The
-    error starts from the Gauss/Kronrod gap and is scaled in the QUADPACK
-    way, resasc * min(1, (200 gap / resasc)^1.5), with a floor of
-    50 eps resabs for rounding.
+    y has shape (..., n, 15), one row per panel, half the n half-widths,
+    shared by the leading axes.  The error starts from the Gauss/Kronrod gap
+    and is scaled in the QUADPACK way, resasc * min(1, (200 gap / resasc)^1.5),
+    with a floor of 50 eps resabs for rounding.
     """
     k = half * (y @ _WEIGHTS_K)
     g = half * (y @ _WEIGHTS_G)
     resabs = half * (np.abs(y) @ _WEIGHTS_K)
     mean = k / (2.0 * half)
-    resasc = half * (np.abs(y - mean[:, None]) @ _WEIGHTS_K)
+    resasc = half * (np.abs(y - mean[..., None]) @ _WEIGHTS_K)
     raw = np.abs(k - g)
     # scaled estimate in the Kronrod tradition: the raw Gauss/Kronrod gap
     # measures the 7-point error, which the 15-point rule beats by a wide

@@ -22,16 +22,19 @@ exp(-s t) cannot dwarf the result.  Below the support's effective left edge
 part equals the variable itself, so raw moments apply exactly; that switch
 keeps the x -> 0 end of a bound curve exact and fast.
 
-Every order p shares the factor exp(0.5 a z^2 + lam e_1(z y) - z t) of the
-line integrand; only z^-(p+1) changes.  The batched engine (_eta_moments)
-therefore evaluates that factor once per (t, node) cell on a Gauss-Kronrod
-grid shared by all levels of similar oscillation scale, and reads off
-E(eta-t)_+^p for p = 1, 2, 3 together.  The paper's identity
-d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
+On the line z = s + iu the integrand of E(eta-t)_+^p is Re[e^{-zt} H_p(u)]
+with H_p = E e^{z eta} z^-(p+1): the level t enters only through
+e^{-zt} = e^{-st} e^{-iut}, and every level at or above -6/s* lies on the
+same line s*.  The batched engine (_eta_moments) therefore evaluates H_p for
+p = 1, 2, 3 once per node of a Gauss-Kronrod grid shared by the levels of
+similar oscillation scale on one line, and each (t, node) cell costs only the
+real rotation cos(ut) Re H_p + sin(ut) Im H_p; the positive factor e^{-st}
+multiplies a level's panel sums and error bars afterwards.  The paper's
+identity d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
 m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass, so the solver runs a
 bracketed Newton iteration on all levels of a curve at once.  A level whose
 grid error misses its budget takes the adaptive single-t route (_moments23)
-instead.
+instead.  Each result row carries the error bars of mu2, mu3 and Pin.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ class TailBoundProblem:
 
 @dataclass
 class TailBoundResult:
+    """One level of the bound.  mu2_err and mu3_err bound the moments'
+    integration error, and pin_err = pin (3 mu2_err/mu2 + 2 mu3_err/mu3)
+    carries them to Pin to first order.  They are 0 at the far left, where
+    closed forms apply, and NaN on a level the adaptive fallback solved or
+    that failed."""
+
     x: float
     t_x: float
     pin: float
@@ -113,6 +122,9 @@ class TailBoundResult:
     mu3: float
     residual: float
     error: Optional[str] = None
+    mu2_err: float = math.nan
+    mu3_err: float = math.nan
+    pin_err: float = math.nan
 
     def is_failure(self) -> bool:
         return self.error is not None
@@ -285,9 +297,18 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
     the bucket); the widths grow until they reach 2/freq and stay there.  The
     grid ends where the tail envelope of every level and order fits a
-    quarter of the absolute part of its budget.  A level's error bar is its
-    summed panel errors plus that envelope.  Buckets whose grid would be
-    longer than _MAX_GRID_PANELS are left NaN.
+    quarter of the absolute part of its budget.
+
+    Within a bucket the levels are grouped by their line s: levels at or
+    above -6/s* share s*, and each level below that is a group of its own.
+    A group evaluates the transform once per node, as
+    H_p = exp(0.5 a z^2 + lam e_1(z y)) z^-(p+1), and each of its levels
+    integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p].  The
+    Kronrod values and QUADPACK error estimates (the 50 eps resabs floor
+    included) are linear in the integrand, so the level's factor e^{-st}
+    multiplies them after the reduction.  A level's error bar is its summed
+    panel errors plus the tail envelope.  Buckets whose grid would be longer
+    than _MAX_GRID_PANELS are left NaN.
     """
     a = (1.0 - problem.eps) * problem.sigma**2
     lam, y = problem.lam, problem.y
@@ -331,21 +352,23 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
         T = edges[-1]
         pts, half = gk15_nodes(edges[:-1], edges[1:])
         u = pts.ravel()
-        n_panels = half.size
         per_block = max(1, _BLOCK_CELLS // u.size)
-        for first in range(0, rows.size, per_block):
-            r = rows[first: first + per_block]
-            z = s[r, None] + 1j * u[None, :]
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                w = np.exp(-z * t[r, None] + 0.5 * a * z * z + lam * exp_remainder(z * y, 1))
+        for line in np.unique(s[rows]):
+            group = rows[s[rows] == line]
+            z = line + 1j * u
             iz = 1.0 / z
-            f = w * iz * iz
-            halves = np.tile(half, r.size)
-            for p in range(3):
-                k, e = gk15_reduce(f.real.reshape(-1, 15), halves)
-                mu[p, r] = k.reshape(r.size, n_panels).sum(axis=1)
-                err[p, r] = e.reshape(r.size, n_panels).sum(axis=1)
-                f = f * iz
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                h = np.exp(0.5 * a * z * z + lam * exp_remainder(z * y, 1)) * iz * iz
+            # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
+            h = np.stack([h, h * iz, h * iz * iz])
+            for first in range(0, group.size, per_block):
+                r = group[first: first + per_block]
+                ut = t[r, None] * u
+                f = np.cos(ut) * h.real[:, None, :] + np.sin(ut) * h.imag[:, None, :]
+                k, e = gk15_reduce(f.reshape(3, r.size, -1, 15), half)
+                shift = np.exp(-line * t[r])
+                mu[:, r] = k.sum(axis=2) * shift
+                err[:, r] = e.sum(axis=2) * shift
         err[:, rows] += _envelope(a, K[rows], T, q)
     return _PREF * mu, _PREF * err
 
@@ -397,7 +420,7 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
 
 
 def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
-         m: float) -> TailBoundResult:
+         m: float, mu2_err: float, mu3_err: float) -> TailBoundResult:
     """The result at root t.  Pin = mu2^3 / mu3^2, except at the far left,
     where |t| can reach 1e9 sigma and that ratio rounds above 1: there it is
     exp(3 log1p(sigma^2/t^2) - 2 log1p(3 sigma^2/t^2 - m3/t^3))."""
@@ -407,7 +430,9 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
         r = problem.sigma**2 / (t * t)
         value = math.exp(3.0 * math.log1p(r)
                          - 2.0 * math.log1p(3.0 * r - _eta_m3(problem) / t**3))
-    return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x))
+    return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x),
+                           mu2_err=mu2_err, mu3_err=mu3_err,
+                           pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3))
 
 
 def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
@@ -444,7 +469,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         xt = max(level, 0.5 * tol_x)
         root = (-var - math.sqrt(var * var - xt * (xt * var - m3))) / xt
         _, mu2, mu3, m = _far_left(problem, root)
-        out[i] = (_row(problem, level, root, mu2, mu3, m) if abs(m - level) <= tol_x
+        out[i] = (_row(problem, level, root, mu2, mu3, m, 0.0, 0.0) if abs(m - level) <= tol_x
                   else BracketFailure(-math.inf, edge, 0.0, m_edge))
 
     idx = np.flatnonzero(~far)
@@ -480,7 +505,8 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
                 g = ev.m[k] - x[j]
                 if best[j] is None or abs(g) < best[j][0]:
                     best[j] = (abs(g), _row(problem, float(x[j]), float(t[j]), float(mu2),
-                                            float(mu3), float(ev.m[k])))
+                                            float(mu3), float(ev.m[k]), float(ev.err[1, k]),
+                                            float(ev.err[2, k])))
                 if abs(g) <= tol_x:
                     out[idx[j]] = best[j][1]
                     continue

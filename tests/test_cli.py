@@ -205,3 +205,20 @@ def test_runtime_path_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     result = proc.stdout.strip().splitlines()[-1]
     assert result == "RESULT [0, 0, 0, 0] []", result
+
+
+def test_validate_without_scipy_exits_two():
+    # scipy is the optional "validate" extra; a None entry in sys.modules
+    # makes its import fail as on an install without it
+    script = ('import sys\nsys.modules["scipy"] = None\n'
+              'from pospart.cli import main\nsys.exit(main(["validate"]))\n')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "pospart[validate]" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -211,6 +211,21 @@ def test_spec_validation():
         CenteredScaledPoisson(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PointMass(math.nan),
+    lambda: Normal(math.nan, 1.0),
+    lambda: Normal(0.0, math.inf),
+    lambda: CenteredScaledPoisson(math.inf, 1.0),
+    lambda: CenteredScaledPoisson(1.0, math.nan),
+    lambda: Shift(Normal(0.0, 1.0), math.nan),
+    lambda: FiniteDiscrete(((math.inf, 0.5), (0.0, 0.5))),
+], ids=["point-nan", "normal-mean-nan", "normal-var-inf", "poisson-rate-inf",
+        "poisson-scale-nan", "shift-nan", "discrete-atom-inf"])
+def test_constructors_reject_non_finite(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
 def test_scale_fallbacks():
     assert scale(Normal(0.0, 4.0)) == pytest.approx(2.0)
     assert scale(PointMass(3.0)) == pytest.approx(3.0)

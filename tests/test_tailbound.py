@@ -179,19 +179,25 @@ def test_curve_shapes_and_failure_isolation():
         pin(P_UNIT, -1e-3)
 
 
-def _assert_rows_match_series(problem, rows, rtol):
+def _assert_rows_match_series(problem, rows, rtol, bars):
+    # with bars, each moment must also lie within its own error bar
     for r in rows:
         assert not r.is_failure(), (r.x, r.error)
-        mu2 = naive_series_ppm(problem, r.t_x, 2)
-        mu3 = naive_series_ppm(problem, r.t_x, 3)
-        assert abs(r.mu2 - mu2.value) <= rtol * mu2.value + mu2.half_width, (r.x, r.mu2, mu2)
-        assert abs(r.mu3 - mu3.value) <= rtol * mu3.value + mu3.half_width, (r.x, r.mu3, mu3)
+        for got, bar, p in ((r.mu2, r.mu2_err, 2), (r.mu3, r.mu3_err, 3)):
+            ref = naive_series_ppm(problem, r.t_x, p)
+            miss = abs(got - ref.value)
+            assert miss <= rtol * ref.value + ref.half_width, (r.x, p, got, ref)
+            if bars:
+                assert miss <= bar + ref.half_width, (r.x, p, got, bar, ref)
 
 
 def test_curve_rows_match_series_oracle():
     rows = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-7)
-    _assert_rows_match_series(P_UNIT, rows, 1e-9)
+    _assert_rows_match_series(P_UNIT, rows, 1e-9, bars=True)
     assert all(r.residual <= 1e-9 for r in rows)
+    for r in rows:
+        assert r.pin_err == pytest.approx(
+            r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3), rel=1e-15)
 
 
 def test_fallback_rows_match_series_oracle(monkeypatch):
@@ -205,9 +211,10 @@ def test_fallback_rows_match_series_oracle(monkeypatch):
     assert np.all(np.isnan(ev.err)) and np.all(ev.mu[0] > 0.0)
     rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
     # the adaptive route keeps to the budget, whose absolute part allows
-    # 1e-7 relative at the right end
-    _assert_rows_match_series(P_UNIT, rows, 1e-6)
+    # 1e-7 relative at the right end; it reports no error bars
+    _assert_rows_match_series(P_UNIT, rows, 1e-6, bars=False)
     assert all(r.residual <= 1e-9 for r in rows)
+    assert all(math.isnan(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
 
 
 def test_right_tail_moments_regression():
@@ -227,7 +234,9 @@ def test_right_tail_moments_regression():
 def test_engine_moments_slope_and_error_bars():
     # d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) makes m'(t) = 2 mu1 mu3 / mu2^2 - 2,
     # which Cauchy-Schwarz keeps >= 0; compare with a central difference of m
-    ts = np.array([-3.0, -1.0, 0.0, 0.7, 2.0, 3.5])
+    # -15 and -8 lie below -6 / s*, so they sit on lines of their own (s = 0.4
+    # and 0.75) next to the shared line s* = 1 of the others
+    ts = np.array([-15.0, -8.0, -3.0, -1.0, 0.0, 0.7, 2.0, 3.5])
     h = 1e-4
     ev = _eta_moments(P_UNIT, ts, 1e-12)
     mu1, mu2, mu3 = ev.mu
