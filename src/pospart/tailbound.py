@@ -33,8 +33,14 @@ multiplies a level's panel sums and error bars afterwards.  The paper's
 identity d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
 m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass, so the solver runs a
 bracketed Newton iteration on all levels of a curve at once.  A level whose
-grid error misses its budget takes the adaptive single-t route (_moments23)
-instead.  Each result row carries the error bars of mu2, mu3 and Pin.
+grid error misses its budget takes the adaptive single-t route (_moments23):
+moments.ppm_laplace on eta_spec(problem, t), the vertical-line route every
+catalog spec takes.  Each result row carries the error bars of mu2, mu3 and
+Pin; they are NaN only on a level that failed.
+
+_eta, the unshifted spec that eta_spec shifts, is the one description of the
+surrogate here: the line transform, the oscillation frequency and the raw
+moments all come from the catalog's code for that spec.
 """
 
 from __future__ import annotations
@@ -51,12 +57,15 @@ from .distributions import (
     IndependentSum,
     Normal,
     Shift,
+    _fl_vec,
+    _log_fl_vec,
+    freq_scale,
+    gaussian_var,
     raw_moment,
 )
 from .errors import BracketFailure, DegenerateMoment, PositivePartError, PreconditionError
-from .moments import gamma_p1
-from .quadrature import IntegrandProfile, gk15_nodes, gk15_reduce, integrate_halfline
-from .remainders import exp_remainder
+from .moments import gamma_p1, ppm_laplace
+from .quadrature import gk15_nodes, gk15_reduce
 
 __all__ = [
     "TailBoundProblem",
@@ -112,8 +121,7 @@ class TailBoundResult:
     """One level of the bound.  mu2_err and mu3_err bound the moments'
     integration error, and pin_err = pin (3 mu2_err/mu2 + 2 mu3_err/mu3)
     carries them to Pin to first order.  They are 0 at the far left, where
-    closed forms apply, and NaN on a level the adaptive fallback solved or
-    that failed."""
+    closed forms apply, and NaN only on a level that failed."""
 
     x: float
     t_x: float
@@ -130,25 +138,22 @@ class TailBoundResult:
         return self.error is not None
 
 
+def _eta(problem: TailBoundProblem) -> DistributionSpec:
+    """eta itself, unshifted, as a catalog spec."""
+    return IndependentSum(
+        Normal(0.0, (1.0 - problem.eps) * problem.sigma**2),
+        CenteredScaledPoisson(problem.lam, problem.y),
+    )
+
+
 def eta_spec(problem: TailBoundProblem, t: float) -> DistributionSpec:
     """The surrogate variable eta - t as a catalog spec."""
-    return Shift(
-        IndependentSum(
-            Normal(0.0, (1.0 - problem.eps) * problem.sigma**2),
-            CenteredScaledPoisson(problem.lam, problem.y),
-        ),
-        -t,
-    )
+    return Shift(_eta(problem), -t)
 
 
 def _log_transform_at(problem: TailBoundProblem, t, s):
-    """log E e^{s(eta - t)} for real s with s y <= 1; t and s may be arrays."""
-    sy = s * problem.y
-    return (
-        -s * t
-        + 0.5 * s * s * (1.0 - problem.eps) * problem.sigma**2
-        + problem.lam * (np.expm1(sy) - sy)
-    )
+    """log E e^{s(eta - t)} for real s; t and s may be arrays."""
+    return -s * t + np.real(_log_fl_vec(_eta(problem), s))
 
 
 def _line(problem: TailBoundProblem, t):
@@ -176,52 +181,6 @@ def _envelope(a: float, K, T, q):
     return K * np.minimum(T**-q * mills, T ** (1.0 - q) / (q - 1.0))
 
 
-def _frequency(problem: TailBoundProblem, t):
-    """Dominant oscillation frequency of the line integrand in u."""
-    a = (1.0 - problem.eps) * problem.sigma**2
-    lam, y = problem.lam, problem.y
-    return np.abs(t) + math.sqrt(a) + 2.0 * lam * y + 10.0 * y * math.sqrt(lam)
-
-
-def _eta_laplace_moment(problem: TailBoundProblem, t: float, s: float, p: float,
-                        rel_tol: float) -> float:
-    """E(eta - t)_+^p on the vertical line at s, with the transform fused
-    into a single exponential, by adaptive quadrature.
-
-    Same mathematics as ppm_laplace(eta_spec(problem, t), p, s, -1) and
-    cross-checked against it in the tests; this form skips the per-call
-    kernel assembly.
-    """
-    a = (1.0 - problem.eps) * problem.sigma**2
-    lam, y = problem.lam, problem.y
-    q = p + 1.0
-
-    def f(u):
-        z = s + 1j * np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            lg = -z * t + 0.5 * a * z * z + lam * exp_remainder(z * y, 1) - q * np.log(z)
-            return np.exp(lg).real
-
-    K = math.exp(_log_transform_at(problem, t, s))
-
-    def envelope(T):
-        # _envelope in scalar arithmetic: the integrator calls it per point
-        slow = T ** (1.0 - q) / (q - 1.0)
-        arg = 0.5 * a * T * T
-        mills = math.exp(-arg) / (a * T) if arg < 700.0 else 0.0
-        return K * min(T**-q * mills, slow)
-
-    freq = float(_frequency(problem, t))
-    profile = IntegrandProfile(
-        0.0, envelope, oscillation_scale=1.0 / freq,
-        max_panel_width=4.0 * math.pi / freq,
-    )
-    pref = gamma_p1(p) / math.pi
-    quad = integrate_halfline(f, profile, rel_tol,
-                              abs_tol=rel_tol * _basis(problem, t, p) / pref * 0.5)
-    return pref * quad.value
-
-
 def _far_left_edge(problem: TailBoundProblem) -> float:
     # eta has a hard floor at -lam*y (the Poisson part) minus Gaussian spread;
     # below this edge P(eta <= t) is under the Phi(-30) ~ 5e-198 level
@@ -231,13 +190,7 @@ def _far_left_edge(problem: TailBoundProblem) -> float:
 
 def _eta_m3(problem: TailBoundProblem) -> float:
     """E eta^3."""
-    return raw_moment(
-        IndependentSum(
-            Normal(0.0, (1.0 - problem.eps) * (problem.sigma * problem.sigma)),
-            CenteredScaledPoisson(problem.lam, problem.y),
-        ),
-        3,
-    )
+    return raw_moment(_eta(problem), 3)
 
 
 def _far_left(problem: TailBoundProblem, t):
@@ -251,24 +204,27 @@ def _far_left(problem: TailBoundProblem, t):
 
 
 def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
-    """(mu2, mu3, m(t)) for eta - t by the adaptive single-t route.
+    """(mu2, mu3, m(t), mu2_err, mu3_err) for eta - t by the adaptive
+    single-t route, ppm_laplace on the line s(t).
 
     Below the support's effective left edge the raw moments are exact.
     """
     if t <= _far_left_edge(problem):
-        return _far_left(problem, t)[1:]
+        return (*_far_left(problem, t)[1:], 0.0, 0.0)
     if t >= _RIGHT_GUARD_SIGMAS * problem.sigma:
         raise DegenerateMoment(t)
-    s_star = float(_line(problem, t))
-    mu2 = _eta_laplace_moment(problem, t, s_star, 2.0, rel_tol)
-    mu3 = _eta_laplace_moment(problem, t, s_star, 3.0, rel_tol)
+    spec, s = eta_spec(problem, t), float(_line(problem, t))
+    r2, r3 = (ppm_laplace(spec, p, s, -1, rel_tol) for p in (2.0, 3.0))
+    mu2, mu3 = r2.value, r3.value
     if not math.isfinite(mu2) or mu2 <= rel_tol * _basis(problem, t, 2.0):
         raise DegenerateMoment(t)
-    return mu2, mu3, t + mu3 / mu2
+    return mu2, mu3, t + mu3 / mu2, r2.reported_error, r3.reported_error
 
 
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
     """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2."""
+    if not math.isfinite(t):
+        raise PreconditionError(f"level t must be finite, got {t!r}")
     return _moments23(problem, t, rel_tol)[2]
 
 
@@ -277,9 +233,10 @@ class _EtaMoments:
     """Moments of eta - t for a batch of levels t, one column per level.
 
     mu[p-1] is E(eta-t)_+^p and err[p-1] its error bar, for p = 1, 2, 3; m is
-    m(t).  Rows taken by the adaptive fallback carry no error bars (NaN);
-    their mu1 is the grid's, else the adaptive route's, else NaN.  failure
-    holds the PositivePartError a row raised, else None.
+    m(t).  Rows taken by the adaptive fallback carry that route's values and
+    error bars; their mu1 and its bar stay the grid's when that mu1 is finite
+    and positive.  A row that failed is NaN throughout, and failure holds the
+    PositivePartError it raised (else None).
     """
 
     mu: np.ndarray
@@ -301,8 +258,8 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
 
     Within a bucket the levels are grouped by their line s: levels at or
     above -6/s* share s*, and each level below that is a group of its own.
-    A group evaluates the transform once per node, as
-    H_p = exp(0.5 a z^2 + lam e_1(z y)) z^-(p+1), and each of its levels
+    A group evaluates the transform of eta once per node, as
+    H_p = E e^{z eta} z^-(p+1), and each of its levels
     integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p].  The
     Kronrod values and QUADPACK error estimates (the 50 eps resabs floor
     included) are linear in the integrand, so the level's factor e^{-st}
@@ -310,8 +267,8 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     panel errors plus the tail envelope.  Buckets whose grid would be longer
     than _MAX_GRID_PANELS are left NaN.
     """
-    a = (1.0 - problem.eps) * problem.sigma**2
-    lam, y = problem.lam, problem.y
+    eta = _eta(problem)
+    a = gaussian_var(eta)
     q = np.array(_ORDERS)[:, None] + 1.0
     K = np.exp(log_k)
     target = 0.125 * rel_tol * _basis(problem, t, q - 1.0) / _PREF
@@ -321,8 +278,9 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
         t_gauss = np.maximum(1.0, np.sqrt(2.0 * np.maximum(np.log(K / (a * target)), 0.0) / a))
         t_slow = (K / ((q - 1.0) * target)) ** (1.0 / (q - 1.0))
     t_end = np.minimum(t_gauss, t_slow).max(axis=0)
-    freq = _frequency(problem, t)
-    bucket = np.ceil(np.log2(freq / float(_frequency(problem, 0.0))))
+    base = freq_scale(eta)
+    freq = np.abs(t) + base
+    bucket = np.ceil(np.log2(freq / base))
     mu = np.full((3, t.size), np.nan)
     err = np.full((3, t.size), np.nan)
     for b in np.unique(bucket):
@@ -358,7 +316,7 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
             z = line + 1j * u
             iz = 1.0 / z
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                h = np.exp(0.5 * a * z * z + lam * exp_remainder(z * y, 1)) * iz * iz
+                h = _fl_vec(eta, z) * iz * iz
             # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
             h = np.stack([h, h * iz, h * iz * iz])
             for first in range(0, group.size, per_block):
@@ -408,14 +366,15 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
     m[good] = ts[good] + mu[2, good] / mu[1, good]
     failure = [None] * n
     for i in np.flatnonzero(~left & ~good):
-        mu[1:, i] = np.nan
-        err[:, i] = np.nan
+        t = float(ts[i])
         try:
-            mu[1, i], mu[2, i], m[i] = _moments23(problem, float(ts[i]), rel_tol)
-            if line[i] and np.isnan(mu[0, i]):
-                mu[0, i] = _eta_laplace_moment(problem, float(ts[i]), float(s[i]), 1.0, rel_tol)
+            mu[1, i], mu[2, i], m[i], err[1, i], err[2, i] = _moments23(problem, t, rel_tol)
+            if np.isnan(mu[0, i]):
+                r1 = ppm_laplace(eta_spec(problem, t), 1.0, float(s[i]), -1, rel_tol)
+                mu[0, i], err[0, i] = r1.value, r1.reported_error
         except PositivePartError as exc:
             failure[i] = exc
+            mu[:, i] = err[:, i] = np.nan
     return _EtaMoments(mu, err, m, failure)
 
 
@@ -454,6 +413,8 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     """
     if not (1e-12 <= tol_x <= 1e-3):
         raise PreconditionError(f"tol_x must lie in [1e-12, 1e-3], got {tol_x!r}")
+    if not (1e-13 <= rel_tol <= 1e-2):
+        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise PreconditionError("levels x must be finite")

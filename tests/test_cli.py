@@ -74,6 +74,15 @@ def test_pin_rejects_bad_eps(capsys):
     assert "eps must be in (0, 1)" in err
 
 
+@pytest.mark.parametrize("rel_tol", ["nan", "-1", "0.5"])
+def test_pin_rejects_bad_rel_tol(capsys, rel_tol):
+    code, out, err = run_cli(capsys, "pin", "--sigma", "1", "--y", "1", "--eps", "0.5",
+                             "--x", "2", "--rel-tol", rel_tol)
+    assert code == 2
+    assert out == ""
+    assert "rel_tol must lie in" in err
+
+
 def test_curve_structure_and_determinism(capsys):
     args = ("curve", "--sigma", "1", "--y", "1", "--eps", "0.5",
             "--x-min", "0", "--x-max", "3", "--steps", "7", "--rel-tol", "1e-7")

@@ -10,7 +10,6 @@ from pospart.moments import ppm_cf, ppm_laplace
 from pospart.oracles import density_ppm, naive_series_ppm
 from pospart.tailbound import (
     TailBoundProblem,
-    _eta_laplace_moment,
     _eta_moments,
     eta_spec,
     m_of_t,
@@ -46,14 +45,6 @@ def test_eta_transform_and_variance():
         spec = eta_spec(P_UNIT, t)
         var = raw_moment(spec, 2) - raw_moment(spec, 1) ** 2
         assert var == pytest.approx(P_UNIT.sigma**2, rel=1e-12)
-
-
-def test_fast_path_matches_generic_route():
-    for t in (-3.0, -0.5, 0.0, 1.2, 3.7):
-        for p in (2.0, 3.0):
-            fast = _eta_laplace_moment(P_UNIT, t, 1.0, p, 1e-10)
-            ref = ppm_laplace(eta_spec(P_UNIT, t), p, 1.0, -1, 1e-10).value
-            assert fast == pytest.approx(ref, abs=1e-11 * (1 + abs(ref)))
 
 
 def test_m_exceeds_t_and_matches_gaussian_limit():
@@ -110,6 +101,21 @@ def test_solver_tolerance_domain():
         solve_tx(P_UNIT, 1.0, tol_x=1e-2)
     with pytest.raises(PreconditionError):
         solve_tx(P_UNIT, 1.0, tol_x=1e-13)
+    # rel_tol takes the range the moment routes enforce
+    for rel_tol in (math.nan, math.inf, -1.0, 0.0, 1e-14, 0.05):
+        with pytest.raises(PreconditionError, match="rel_tol"):
+            solve_tx(P_UNIT, 1.0, rel_tol=rel_tol)
+        with pytest.raises(PreconditionError, match="rel_tol"):
+            pin(P_UNIT, 1.0, rel_tol=rel_tol)
+        with pytest.raises(PreconditionError, match="rel_tol"):
+            pin_curve(P_UNIT, 0.0, 1.0, 3, rel_tol=rel_tol)
+
+
+def test_m_rejects_non_finite_level():
+    # -inf used to fall into the far-left closed form and return NaN
+    for t in (-math.inf, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="level t must be finite"):
+            m_of_t(P_UNIT, t)
 
 
 def test_log_transform_on_the_line_stays_small():
@@ -179,25 +185,24 @@ def test_curve_shapes_and_failure_isolation():
         pin(P_UNIT, -1e-3)
 
 
-def _assert_rows_match_series(problem, rows, rtol, bars):
-    # with bars, each moment must also lie within its own error bar
+def _assert_rows_match_series(problem, rows, rtol):
+    # each moment must also lie within its own error bar, and pin_err must
+    # carry both bars to Pin; a NaN bar fails both checks
     for r in rows:
         assert not r.is_failure(), (r.x, r.error)
         for got, bar, p in ((r.mu2, r.mu2_err, 2), (r.mu3, r.mu3_err, 3)):
             ref = naive_series_ppm(problem, r.t_x, p)
             miss = abs(got - ref.value)
             assert miss <= rtol * ref.value + ref.half_width, (r.x, p, got, ref)
-            if bars:
-                assert miss <= bar + ref.half_width, (r.x, p, got, bar, ref)
+            assert miss <= bar + ref.half_width, (r.x, p, got, bar, ref)
+        assert r.pin_err == pytest.approx(
+            r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3), rel=1e-15)
 
 
 def test_curve_rows_match_series_oracle():
     rows = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-7)
-    _assert_rows_match_series(P_UNIT, rows, 1e-9, bars=True)
+    _assert_rows_match_series(P_UNIT, rows, 1e-9)
     assert all(r.residual <= 1e-9 for r in rows)
-    for r in rows:
-        assert r.pin_err == pytest.approx(
-            r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3), rel=1e-15)
 
 
 def test_fallback_rows_match_series_oracle(monkeypatch):
@@ -208,13 +213,13 @@ def test_fallback_rows_match_series_oracle(monkeypatch):
 
     monkeypatch.setattr(tailbound, "_grid_moments", missed)
     ev = _eta_moments(P_UNIT, [-2.0, 1.0], 5e-11)
-    assert np.all(np.isnan(ev.err)) and np.all(ev.mu[0] > 0.0)
+    assert np.all(np.isfinite(ev.err)) and np.all(ev.mu[0] > 0.0)
     rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
     # the adaptive route keeps to the budget, whose absolute part allows
-    # 1e-7 relative at the right end; it reports no error bars
-    _assert_rows_match_series(P_UNIT, rows, 1e-6, bars=False)
+    # 1e-7 relative at the right end, and reports the error bars it reached
+    _assert_rows_match_series(P_UNIT, rows, 1e-6)
     assert all(r.residual <= 1e-9 for r in rows)
-    assert all(math.isnan(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
+    assert all(math.isfinite(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
 
 
 def test_right_tail_moments_regression():
