@@ -40,6 +40,7 @@ from .errors import (
     SpecParseError,
     SpecSemanticError,
     StripViolation,
+    UnmetBudget,
 )
 from .moments import (
     MomentOrder,

@@ -96,5 +96,17 @@ class BracketFailure(PositivePartError):
         self.values = (m_lo, m_hi)
 
 
+class UnmetBudget(PositivePartError):
+    """An error bar stays above its budget where more work cannot shrink it."""
+
+    def __init__(self, what: str, bar: float, budget: float, t: float):
+        super().__init__(
+            f"the error bar of {what} at t = {t!r} is {bar:.3g}, above its budget {budget:.3g}"
+        )
+        self.bar = bar
+        self.budget = budget
+        self.t = t
+
+
 class SeriesGuard(PreconditionError):
     """Naive-series oracle rejected: rate parameter beyond the guard."""

@@ -301,35 +301,54 @@ def _trim(state: _State, profile: IntegrandProfile, panels: _Panels,
 
     The growth phase overshoots by design (panels arrive in chunks); keeping
     the overshoot would leave the reported truncation bound far below the
-    achieved one.  Within the crossing panel the exact point is located by
-    bisection on the (monotone) envelope, so the truncation share of the
-    budget is actually used rather than overshot."""
+    achieved one.  The envelope falls with T, so the first panel end where it
+    fits its share is found by bisection over the panel ends, with
+    O(log panels) tail-model calls; the running value at each end comes from
+    one sequential running sum, bit for bit the head value plus the panels
+    added one by one.  When the last end does not fit, nothing is cut.
+    Within the crossing panel the exact point is located by bisection on the
+    (monotone) envelope, so the truncation share of the budget is actually
+    used rather than overshot."""
     tail_cf = profile.tail_closed_form
-    acc = head_value
-    for i, (a, b, val) in enumerate(zip(panels.a.tolist(), panels.b.tolist(),
-                                        panels.val.tolist())):
-        acc += val
-        T = b
-        run = acc + (tail_cf(T) if tail_cf else 0.0)
+    ends = panels.b.tolist()
+    acc = np.add.accumulate(np.concatenate([[head_value], panels.val])).tolist()
+    shares = {}
+
+    def within(env: float, share: float) -> bool:
+        return math.isfinite(env) and (env <= share or env <= 1e-305)
+
+    def fits(i: int) -> bool:
+        T = ends[i]
+        run = acc[i + 1] + (tail_cf(T) if tail_cf else 0.0)
         env = profile.tail_envelope(T)
-        share = 0.25 * max(rel_tol * abs(run), abs_tol)
-        if math.isfinite(env) and (env <= share or env <= 1e-305):
-            lo, hi = a, b
-            for _ in range(24):
-                mid = 0.5 * (lo + hi)
-                e_mid = profile.tail_envelope(mid)
-                if math.isfinite(e_mid) and (e_mid <= share or e_mid <= 1e-305):
-                    hi = mid
-                else:
-                    lo = mid
-            T = hi
-            if T < b - 1e-12 * (abs(b) + 1.0) and T > a * (1.0 + 1e-12):
-                panels.put(i, len(panels), state.panels([a], [T]))
-            else:
-                T = b
-                panels.put(i + 1, len(panels))
-            return T
-    return float(panels.b[-1])
+        shares[i] = 0.25 * max(rel_tol * abs(run), abs_tol)
+        return within(env, shares[i])
+
+    lo, hi = -1, len(ends) - 1
+    if not fits(hi):
+        return ends[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    i, share = hi, shares[hi]
+    a, b = float(panels.a[i]), ends[i]
+    lo, hi = a, b
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        if within(profile.tail_envelope(mid), share):
+            hi = mid
+        else:
+            lo = mid
+    T = hi
+    if T < b - 1e-12 * (abs(b) + 1.0) and T > a * (1.0 + 1e-12):
+        panels.put(i, len(panels), state.panels([a], [T]))
+    else:
+        T = b
+        panels.put(i + 1, len(panels))
+    return T
 
 
 def _deepen(

@@ -31,12 +31,21 @@ similar oscillation scale on one line, and each (t, node) cell costs only the
 real rotation cos(ut) Re H_p + sin(ut) Im H_p; the positive factor e^{-st}
 multiplies a level's panel sums and error bars afterwards.  The paper's
 identity d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
-m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass, so the solver runs a
-bracketed Newton iteration on all levels of a curve at once.  A level whose
-grid error misses its budget takes the adaptive single-t route (_moments23):
+m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass.  A level whose grid error
+misses its budget takes the adaptive single-t route (_moments23):
 moments.ppm_laplace on eta_spec(problem, t), the vertical-line route every
-catalog spec takes.  Each result row carries the error bars of mu2, mu3 and
-Pin; they are NaN only on a level that failed.
+catalog spec takes.
+
+All levels of a curve sample the same increasing m, so the solver keeps one
+table of the samples (t, m, m') of every pass and steps each level to the
+cubic Hermite inverse interpolant of t(m) between the samples on either side
+of its x, falling back to Newton and then bisection.  The budget that counts
+is the bar on m itself, (mu3_err + (m - t) mu2_err) / mu2: a probe enters
+the table or settles a level only when that bar is within tol_x, and a level
+whose bar misses has its later grid ends (and adaptive tolerance) sized from
+its own moments, so right-tail levels are not held to 1 + max(sigma,|t|)^p.
+Each result row carries the error bars of mu2, mu3 and Pin; they are NaN
+only on a level that failed.
 
 _eta, the unshifted spec that eta_spec shifts, is the one description of the
 surrogate here: the line transform, the oscillation frequency and the raw
@@ -63,7 +72,13 @@ from .distributions import (
     gaussian_var,
     raw_moment,
 )
-from .errors import BracketFailure, DegenerateMoment, PositivePartError, PreconditionError
+from .errors import (
+    BracketFailure,
+    DegenerateMoment,
+    PositivePartError,
+    PreconditionError,
+    UnmetBudget,
+)
 from .moments import gamma_p1, ppm_laplace
 from .quadrature import gk15_nodes, gk15_reduce
 
@@ -89,7 +104,7 @@ _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
 _BLOCK_CELLS = 1 << 16
 _MAX_GRID_PANELS = _BLOCK_CELLS // 15
 # bisection alone narrows [edge, x] to 1e-14 relative width in about 60
-# passes; Newton passes only shorten that
+# passes; interpolation and Newton passes only shorten that
 _MAX_PASSES = 200
 # panel width near u = 0 as a share of the distance to the pole at u = i s
 _GRADE = 0.25
@@ -221,10 +236,17 @@ def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
     return mu2, mu3, t + mu3 / mu2, r2.reported_error, r3.reported_error
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    """rel_tol takes the range the moment routes enforce."""
+    if not (1e-13 <= rel_tol <= 1e-2):
+        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
+
+
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
     """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2."""
     if not math.isfinite(t):
         raise PreconditionError(f"level t must be finite, got {t!r}")
+    _check_rel_tol(rel_tol)
     return _moments23(problem, t, rel_tol)[2]
 
 
@@ -246,15 +268,15 @@ class _EtaMoments:
 
 
 def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
-                  log_k: np.ndarray, rel_tol: float):
+                  log_k: np.ndarray, cut: np.ndarray):
     """mu1..mu3 and their error bars on shared Gauss-Kronrod grids.
 
     Levels are bucketed by oscillation frequency (within a factor 2); each
     bucket shares one grid.  Near u = 0 each panel spans a quarter of its
     left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
     the bucket); the widths grow until they reach 2/freq and stay there.  The
-    grid ends where the tail envelope of every level and order fits a
-    quarter of the absolute part of its budget.
+    grid ends where the tail envelope of every level and order fits its
+    truncation allowance cut[p-1] (absolute, in units of the moment).
 
     Within a bucket the levels are grouped by their line s: levels at or
     above -6/s* share s*, and each level below that is a group of its own.
@@ -271,7 +293,7 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     a = gaussian_var(eta)
     q = np.array(_ORDERS)[:, None] + 1.0
     K = np.exp(log_k)
-    target = 0.125 * rel_tol * _basis(problem, t, q - 1.0) / _PREF
+    target = cut / _PREF
     # a grid end that meets every target: at T >= 1 the Mills bound is below
     # e^{-a T^2/2}/a, and the algebraic bound inverts exactly
     with np.errstate(over="ignore"):
@@ -331,15 +353,22 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     return _PREF * mu, _PREF * err
 
 
-def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
+def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _EtaMoments:
     """mu1, mu2, mu3 and m(t) of eta - t for every level in ts in one pass.
 
     Far-left levels take the closed form.  The others share Gauss-Kronrod
-    grids on their lines (_grid_moments); a level falls back to the adaptive
-    _moments23 when a mu2 or mu3 error bar misses the budget
+    grids on their lines (_grid_moments).  A grid ends where each moment's
+    truncation fits its allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or
+    tail[p-1] where tail, a (3, n) array, gives a smaller one (NaN entries
+    give none); the solver sizes tail from a level's own moments when its
+    bar on m missed.  A level falls back to the adaptive _moments23 when a
+    mu2 or mu3 error bar misses the budget
     max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)), or when either
-    value is not finite or not above the degeneracy floor.
-    mu1 only steers the Newton step: a level that falls back keeps the grid's
+    value is not finite or not above the degeneracy floor.  The fallback
+    runs at rel_tol times the smaller of the shares tail[p-1] / (0.125
+    rel_tol (1 + max(sigma,|t|)^p)) for p = 2, 3 (at most 1, at least
+    1e-13 in all), so a level sized for its bar on m is sized there too.
+    mu1 only steers the step: a level that falls back keeps the grid's
     mu1 whenever it is finite and positive, else takes it from the adaptive
     route too.
     """
@@ -354,11 +383,19 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
     err[:, left] = 0.0
     s = _line(problem, ts)
     log_k = _log_transform_at(problem, ts, s)
+    basis = _basis(problem, ts, np.array(_ORDERS)[:, None])
+    cut = 0.125 * rel_tol * basis
+    fall_tol = np.full(n, rel_tol)
+    if tail is not None:
+        # the adaptive route's budget scales with its tolerance, so a level
+        # whose mu2 or mu3 allowance shrank takes the same share of rel_tol
+        share = np.fmin(1.0, np.fmin(tail[1] / cut[1], tail[2] / cut[2]))
+        fall_tol = np.maximum(1e-13, share * rel_tol)
+        cut = np.fmin(cut, tail)
     line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma)
     if line.any():
         mu[:, line], err[:, line] = _grid_moments(problem, ts[line], s[line], log_k[line],
-                                                  rel_tol)
-    basis = _basis(problem, ts, np.array(_ORDERS)[:, None])
+                                                  cut[:, line])
     with np.errstate(invalid="ignore"):
         within = np.isfinite(mu) & (err <= np.maximum(rel_tol * np.abs(mu), 0.5 * rel_tol * basis))
         good = line & within[1] & within[2] & (mu[1] > rel_tol * basis[1]) & (mu[2] > 0.0)
@@ -366,11 +403,11 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float) -> _EtaMoments:
     m[good] = ts[good] + mu[2, good] / mu[1, good]
     failure = [None] * n
     for i in np.flatnonzero(~left & ~good):
-        t = float(ts[i])
+        t, tol = float(ts[i]), float(fall_tol[i])
         try:
-            mu[1, i], mu[2, i], m[i], err[1, i], err[2, i] = _moments23(problem, t, rel_tol)
+            mu[1, i], mu[2, i], m[i], err[1, i], err[2, i] = _moments23(problem, t, tol)
             if np.isnan(mu[0, i]):
-                r1 = ppm_laplace(eta_spec(problem, t), 1.0, float(s[i]), -1, rel_tol)
+                r1 = ppm_laplace(eta_spec(problem, t), 1.0, float(s[i]), -1, tol)
                 mu[0, i], err[0, i] = r1.value, r1.reported_error
         except PositivePartError as exc:
             failure[i] = exc
@@ -394,6 +431,17 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
                            pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3))
 
 
+def _hermite_inverse(x, ta, ma, da, tb, mb, db):
+    """The cubic Hermite interpolant of t(m) through (ma, ta) and (mb, tb)
+    with slopes dt/dm = 1/da and 1/db, at m = x; arrays broadcast."""
+    h = mb - ma
+    u = (x - ma) / h
+    u2 = u * u
+    u3 = u2 * u
+    return ((2.0 * u3 - 3.0 * u2 + 1.0) * ta + (u3 - 2.0 * u2 + u) * h / da
+            + (3.0 * u2 - 2.0 * u3) * tb + (u3 - u2) * h / db)
+
+
 def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     """One outcome per level x: a TailBoundResult, or the PositivePartError
     that ended that level.
@@ -403,18 +451,32 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     quadratic x t^2 + 2 sigma^2 t + x sigma^2 - m3 = 0; levels x <= tol_x/2
     take the root at tol_x/2, since m never reaches 0.  Every other root lies
     in [edge, x] because m(x) > x.  From t = x each pass evaluates all open
-    levels together and takes the Newton step with m' = 2 mu1 mu3/mu2^2 - 2,
-    bisecting when the step leaves the bracket or the level has no mu1.  A
-    level is accepted once |m - x| <= tol_x, with the moments of that pass.
-    Where a degenerate moment stops a probe the bracket closes from the
-    right, and a level whose bracket then narrows to rounding level without
-    meeting tol_x fails with it; otherwise such a level returns its best
-    probe with the residual reached.
+    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
+
+    A probe's bar on m is (mu3_err + (m - t) mu2_err) / mu2.  A probe is
+    sound when that bar is within tol_x: only a sound probe settles a level,
+    which it does once |m - x| <= tol_x, and only sound probes enter the
+    table of samples (t, m, m', bar) of the one increasing m that all levels
+    share, seeded with the exact far-left edge.  A level's bracket is the
+    tightest the table certifies, a sample counting below x when m + bar < x
+    and above when m - bar > x.  Its next probe is the cubic Hermite inverse
+    interpolant of t(m) between the nearest samples on either side of x when
+    that lies strictly inside the bracket, else the Newton step from its own
+    probe when that does, else the bracket's midpoint.
+
+    A probe that is not sound sizes the level's later grid ends from its own
+    moments, so that truncation takes at most a quarter of tol_x of the bar
+    on m.  It still steps when the sign of m - x is certain (|m - x| > bar);
+    otherwise the level is probed again at the same t, and if that probe,
+    sized from the moments there, is still not sound and uncertain, the
+    level ends with UnmetBudget.  Where a degenerate moment stops a probe
+    the bracket closes from the right, and a level whose bracket then
+    narrows to rounding level without meeting tol_x fails with it; otherwise
+    such a level returns its best sound probe with the residual reached.
     """
     if not (1e-12 <= tol_x <= 1e-3):
         raise PreconditionError(f"tol_x must lie in [1e-12, 1e-3], got {tol_x!r}")
-    if not (1e-13 <= rel_tol <= 1e-2):
-        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
+    _check_rel_tol(rel_tol)
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise PreconditionError("levels x must be finite")
@@ -422,7 +484,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     var = problem.sigma * problem.sigma
     edge = _far_left_edge(problem)
     m3 = _eta_m3(problem)
-    m_edge = _far_left(problem, edge)[3]
+    mu1_e, mu2_e, mu3_e, m_edge = _far_left(problem, edge)
     out: list = [None] * xs.size
     far = xs <= m_edge
     for i in np.flatnonzero(far):
@@ -438,54 +500,98 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     lo = np.full(idx.size, edge)
     hi = x.copy()
     t = x.copy()
-    best: list = [None] * idx.size      # (|m - x|, row) of the closest probe
+    newton = np.full(idx.size, np.nan)  # the Newton step from the level's last probe
+    tail = np.full((3, idx.size), np.nan)  # truncation allowances sized from its moments
+    sized_at = np.full(idx.size, np.nan)   # the level t those moments came from
+    best: list = [None] * idx.size      # (|m - x|, row) of the closest sound probe
     stop: list = [None] * idx.size      # the DegenerateMoment that last cut the bracket
+    missed: list = [None] * idx.size    # the UnmetBudget of the last probe that was not sound
+    # samples (t, m, m', bar on m) of sound probes, by columns
+    table = np.array([[edge], [m_edge], [2.0 * mu1_e * mu3_e / (mu2_e * mu2_e) - 2.0], [0.0]])
 
     def settle(j):
         # no probe met tol_x: a root past a degenerate probe is unusable,
-        # otherwise the closest probe reports the residual it reached
-        return stop[j] if stop[j] is not None else best[j][1]
+        # otherwise the closest sound probe reports the residual it reached
+        if stop[j] is not None:
+            return stop[j]
+        return best[j][1] if best[j] is not None else missed[j]
 
     open_ = list(range(idx.size))
     for _ in range(_MAX_PASSES):
         if not open_:
             break
-        ev = _eta_moments(problem, t[open_], tol)
-        still = []
+        probe = t[open_]
+        ev = _eta_moments(problem, probe, tol, tail[:, open_])
+        mu1, mu2, mu3 = ev.mu
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2
+            slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
+        sound = bar <= tol_x                # False on failed rows, whose bars are NaN
+        keep = sound & (slope > 0.0)
+        table = np.concatenate(
+            [table, np.stack([probe[keep], ev.m[keep], slope[keep], bar[keep]])], axis=1)
+        step, again = [], []
         for k, j in enumerate(open_):
             exc = ev.failure[k]
-            step = math.nan
+            newton[j] = math.nan
             if isinstance(exc, DegenerateMoment):
                 hi[j] = t[j]
                 stop[j] = exc
-            elif exc is not None:
+                step.append(j)
+                continue
+            if exc is not None:
                 out[idx[j]] = exc
                 continue
-            else:
-                mu1, mu2, mu3 = ev.mu[:, k]
-                g = ev.m[k] - x[j]
+            g = ev.m[k] - x[j]
+            if sound[k]:
                 if best[j] is None or abs(g) < best[j][0]:
-                    best[j] = (abs(g), _row(problem, float(x[j]), float(t[j]), float(mu2),
-                                            float(mu3), float(ev.m[k]), float(ev.err[1, k]),
+                    best[j] = (abs(g), _row(problem, float(x[j]), float(t[j]), float(mu2[k]),
+                                            float(mu3[k]), float(ev.m[k]), float(ev.err[1, k]),
                                             float(ev.err[2, k])))
                 if abs(g) <= tol_x:
                     out[idx[j]] = best[j][1]
                     continue
-                if g < 0.0:
-                    lo[j] = t[j]
-                else:
-                    hi[j] = t[j]
-                slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
-                if slope > 0.0:
-                    step = t[j] - g / slope
-            if not lo[j] < step < hi[j]:
-                step = 0.5 * (lo[j] + hi[j])
-            if hi[j] - lo[j] <= 1e-14 * (1.0 + abs(hi[j])):
+            else:
+                missed[j] = UnmetBudget("m(t)", float(bar[k]), tol_x, float(t[j]))
+                if not abs(g) > bar[k] and sized_at[j] == t[j]:
+                    out[idx[j]] = missed[j]
+                    continue
+                # later grid ends leave truncation a quarter of tol_x of the
+                # bar on m: an eighth of tol_x mu2 to mu3's tail, and the same
+                # over m - t = mu3 / mu2 to mu2's
+                tail[1:, j] = 0.125 * tol_x * mu2[k] * np.array([mu2[k] / mu3[k], 1.0])
+                sized_at[j] = t[j]
+                if not abs(g) > bar[k]:
+                    again.append(j)
+                    continue
+            if g < 0.0:
+                lo[j] = t[j]
+            else:
+                hi[j] = t[j]
+            if slope[k] > 0.0:
+                newton[j] = t[j] - g / slope[k]
+            step.append(j)
+        if step:
+            js = np.array(step)
+            tt, mm, dm, eb = table
+            level = x[js, None]
+            below = np.where(mm + eb < level, tt, -np.inf)
+            above = np.where(mm - eb > level, tt, np.inf)
+            # the edge is below every open level; a level may have no
+            # sample above it yet
+            a, b = below.argmax(axis=1), above.argmin(axis=1)
+            lo[js] = np.maximum(lo[js], below[np.arange(js.size), a])
+            t_b = above[np.arange(js.size), b]
+            hi[js] = np.minimum(hi[js], t_b)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                guess = _hermite_inverse(x[js], tt[a], mm[a], dm[a], t_b, mm[b], dm[b])
+            guess = np.where((lo[js] < guess) & (guess < hi[js]), guess, newton[js])
+            t[js] = np.where((lo[js] < guess) & (guess < hi[js]), guess, 0.5 * (lo[js] + hi[js]))
+            narrow = hi[js] - lo[js] <= 1e-14 * (1.0 + np.abs(hi[js]))
+            for j in js[narrow]:
                 out[idx[j]] = settle(j)
-                continue
-            t[j] = step
-            still.append(j)
-        open_ = still
+            again += js[~narrow].tolist()
+        open_ = again
     for j in open_:
         out[idx[j]] = settle(j)
     return out
@@ -499,7 +605,8 @@ def solve_tx(
 ):
     """The root t_x of m(t) = x; x may be one level or an array of levels,
     which are solved together (see _solve).  Moments are computed to
-    max(min(0.05 tol_x, rel_tol), 1e-13)."""
+    max(min(0.05 tol_x, rel_tol), 1e-13), and tighter where the bar on
+    m(t_x) needs it to stay within tol_x."""
     roots = []
     for row in _solve(problem, np.atleast_1d(x), tol_x, rel_tol):
         if isinstance(row, PositivePartError):

@@ -11,6 +11,9 @@ from pospart.quadrature import (
     HeadRule,
     IntegrandProfile,
     _exact_parts,
+    _Panels,
+    _State,
+    _trim,
     _worst,
     integrate_halfline,
     partial_integrals,
@@ -274,3 +277,57 @@ def test_tied_panel_errors_bits():
     r = integrate_halfline(f, prof, 1e-10)
     assert _bits(r) == ("0x1.8000000000c8cp+3", "0x1.389c21d5186abp-31", 3684, 109335)
     assert not r.refine_capped
+
+
+def _trim_by_scan(state, profile, panels, rel_tol, abs_tol, head_value):
+    # the panel-by-panel scan _trim replaced: one tail-model call per panel
+    # end up to the first that fits, then the same bisection inside it
+    acc = head_value
+    for i, (a, b, val) in enumerate(zip(panels.a.tolist(), panels.b.tolist(),
+                                        panels.val.tolist())):
+        acc += val
+        run = acc + (profile.tail_closed_form(b) if profile.tail_closed_form else 0.0)
+        env = profile.tail_envelope(b)
+        share = 0.25 * max(rel_tol * abs(run), abs_tol)
+        if math.isfinite(env) and (env <= share or env <= 1e-305):
+            lo, hi = a, b
+            for _ in range(24):
+                mid = 0.5 * (lo + hi)
+                e_mid = profile.tail_envelope(mid)
+                if math.isfinite(e_mid) and (e_mid <= share or e_mid <= 1e-305):
+                    hi = mid
+                else:
+                    lo = mid
+            if a * (1.0 + 1e-12) < hi < b - 1e-12 * (abs(b) + 1.0):
+                panels.put(i, len(panels), state.panels([a], [hi]))
+                return hi
+            panels.put(i + 1, len(panels))
+            return b
+    return float(panels.b[-1])
+
+
+def test_trim_bisects_the_panel_ends():
+    # on 1,000 unit panels of e^{-u/100} with its exact tail as envelope, the
+    # envelope first fits its share near T = 830; the panel end is found in
+    # O(log panels) calls, with the cut, panels and bits of the linear scan
+    def trimmed(trim, rel_tol, head_value):
+        calls = []
+
+        def envelope(T):
+            calls.append(T)
+            return 100.0 * math.exp(-T / 100.0)
+
+        state = _State(lambda u: np.exp(-u / 100.0), 10**6)
+        panels = state.panels(np.arange(1000.0), np.arange(1.0, 1001.0))
+        T = trim(state, IntegrandProfile(0.0, envelope), panels, rel_tol, 0.0, head_value)
+        return T, panels, len(calls)
+
+    for rel_tol, head_value in ((1e-3, 0.0), (1e-2, 0.5), (1e-3, -37.0), (1e-12, 0.0)):
+        T, panels, calls = trimmed(_trim, rel_tol, head_value)
+        T_scan, scanned, scan_calls = trimmed(_trim_by_scan, rel_tol, head_value)
+        assert T.hex() == T_scan.hex()
+        for name in _Panels.__slots__:
+            assert getattr(panels, name).tobytes() == getattr(scanned, name).tobytes()
+        assert calls <= 24 + 2 + math.log2(1000), (rel_tol, calls)
+    # the envelope fits nowhere below T = 1000 at rel_tol 1e-12: both keep every panel
+    assert T == 1000.0 and scan_calls == 1000

@@ -5,7 +5,7 @@ import pytest
 
 from pospart import tailbound
 from pospart.distributions import raw_moment
-from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError
+from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError, UnmetBudget
 from pospart.moments import ppm_cf, ppm_laplace
 from pospart.oracles import density_ppm, naive_series_ppm
 from pospart.tailbound import (
@@ -109,6 +109,11 @@ def test_solver_tolerance_domain():
             pin(P_UNIT, 1.0, rel_tol=rel_tol)
         with pytest.raises(PreconditionError, match="rel_tol"):
             pin_curve(P_UNIT, 0.0, 1.0, 3, rel_tol=rel_tol)
+        # m_of_t checks it on every branch: -100 lies below the far-left
+        # edge, whose closed form returned 0.02005 whatever rel_tol was
+        for t in (-100.0, 0.0):
+            with pytest.raises(PreconditionError, match="rel_tol"):
+                m_of_t(P_UNIT, t, rel_tol=rel_tol)
 
 
 def test_m_rejects_non_finite_level():
@@ -199,6 +204,11 @@ def _assert_rows_match_series(problem, rows, rtol):
             r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3), rel=1e-15)
 
 
+def _bar_on_m(row):
+    # (mu3_err + (m - t) mu2_err) / mu2, with m - t = mu3 / mu2
+    return (row.mu3_err + row.mu3 / row.mu2 * row.mu2_err) / row.mu2
+
+
 def test_curve_rows_match_series_oracle():
     rows = pin_curve(P_UNIT, 0.0, 5.0, 41, rel_tol=1e-7)
     _assert_rows_match_series(P_UNIT, rows, 1e-9)
@@ -215,25 +225,28 @@ def test_fallback_rows_match_series_oracle(monkeypatch):
     ev = _eta_moments(P_UNIT, [-2.0, 1.0], 5e-11)
     assert np.all(np.isfinite(ev.err)) and np.all(ev.mu[0] > 0.0)
     rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
-    # the adaptive route keeps to the budget, whose absolute part allows
-    # 1e-7 relative at the right end, and reports the error bars it reached
-    _assert_rows_match_series(P_UNIT, rows, 1e-6)
-    assert all(r.residual <= 1e-9 for r in rows)
+    # the adaptive route runs at the tolerance the bar on m asks for: within
+    # tol_x, that bar holds mu2 and mu3 to tol_x / (m - t) relative, and
+    # m - t >= 1.3 on these rows
+    _assert_rows_match_series(P_UNIT, rows, 1e-9)
+    assert all(r.residual <= 1e-9 and _bar_on_m(r) <= 1e-9 for r in rows)
     assert all(math.isfinite(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
 
 
 def test_right_tail_moments_regression():
-    # here the absolute part of the moment budget is wide enough to let mu3
-    # drift by 1e-6 relative, which moves m(t) by 7e-7 against the oracle;
-    # the row is the one at x = 4.35 of the benchmark's 101-point curve
+    # a moment budget with the absolute part 0.5 rel_tol (1 + max(sigma,|t|)^p)
+    # let mu3 drift by 1e-6 relative here, which moved m(t) by 7e-7 against
+    # the oracle; a bar on m within tol_x holds each moment to
+    # tol_x / (m - t) relative (m - t = 0.93) and the true m to 2 tol_x.
+    # The row is the one at x = 4.35 of the benchmark's 101-point curve
     problem = TailBoundProblem(1.0, 1.001074356060161, 0.08100531266023471)
     row = pin_curve(problem, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)[87]
     assert row.x == pytest.approx(4.35)
     mu2 = naive_series_ppm(problem, row.t_x, 2).value
     mu3 = naive_series_ppm(problem, row.t_x, 3).value
-    assert row.mu2 == pytest.approx(mu2, rel=1e-6)
-    assert row.mu3 == pytest.approx(mu3, rel=1e-6)
-    assert abs(row.t_x + mu3 / mu2 - row.x) <= 10.0 * 1e-9
+    assert row.mu2 == pytest.approx(mu2, rel=1.1e-9)
+    assert row.mu3 == pytest.approx(mu3, rel=1.1e-9)
+    assert abs(row.t_x + mu3 / mu2 - row.x) <= 2.0 * 1e-9
 
 
 def test_engine_moments_slope_and_error_bars():
@@ -284,3 +297,61 @@ def test_tx_reproduced_by_naive_oracle_pipeline():
             hi = mid
     t_oracle = 0.5 * (lo + hi)
     assert abs(t_ref - t_oracle) <= 10.0 * tol_x
+
+
+def test_curve_rows_meet_the_budget_on_m():
+    # the benchmark's seed-1 curve: every row settles with |m - x| <= tol_x
+    # and a bar on m within tol_x, right-tail rows included
+    problem = TailBoundProblem(1.0, 1.001074356060161, 0.08100531266023471)
+    rows = pin_curve(problem, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    for r in rows:
+        assert not r.is_failure(), (r.x, r.error)
+        assert r.residual <= 1e-9, (r.x, r.residual)
+        assert _bar_on_m(r) <= 1e-9, (r.x, _bar_on_m(r))
+
+
+def test_far_right_pin_matches_series_oracle():
+    # the root sits near 8 sigma, where a moment budget with the absolute
+    # part 0.5 rel_tol (1 + max(sigma,|t|)^p) let mu2 miss by 5.5e-4
+    # relative behind a residual of 2e-10; the bar on m now sizes the grid
+    row = pin(P_UNIT, 9.0)
+    for got, p in ((row.mu2, 2), (row.mu3, 3)):
+        ref = naive_series_ppm(P_UNIT, row.t_x, p)
+        assert abs(got - ref.value) <= 1e-8 * ref.value + ref.half_width, (p, got, ref)
+    assert row.pin_err / row.pin <= 1e-6
+    assert row.residual <= 1e-9 and _bar_on_m(row) <= 1e-9
+
+
+def test_a8_curve_engine_rows(monkeypatch):
+    # the levels of a curve step through one table of samples of m: the A8
+    # curve takes at most 330 engine rows (497 with a Newton step per level)
+    rows = []
+    engine = tailbound._eta_moments
+
+    def counted(problem, ts, *args):
+        rows.append(np.size(ts))
+        return engine(problem, ts, *args)
+
+    monkeypatch.setattr(tailbound, "_eta_moments", counted)
+    curve = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    assert all(not r.is_failure() for r in curve)
+    assert sum(rows) <= 330, rows
+
+
+def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
+    # past x ~ 9.5 on P_UNIT no grid end brings the bar on m at the root
+    # within tol_x (mu2 is near 1e-9 at t = 9): the level ends with
+    # UnmetBudget after a few passes, not at the pass cap
+    passes = []
+    engine = tailbound._eta_moments
+
+    def counted(problem, ts, *args):
+        passes.append(np.size(ts))
+        return engine(problem, ts, *args)
+
+    monkeypatch.setattr(tailbound, "_eta_moments", counted)
+    with pytest.raises(UnmetBudget, match="error bar of m"):
+        pin(P_UNIT, 10.0)
+    assert len(passes) <= 20
+    row = pin_curve(P_UNIT, 9.0, 10.0, 2)[1]
+    assert row.is_failure() and "error bar of m" in row.error
