@@ -36,7 +36,7 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: bool = True):
+def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: bool = True) -> int:
     lines = []
     if fmt == "csv":
         if header_row:
@@ -48,11 +48,16 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: b
         for row in rows:
             lines.append(json.dumps({k: row[k] for k in header}))
     text = "\n".join(lines) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return _EXIT_OK
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    return _EXIT_OK
 
 
 def _cmd_moment(args) -> int:
@@ -77,9 +82,8 @@ def _cmd_moment(args) -> int:
         "tail_bound": result.prefactor * quad.tail_bound + result.extra_error,
         "evaluations": quad.evaluations,
     }
-    _emit([row], ["value", "err_est", "tail_bound", "evaluations"], args.format,
-          args.out, header_row=False)
-    return _EXIT_OK
+    return _emit([row], ["value", "err_est", "tail_bound", "evaluations"], args.format,
+                 args.out, header_row=False)
 
 
 def _tail_rows(results) -> list[dict]:
@@ -102,9 +106,8 @@ def _cmd_pin(args) -> int:
     except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    _emit(_tail_rows([row]), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
-          args.format, args.out)
-    return _EXIT_OK
+    return _emit(_tail_rows([row]), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
+                 args.format, args.out)
 
 
 def _cmd_curve(args) -> int:
@@ -121,9 +124,9 @@ def _cmd_curve(args) -> int:
     failures = [r for r in rows if r.is_failure()]
     for r in failures:
         print(f"note: x={r.x:g} failed: {r.error}", file=sys.stderr)
-    _emit(_tail_rows(rows), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
-          args.format, args.out)
-    return _EXIT_OK if len(failures) < len(rows) else _EXIT_NUMERICAL
+    code = _emit(_tail_rows(rows), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
+                 args.format, args.out)
+    return code or (_EXIT_OK if len(failures) < len(rows) else _EXIT_NUMERICAL)
 
 
 def _cmd_validate(args) -> int:
@@ -133,7 +136,11 @@ def _cmd_validate(args) -> int:
         print("error: validate needs scipy; install the extra: pip install 'pospart[validate]'",
               file=sys.stderr)
         return _EXIT_USAGE
-    checks = run_suite(args.suite, args.seed)
+    try:
+        checks = run_suite(args.suite, args.seed)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     width = max(len(c.check_id) for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"

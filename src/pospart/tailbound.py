@@ -184,8 +184,9 @@ def _line(problem: TailBoundProblem, t):
 
 
 def _basis(problem: TailBoundProblem, t, p):
-    """Scale of E(eta-t)_+^p that sets the absolute part of its budget."""
-    return 1.0 + np.maximum(problem.sigma, np.abs(t)) ** p
+    """Scale of E(eta-t)_+^p that sets the absolute part of its budget (inf past overflow)."""
+    with np.errstate(over="ignore"):
+        return 1.0 + np.maximum(problem.sigma, np.abs(t)) ** p
 
 
 def _envelope(a: float, K, T, q):

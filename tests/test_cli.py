@@ -125,13 +125,37 @@ def test_validate_quick_deterministic(capsys):
     assert out1 == out2
 
 
+def test_validate_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "validate", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "-1" in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+@pytest.mark.parametrize("argv", [
+    ["moment", "--dist", "point(1)", "--p", "0.5"],
+    ["pin", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x", "2"],
+    ["curve", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x-min", "1", "--x-max", "2",
+     "--steps", "2", "--rel-tol", "1e-7"],
+])
+def test_unwritable_out_exits_two(tmp_path, capsys, argv, target):
+    # a path under a missing directory, and a directory
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run_cli(capsys, "moment", "--dist", "point(1)", "--p", "1",
                          "--bogus", "3")
     assert code == 2
 
 
-def test_numerical_failure_exits_three(capsys):
+def test_numerical_failure_exits_three(capsys, recwarn):
     # a compound-Poisson-only spec at fractional order has no usable decay
     # structure for the residual envelope, so the evaluation cap is honest
     code, out, err = run_cli(capsys, "moment", "--dist", "cpoisson(200, 1)",
@@ -139,6 +163,13 @@ def test_numerical_failure_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "budget" in err.lower()
+    # far right the budget's scale overflows: the message alone, no numpy warning
+    code, out, err = run_cli(capsys, "pin", "--sigma", "1", "--y", "1", "--eps", "0.5",
+                             "--x", "1e300")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
+    assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
 def test_moment_negative_strip_method(capsys):

@@ -230,11 +230,25 @@ def test_j_invariance_on_the_line():
 
 
 def test_method_agreement_spot():
-    for spec in (FiniteDiscrete(((-0.7, 0.3), (0.4, 0.45), (2.2, 0.25))), ETA):
-        for p in (0.5, 2.0, 3.0):
-            a = ppm_laplace(spec, p, 1.0, -1)
-            b = ppm_cf(spec, p)
-            assert abs(a.value - b.value) <= a.reported_error + b.reported_error + 4e-16
+    # every pair of routes: Laplace lines s in {0.3, 1} with j in {-1, ell},
+    # the characteristic function, and the difference against matched atoms
+    specs = (
+        PointMass(1.3),
+        FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5))),
+        FiniteDiscrete(((-0.7, 0.3), (0.4, 0.45), (2.2, 0.25))),
+        Normal(0.0, 1.0),
+        Normal(0.4, 0.6),
+        ETA,
+    )
+    for spec in specs:
+        for p in (0.5, 1.0, 2.0, 2.5, 3.0):
+            ell = MomentOrder.from_p(p).ell
+            results = [ppm_laplace(spec, p, s, j) for s in (0.3, 1.0) for j in (-1, ell)]
+            results += [ppm_cf(spec, p), ppm_diff(spec, match_discrete(spec, p), p)]
+            for a, b in itertools.combinations(results, 2):
+                gap = abs(a.value - b.value)
+                assert gap <= a.reported_error + b.reported_error + 4e-16, \
+                    (spec, p, a.method_used, b.method_used, gap)
 
 
 # -- difference route -------------------------------------------------------
@@ -309,7 +323,7 @@ def test_ip_rejects_integer_order():
 
 def test_ip_positivity_and_lower_bound():
     for p in (0.25, 0.5, 0.75):
-        for v in np.logspace(-3, 3, 9):
+        for v in (*np.logspace(-3, 3, 9), 1e-2, 1e-1, 1e1, 1e2):
             assert i_p(p, float(v)) > -1e-10
         for jj in (1, 2, 3):
             got = i_p(p, 2.0 * jj * math.pi)
@@ -391,8 +405,14 @@ def test_compound_example_against_naive_series():
     # the motivating computation: Gaussian plus centred scaled Poisson,
     # shifted, at an integer order, against the mixture-series oracle
     from pospart.oracles import naive_series_ppm
-    from pospart.tailbound import TailBoundProblem
+    from pospart.tailbound import TailBoundProblem, eta_spec
 
     oracle = naive_series_ppm(TailBoundProblem(1.0, 1.0, 0.25), 0.8, 3)
     got = ppm_cf(ETA, 3.0, 1e-9)
     assert abs(got.value - oracle.value) <= 1e-7 * abs(oracle.value)
+    for problem in (TailBoundProblem(1.0, 1.0, 0.5), TailBoundProblem(1.0, 0.3, 0.2)):
+        for t in (-1.0, 0.0, 1.0):
+            for p in (2, 3):
+                oracle = naive_series_ppm(problem, t, p)
+                got = ppm_cf(eta_spec(problem, t), float(p), 1e-9)
+                assert abs(got.value - oracle.value) <= 1e-7 * abs(oracle.value), (problem, t, p)

@@ -68,19 +68,23 @@ def test_m_matches_naive_series():
 
 
 def test_m_cross_method():
-    # Laplace and characteristic-function moments agree at random draws
+    # Laplace and characteristic-function moments agree at random draws and
+    # at small y, where the naive series oracle is excluded
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        problem = TailBoundProblem(
-            float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.3, 1.5)),
-            float(rng.uniform(0.1, 0.9)),
-        )
-        t = float(rng.uniform(-2.0, 2.0))
+    cases = [
+        (TailBoundProblem(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.3, 1.5)),
+                          float(rng.uniform(0.1, 0.9))), float(rng.uniform(-2.0, 2.0)))
+        for _ in range(10)
+    ]
+    cases += [(TailBoundProblem(1.0, 0.01, 0.5), t) for t in (-1.0, 0.0, 1.0)]
+    for problem, t in cases:
         spec = eta_spec(problem, t)
         for p in (2.0, 3.0):
             a = ppm_laplace(spec, p, min(1.0 / problem.y, 2.0 / problem.sigma), -1, 1e-10)
             b = ppm_cf(spec, p, 1e-10)
-            assert abs(a.value - b.value) <= a.reported_error + b.reported_error + 1e-14
+            gap = abs(a.value - b.value)
+            assert gap <= a.reported_error + b.reported_error + 1e-14
+            assert gap <= 1e-7 * abs(a.value), (problem, t, p)
 
 
 def test_solve_residuals_on_grid():
