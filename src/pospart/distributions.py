@@ -259,6 +259,27 @@ def fl_transform(spec: DistributionSpec, z: complex) -> complex:
     return complex(out[()]) if np.ndim(z) == 0 else out
 
 
+# 171! is the first factorial past the float range
+_MAX_FACTORIAL = 170
+
+
+def _factorial(r: int) -> int:
+    """r! for a series coefficient m_r / r!, which converts r! to a float:
+    past 170! that conversion overflows, so the order is refused."""
+    if r > _MAX_FACTORIAL:
+        raise PreconditionError(
+            f"moment order too high for this route: its moment series needs {r}!, "
+            f"and r! leaves the float range past r = {_MAX_FACTORIAL}")
+    return math.factorial(r)
+
+
+@lru_cache(maxsize=256)
+def _poisson_moments(spec) -> list:
+    """The raw moments m_0, m_1, ... of a CenteredScaledPoisson computed so
+    far; _raw_moment_cached extends the list in place."""
+    return [1.0]
+
+
 # bounded: match_discrete asks for at most 2k+3 orders of one spec (and of
 # its subtrees) per call, far below the size, so hits within a call are kept
 @lru_cache(maxsize=1024)
@@ -280,14 +301,15 @@ def _raw_moment_cached(spec, r: int) -> float:
         return prev1
     if isinstance(spec, CenteredScaledPoisson):
         # cumulants: kappa_1 = 0, kappa_n = lam * y^n for n >= 2; moments by
-        # the standard cumulant-to-moment recursion.
+        # the standard cumulant-to-moment recursion.  m_n needs only m_0 ..
+        # m_(n-1), so each spec keeps one sequence and extends it to order r
+        mom = _poisson_moments(spec)
         kappa = [0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)]
-        mom = [1.0] + [0.0] * r
-        for n in range(1, r + 1):
-            mom[n] = math.fsum(
+        for n in range(len(mom), r + 1):
+            mom.append(math.fsum(
                 math.comb(n - 1, i - 1) * kappa[i] * mom[n - i]
                 for i in range(1, n + 1)
-            )
+            ))
         return mom[r]
     if isinstance(spec, Shift):
         return math.fsum(
@@ -459,16 +481,16 @@ def _remainder_vec(spec, z, j: int):
     if small.any():
         zs = zz[small]
         acc = np.full_like(zs, raw_moment(spec, j + 1 + _SERIES_TERMS)
-                           / math.factorial(j + 1 + _SERIES_TERMS))
+                           / _factorial(j + 1 + _SERIES_TERMS))
         for r in range(j + _SERIES_TERMS, j, -1):
-            acc = acc * zs + raw_moment(spec, r) / math.factorial(r)
+            acc = acc * zs + raw_moment(spec, r) / _factorial(r)
         out[small] = acc * zs ** (j + 1)
     big = ~small
     if big.any():
         zb = zz[big]
-        poly = np.full_like(zb, raw_moment(spec, j) / math.factorial(j))
+        poly = np.full_like(zb, raw_moment(spec, j) / _factorial(j))
         for r in range(j - 1, -1, -1):
-            poly = poly * zb + raw_moment(spec, r) / math.factorial(r)
+            poly = poly * zb + raw_moment(spec, r) / _factorial(r)
         out[big] = _fl_vec(spec, zb) - poly
     return out
 
@@ -503,7 +525,7 @@ def _trig_remainder_vec(spec, t, m: int, odd: int):
         return acc
 
     def coef(r):
-        return (-1.0) ** r * raw_moment(spec, 2 * r + odd) / math.factorial(2 * r + odd)
+        return (-1.0) ** r * raw_moment(spec, 2 * r + odd) / _factorial(2 * r + odd)
 
     fr = freq_scale(spec)
     tt = np.asarray(t, dtype=float)

@@ -54,6 +54,7 @@ from .distributions import (
     raw_moment,
     scale,
     strip,
+    _factorial,
     _fl_vec,
     _log_fl_vec,
     _remainder_vec,
@@ -286,11 +287,11 @@ def _head_rule(spec, mo: MomentOrder, cutoff: float, r0: int, other=None,
         mr = raw_moment(spec, r) - (raw_moment(other, r) if other is not None else 0.0)
         c = _cos_phase(r, mo)
         if mr != 0.0 and c != 0.0:
-            terms.append(mr / math.factorial(r) * c * cutoff ** (r - p) / (r - p))
+            terms.append(mr / _factorial(r) * c * cutoff ** (r - p) / (r - p))
     bnd = abs_moment_bound(spec, R + 1)
     if other is not None:
         bnd += abs_moment_bound(other, R + 1)
-    bound = bnd / math.factorial(R + 1) * cutoff ** (R + 1 - p) / (R + 1 - p)
+    bound = bnd / _factorial(R + 1) * cutoff ** (R + 1 - p) / (R + 1 - p)
     return HeadRule(cutoff=cutoff, value=math.fsum(terms), bound=bound)
 
 
@@ -313,7 +314,7 @@ def _moment_terms(spec, mo: MomentOrder, j: int, s: float):
     for r in range(j + 1):
         if s == 0.0 and mo.is_integer and (r - mo.k) % 2 == 0:
             continue  # Re[(it)^(r-p-1)] identically zero for this parity
-        entries.append((-raw_moment(spec, r) / math.factorial(r), r))
+        entries.append((-raw_moment(spec, r) / _factorial(r), r))
     return entries
 
 

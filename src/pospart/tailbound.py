@@ -16,16 +16,17 @@ where t_x is the root of m(t) := t + E(eta-t)_+^3 / E(eta-t)_+^2 = x.
 
 Moments come from the vertical-line route at s* = min(1/y, 2/sigma), which
 keeps e^{s y} moderate while the transform still decays like a Gaussian in
-the integration variable; for strongly negative t the line moves inward so
-exp(-s t) cannot dwarf the result.  Below the support's effective left edge
-(the Poisson floor minus thirty Gaussian standard deviations) the positive
-part equals the variable itself, so raw moments apply exactly; that switch
-keeps the x -> 0 end of a bound curve exact and fast.
+the integration variable; for strongly negative t the line moves inward, in
+rungs s* 2^-k, so exp(-s t) cannot dwarf the result.  Below the support's
+effective left edge (the Poisson floor minus thirty Gaussian standard
+deviations) the positive part equals the variable itself, so raw moments
+apply exactly; that switch keeps the x -> 0 end of a bound curve exact and
+fast.
 
 On the line z = s + iu the integrand of E(eta-t)_+^p is Re[e^{-zt} H_p(u)]
 with H_p = E e^{z eta} z^-(p+1): the level t enters only through
-e^{-zt} = e^{-st} e^{-iut}, and every level at or above -6/s* lies on the
-same line s*.  The batched engine (_eta_moments) therefore evaluates H_p for
+e^{-zt} = e^{-st} e^{-iut}, and the levels at or above -6/s* (or on one
+rung) lie on the same line.  The batched engine (_eta_moments) therefore evaluates H_p for
 p = 1, 2, 3 once per node of a Gauss-Kronrod grid shared by the levels of
 similar oscillation scale on one line, and each (t, node) cell costs only the
 real rotation cos(ut) Re H_p + sin(ut) Im H_p; the positive factor e^{-st}
@@ -80,7 +81,7 @@ from .errors import (
     UnmetBudget,
 )
 from .moments import gamma_p1, ppm_laplace
-from .quadrature import gk15_nodes, gk15_reduce
+from .quadrature import _NODES, gk15_reduce
 
 __all__ = [
     "TailBoundProblem",
@@ -112,7 +113,7 @@ _GRADE = 0.25
 
 @dataclass(frozen=True)
 class TailBoundProblem:
-    """(sigma, y, eps) with finite sigma, y > 0 and 0 < eps < 1."""
+    """(sigma, y, eps) with finite sigma, y > 0, 0 < eps < 1 and sigma^2, lam in float range."""
 
     sigma: float
     y: float
@@ -125,6 +126,13 @@ class TailBoundProblem:
             raise PreconditionError("y must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise PreconditionError("eps must be in (0, 1)")
+        try:
+            ok = 0.0 < self.sigma**2 < math.inf and 0.0 < self.lam < math.inf
+        except (ZeroDivisionError, OverflowError):
+            ok = False
+        if not ok:
+            raise PreconditionError(f"y = {self.y!r} and sigma = {self.sigma!r} put sigma^2 or "
+                                    "the Poisson rate eps sigma^2 / y^2 outside the float range")
 
     @property
     def lam(self) -> float:
@@ -172,15 +180,20 @@ def _log_transform_at(problem: TailBoundProblem, t, s):
 
 
 def _line(problem: TailBoundProblem, t):
-    """The line offset s(t) = min(1/y, 2/sigma), moved inward to 6/|t| for
-    t < -sigma so exp(-s t) cannot dwarf the result; the line choice only
-    moves the contour, not the value.  t may be an array."""
+    """The line offset s(t): s* = min(1/y, 2/sigma), or for t < -6/s* the
+    largest rung s* 2^-k with -s t <= 6, so exp(-s t) cannot dwarf the
+    result and levels on one rung share a line; the line choice only moves
+    the contour, not the value.  t may be an array."""
     s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
-    # below -sigma the cap 6/|t| applies; above it 6/sigma exceeds s_star.
     # On this line the log transform stays below about 8.9, so the line
     # integrand cannot overflow: -s t <= 6, a s^2/2 <= 2 (1-eps) and, with
     # s y <= 1 and e_1(x) <= (e-2) x^2 there, lam e_1(s y) <= 4 (e-2) eps.
-    return np.minimum(s_star, _NEG_T_EXPONENT_CAP / np.maximum(-t, problem.sigma))
+    # Scaling by 2^-k is exact, so -s t = (-s* t) 2^-k: the frexp exponent
+    # of (-s* t) / 6 is the k that puts -s t in (3, 6]
+    v = np.maximum(-s_star * np.asarray(t, dtype=float), _NEG_T_EXPONENT_CAP)
+    k = np.frexp(v / _NEG_T_EXPONENT_CAP)[1]
+    k = np.where(np.ldexp(v, 1 - k) <= _NEG_T_EXPONENT_CAP, k - 1, k)
+    return np.ldexp(s_star, -k)
 
 
 def _basis(problem: TailBoundProblem, t, p):
@@ -275,20 +288,23 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     Levels are bucketed by oscillation frequency (within a factor 2); each
     bucket shares one grid.  Near u = 0 each panel spans a quarter of its
     left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
-    the bucket); the widths grow until they reach 2/freq and stay there.  The
-    grid ends where the tail envelope of every level and order fits its
-    truncation allowance cut[p-1] (absolute, in units of the moment).
+    the bucket); the widths grow until they would reach 4/freq, and from
+    there on all panels share that one width.  The grid ends where the tail
+    envelope of every level and order fits its truncation allowance cut[p-1]
+    (absolute, in units of the moment).
 
-    Within a bucket the levels are grouped by their line s: levels at or
-    above -6/s* share s*, and each level below that is a group of its own.
-    A group evaluates the transform of eta once per node, as
-    H_p = E e^{z eta} z^-(p+1), and each of its levels
-    integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p].  The
-    Kronrod values and QUADPACK error estimates (the 50 eps resabs floor
-    included) are linear in the integrand, so the level's factor e^{-st}
-    multiplies them after the reduction.  A level's error bar is its summed
-    panel errors plus the tail envelope.  Buckets whose grid would be longer
-    than _MAX_GRID_PANELS are left NaN.
+    Within a bucket the levels are grouped by their line s (_line: s*, or a
+    rung s* 2^-k below -6/s*).  A group evaluates the transform of eta once
+    per node, as H_p = E e^{z eta} z^-(p+1), and each of its levels
+    integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p], with
+    e^{iut} = e^{i t mid} e^{i t (u - mid)} for the node u of a panel with
+    midpoint mid: one exponential per (level, panel), and one row of 15 per
+    (level, panel width), which all flat panels share.  The Kronrod values and
+    QUADPACK error estimates (the 50 eps resabs floor included) are linear
+    in the integrand, so the level's factor e^{-st} multiplies them after
+    the reduction.  A level's error bar is its summed panel errors plus the
+    tail envelope.  Buckets whose grid would be longer than _MAX_GRID_PANELS
+    are left NaN.
     """
     eta = _eta(problem)
     a = gaussian_var(eta)
@@ -306,9 +322,10 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     bucket = np.ceil(np.log2(freq / base))
     mu = np.full((3, t.size), np.nan)
     err = np.full((3, t.size), np.nan)
+    env = np.zeros((3, t.size))
     for b in np.unique(bucket):
         rows = np.flatnonzero(bucket == b)
-        cap = 2.0 / freq[rows].max()
+        cap = 4.0 / freq[rows].max()
         s_min = s[rows].min()
         edges = [0.0]
         while edges[-1] < t_end[rows].max():
@@ -316,6 +333,7 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
             if width >= cap:
                 break
             edges.append(edges[-1] + width)
+        n_graded = len(edges) - 1
         n_flat = max(t_end[rows].max() - edges[-1], 0.0) / cap
         if not len(edges) + n_flat <= _MAX_GRID_PANELS:
             continue
@@ -329,10 +347,15 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
                 hi = mid
             else:
                 lo = mid
-        edges = edges[: hi + 1]
-        T = edges[-1]
-        pts, half = gk15_nodes(edges[:-1], edges[1:])
-        u = pts.ravel()
+        env[:, rows] = _envelope(a, K[rows], edges[hi], q)
+        # panel i has the node offsets off[w[i]] from its midpoint: one row
+        # per graded panel, and one that all flat panels share
+        w = np.minimum(np.arange(hi), n_graded)
+        half = 0.5 * np.append(np.diff(edges[: n_graded + 1]), cap)
+        off = half[:, None] * _NODES
+        half = half[w]
+        mids = edges[:hi] + half
+        u = mids[:, None] + off[w]
         per_block = max(1, _BLOCK_CELLS // u.size)
         for line in np.unique(s[rows]):
             group = rows[s[rows] == line]
@@ -341,17 +364,16 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
             with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                 h = _fl_vec(eta, z) * iz * iz
             # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
-            h = np.stack([h, h * iz, h * iz * iz])
+            h = np.stack([h, h * iz, h * iz * iz])[:, None]
             for first in range(0, group.size, per_block):
                 r = group[first: first + per_block]
-                ut = t[r, None] * u
-                f = np.cos(ut) * h.real[:, None, :] + np.sin(ut) * h.imag[:, None, :]
-                k, e = gk15_reduce(f.reshape(3, r.size, -1, 15), half)
-                shift = np.exp(-line * t[r])
-                mu[:, r] = k.sum(axis=2) * shift
-                err[:, r] = e.sum(axis=2) * shift
-        err[:, rows] += _envelope(a, K[rows], T, q)
-    return _PREF * mu, _PREF * err
+                it = 1j * t[r, None]
+                phase = np.exp(it * mids)[..., None] * np.exp(it[..., None] * off)[:, w]
+                f = phase.real * h.real + phase.imag * h.imag
+                k, e = gk15_reduce(f, half)
+                mu[:, r], err[:, r] = k.sum(axis=2), e.sum(axis=2)
+    shift = np.exp(-s * t)
+    return _PREF * mu * shift, _PREF * (err * shift + env)
 
 
 def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _EtaMoments:

@@ -262,3 +262,25 @@ def test_validate_without_scipy_exits_two():
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "pospart[validate]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("y", ["1e-300", "1e300", "1e-160"])
+def test_extreme_y_over_sigma_exits_two(capsys, y):
+    # lam = eps sigma^2 / y^2 used to raise ZeroDivisionError (1e-300) or
+    # OverflowError (1e300) and exit 3, or name the Poisson rate (1e-160)
+    for cmd in (["pin", "--x", "1"], ["curve", "--x-min", "0", "--x-max", "1", "--steps", "3"]):
+        code, out, err = run_cli(capsys, cmd[0], "--sigma", "1", "--y", y, "--eps", "0.5",
+                                 *cmd[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: y = {float(y)!r} and sigma = 1.0 ") and \
+            len(err.splitlines()) == 1, err
+
+
+def test_order_past_the_factorial_range_exits_two(capsys):
+    # the cf route's moment series needs m_r / r! past r = 170 here; it used
+    # to end in a bare OverflowError from converting r! to a float
+    code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "120")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "170" in err and len(err.splitlines()) == 1, err

@@ -94,6 +94,36 @@ def test_raw_moment_examples():
     assert direct == pytest.approx(2.0, rel=1e-12)
 
 
+def _poisson_moments_per_order(lam, y, r):
+    # the whole cumulant-to-moment recursion rerun for one order
+    kappa = [0.0, 0.0] + [lam * y**n for n in range(2, r + 1)]
+    mom = [1.0] + [0.0] * r
+    for n in range(1, r + 1):
+        mom[n] = math.fsum(math.comb(n - 1, i - 1) * kappa[i] * mom[n - i]
+                           for i in range(1, n + 1))
+    return mom[r]
+
+
+def test_poisson_moments_extend_one_sequence_bit_for_bit():
+    # one cached sequence per spec, grown to each order, gives the bits of
+    # the recursion rerun per order; orders are asked out of turn, and the
+    # shifted sums take their binomial sums over them
+    for lam, y in ((100.0, 1.0), (0.25, 1.0), (3.0, 0.5), (1e-5, 1.0), (40.0, 2.5)):
+        spec = CenteredScaledPoisson(lam, y)
+        direct = [_poisson_moments_per_order(lam, y, r) for r in range(71)]
+        for r in (7, 70, 0, 33, 69, 1):
+            assert raw_moment(spec, r) == direct[r]
+        assert [raw_moment(spec, r) for r in range(71)] == direct, (lam, y)
+        normal = [raw_moment(Normal(0.0, 0.5), r) for r in range(71)]
+        summed = Shift(IndependentSum(Normal(0.0, 0.5), spec), -0.3)
+        for r in range(71):
+            want = math.fsum(
+                math.comb(r, i) * (-0.3) ** (r - i) * math.fsum(
+                    math.comb(i, j) * normal[j] * direct[i - j] for j in range(i + 1))
+                for i in range(r + 1))
+            assert raw_moment(summed, r) == want, (lam, y, r)
+
+
 def test_normal_moments_match_gaussian_table():
     # E X^4 = mu^4 + 6 mu^2 var + 3 var^2
     mu, var = 0.7, 1.3

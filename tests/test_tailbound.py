@@ -30,6 +30,15 @@ def test_problem_validation():
         TailBoundProblem(1.0, -1.0, 0.5)
     with pytest.raises(PreconditionError):
         TailBoundProblem(math.inf, 1.0, 0.5)
+    # sigma^2 or lam = eps sigma^2 / y^2 past the float range: lam used to
+    # raise ZeroDivisionError (y = 1e-300) or OverflowError (y = 1e300), or
+    # overflow to a rate the Poisson spec rejected (y = 1e-160)
+    for sigma, y in ((1.0, 1e-300), (1.0, 1e300), (1.0, 1e-160), (1e200, 1.0), (1e-200, 1.0)):
+        with pytest.raises(PreconditionError, match=r"y = .* and sigma = "):
+            TailBoundProblem(sigma, y, 0.5)
+    # the range the pipeline is meant for stays open, with lam's formula
+    for y in (1e-4, 1e2):
+        assert TailBoundProblem(1.0, y, 0.5).lam == 0.5 * 1.0**2 / y**2
 
 
 def test_eta_transform_and_variance():
@@ -125,6 +134,67 @@ def test_m_rejects_non_finite_level():
     for t in (-math.inf, math.inf, math.nan):
         with pytest.raises(PreconditionError, match="level t must be finite"):
             m_of_t(P_UNIT, t)
+
+
+def test_line_rungs():
+    # s* above -6/s*; below it the largest rung s* 2^-k with -s t <= 6, so
+    # -s t lies in (3, 6] and the levels of one rung share a line
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        problem = TailBoundProblem(math.exp(rng.uniform(-3.0, 3.0)),
+                                   math.exp(rng.uniform(-6.0, 6.0)), rng.uniform(0.01, 0.99))
+        s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
+        t = np.concatenate([-6.0 / s_star * np.exp(rng.uniform(0.0, 30.0, 50)),
+                            [-6.0 / s_star, -6.0 / s_star * (1.0 + 1e-15), 0.0, 3.0]])
+        s = tailbound._line(problem, t)
+        k = np.log2(s_star / s)
+        assert np.all(k == np.round(k)) and np.all(k >= 0.0)
+        above = -s_star * t <= 6.0
+        assert np.all(s[above] == s_star)
+        assert np.all((3.0 < -s[~above] * t[~above]) & (-s[~above] * t[~above] <= 6.0))
+        assert float(tailbound._line(problem, float(t[0]))) == s[0]
+
+
+def test_grid_moments_match_direct_phase(monkeypatch):
+    # the engine forms e^{iut} as e^{i t mid} e^{i t (u - mid)}; on the same
+    # nodes, direct cos(ut) and sin(ut) give the same moments to 1e-13
+    # relative.  -15 and -8 sit on the rungs s* / 4 and s* / 2 of P_UNIT
+    from pospart.distributions import _fl_vec
+    from pospart.quadrature import gk15_reduce
+
+    seen = []
+
+    def reduce(f, half):
+        seen.append(half)
+        return gk15_reduce(f, half)
+
+    def transform(spec, z):
+        seen.append(z)
+        return _fl_vec(spec, z)
+
+    monkeypatch.setattr(tailbound, "gk15_reduce", reduce)
+    monkeypatch.setattr(tailbound, "_fl_vec", transform)
+    lines, mixed = set(), 0
+    for problem in (P_UNIT, TailBoundProblem(1.0, 0.2, 0.1), TailBoundProblem(1.0, 5.0, 0.9)):
+        for level in (-15.0, -8.0, -3.0, 0.0, 0.7, 2.0, 3.5, 4.5):
+            t = np.array([level])
+            s = tailbound._line(problem, t)
+            cut = 1e-12 * (1.0 + np.maximum(1.0, abs(t)) ** np.array([[1.0], [2.0], [3.0]]))
+            seen.clear()
+            mu, _ = tailbound._grid_moments(problem, t, s, tailbound._log_transform_at(problem, t, s),
+                                            cut)
+            z, half = seen
+            # graded panels of their own widths, then flat ones sharing one
+            mixed += 1 < np.unique(half).size < half.size - 1
+            iz = 1.0 / z
+            h = _fl_vec(tailbound._eta(problem), z) * iz * iz
+            h = np.stack([h, h * iz, h * iz * iz])
+            f = np.cos(z.imag * level) * h.real + np.sin(z.imag * level) * h.imag
+            k, _ = gk15_reduce(f[:, None], half)
+            want = tailbound._PREF * k.sum(axis=2) * np.exp(-s * t)
+            assert np.all(np.abs(mu - want) <= 1e-13 * np.abs(want)), (problem, level, mu, want)
+            lines.add(float(s[0]))
+    assert len(lines) >= 4 and mixed >= 20, (lines, mixed)
 
 
 def test_log_transform_on_the_line_stays_small():
@@ -255,22 +325,27 @@ def test_right_tail_moments_regression():
 
 def test_engine_moments_slope_and_error_bars():
     # d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) makes m'(t) = 2 mu1 mu3 / mu2^2 - 2,
-    # which Cauchy-Schwarz keeps >= 0; compare with a central difference of m
-    # -15 and -8 lie below -6 / s*, so they sit on lines of their own (s = 0.4
-    # and 0.75) next to the shared line s* = 1 of the others
+    # which Cauchy-Schwarz keeps >= 0; compare with a central difference of m.
+    # On P_UNIT, -15 and -8 lie below -6 / s*, so they sit on the rungs
+    # s = 0.25 and 0.5 next to the shared line s* = 1 of the others.  mu1
+    # keeps its grid error bar: it must hold against the oracle too.  The
+    # other problems take y / sigma and eps to the ends of the curve ranges
     ts = np.array([-15.0, -8.0, -3.0, -1.0, 0.0, 0.7, 2.0, 3.5])
     h = 1e-4
-    ev = _eta_moments(P_UNIT, ts, 1e-12)
-    mu1, mu2, mu3 = ev.mu
-    slope = 2.0 * mu1 * mu3 / mu2**2 - 2.0
-    plus = _eta_moments(P_UNIT, ts + h, 1e-12).m
-    minus = _eta_moments(P_UNIT, ts - h, 1e-12).m
-    assert np.all(slope >= 0.0)
-    assert np.allclose(slope, (plus - minus) / (2.0 * h), rtol=1e-6, atol=1e-7)
-    for i, t in enumerate(ts):
-        for p in (1, 2, 3):
-            ref = naive_series_ppm(P_UNIT, float(t), p)
-            assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width
+    for problem in (P_UNIT, TailBoundProblem(1.0, 0.05, 0.05), TailBoundProblem(1.0, 0.05, 0.95),
+                    TailBoundProblem(1.0, 10.0, 0.05), TailBoundProblem(1.0, 10.0, 0.95)):
+        ev = _eta_moments(problem, ts, 1e-12)
+        mu1, mu2, mu3 = ev.mu
+        slope = 2.0 * mu1 * mu3 / mu2**2 - 2.0
+        plus = _eta_moments(problem, ts + h, 1e-12).m
+        minus = _eta_moments(problem, ts - h, 1e-12).m
+        assert np.all(slope >= 0.0), problem
+        assert np.allclose(slope, (plus - minus) / (2.0 * h), rtol=1e-6, atol=1e-7), problem
+        for i, t in enumerate(ts):
+            for p in (1, 2, 3):
+                ref = naive_series_ppm(problem, float(t), p)
+                assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width, \
+                    (problem, t, p)
 
 
 def test_curve_validation():
@@ -328,18 +403,27 @@ def test_far_right_pin_matches_series_oracle():
 
 def test_a8_curve_engine_rows(monkeypatch):
     # the levels of a curve step through one table of samples of m: the A8
-    # curve takes at most 330 engine rows (497 with a Newton step per level)
-    rows = []
-    engine = tailbound._eta_moments
+    # curve takes at most 330 engine rows (497 with a Newton step per level).
+    # Per-level phases, shared rungs and 4/freq flat panels hold its
+    # transform of eta to at most 15,000 nodes (32,940 with 2/freq panels,
+    # a line per level below -6/s* and a phase per cell)
+    rows, nodes = [], []
+    engine, transform = tailbound._eta_moments, tailbound._fl_vec
 
     def counted(problem, ts, *args):
         rows.append(np.size(ts))
         return engine(problem, ts, *args)
 
+    def counted_nodes(spec, z):
+        nodes.append(np.size(z))
+        return transform(spec, z)
+
     monkeypatch.setattr(tailbound, "_eta_moments", counted)
+    monkeypatch.setattr(tailbound, "_fl_vec", counted_nodes)
     curve = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
     assert all(not r.is_failure() for r in curve)
     assert sum(rows) <= 330, rows
+    assert sum(nodes) <= 15_000, sum(nodes)
 
 
 def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
