@@ -12,8 +12,7 @@ and a seeded sampler.  Specs are immutable trees built from six variants:
     IndependentSum(left, right)     X + Y independent
 
 All operations here are pure; sampling takes an explicit seed.  Of the
-third-party packages the module imports numpy only: scipy's gammaln is
-loaded by the large-rate Poisson sampler on its first use.
+third-party packages the module imports numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import PreconditionError, StripViolation
-from .remainders import exp_remainder, cos_remainder, sin_remainder
+from .remainders import exp_remainder
 
 __all__ = [
     "PointMass",
@@ -452,10 +451,16 @@ def atoms(
 
 
 # ---------------------------------------------------------------------------
-# Remainder transforms E e_j(zX) and their real even/odd specialisations.
+# Remainder transforms E e_j(zX).
 # ---------------------------------------------------------------------------
 
 _SERIES_TERMS = 60  # tail-series length for the non-atomic small-|z| branch
+
+
+@lru_cache(maxsize=1024)
+def _series_coefs(spec, n: int) -> tuple:
+    """The moment-series coefficients m_r / r! of E e^{zX} for r = 0 .. n."""
+    return tuple(raw_moment(spec, r) / _factorial(r) for r in range(n + 1))
 
 
 def _remainder_vec(spec, z, j: int):
@@ -480,17 +485,18 @@ def _remainder_vec(spec, z, j: int):
     small = np.abs(zz) * fr <= 0.5
     if small.any():
         zs = zz[small]
-        acc = np.full_like(zs, raw_moment(spec, j + 1 + _SERIES_TERMS)
-                           / _factorial(j + 1 + _SERIES_TERMS))
+        c = _series_coefs(spec, j + 1 + _SERIES_TERMS)
+        acc = np.full_like(zs, c[-1])
         for r in range(j + _SERIES_TERMS, j, -1):
-            acc = acc * zs + raw_moment(spec, r) / _factorial(r)
+            acc = acc * zs + c[r]
         out[small] = acc * zs ** (j + 1)
     big = ~small
     if big.any():
         zb = zz[big]
-        poly = np.full_like(zb, raw_moment(spec, j) / _factorial(j))
+        c = _series_coefs(spec, j)
+        poly = np.full_like(zb, c[-1])
         for r in range(j - 1, -1, -1):
-            poly = poly * zb + raw_moment(spec, r) / _factorial(r)
+            poly = poly * zb + c[r]
         out[big] = _fl_vec(spec, zb) - poly
     return out
 
@@ -506,97 +512,9 @@ def remainder_transform(spec: DistributionSpec, z: complex, j: int) -> complex:
     return complex(np.asarray(out)[()])
 
 
-def _trig_remainder_vec(spec, t, m: int, odd: int):
-    """E s_{2m-1}(tX) (odd = 1, even order p = 2m) or E c_{2m-2}(tX)
-    (odd = 0, odd order p = 2m-1) over an ndarray of positive t.
-
-    These are the real projections of the order-(p-1) remainder transform
-    on the imaginary axis, computed in real arithmetic: atom-wise through
-    the stable scalar kernels, from the moments m_{2r+odd} below the series
-    switch, and from the odd (imaginary) or even (real) part of the
-    characteristic function minus its first m terms above it.
-    """
-    at = atoms(spec)
-    if at is not None and len(at[0]) <= 512:
-        scalar = sin_remainder if odd else cos_remainder
-        acc = 0.0
-        for x, w in at[0]:
-            acc = acc + w * scalar(t * x, m - 1)
-        return acc
-
-    def coef(r):
-        return (-1.0) ** r * raw_moment(spec, 2 * r + odd) / _factorial(2 * r + odd)
-
-    fr = freq_scale(spec)
-    tt = np.asarray(t, dtype=float)
-    out = np.empty_like(tt)
-    small = np.abs(tt) * fr <= 0.5
-    if small.any():
-        ts = tt[small]
-        t2 = ts * ts
-        hi = m + _SERIES_TERMS // 2
-        acc = np.full_like(ts, coef(hi))
-        for rp in range(hi - 1, m - 1, -1):
-            acc = acc * t2 + coef(rp)
-        out[small] = acc * ts ** (2 * m + odd)
-    big = ~small
-    if big.any():
-        tb = tt[big]
-        phi = _fl_vec(spec, 1j * tb)
-        t2 = tb * tb
-        poly = np.full_like(tb, coef(m - 1))
-        for rp in range(m - 2, -1, -1):
-            poly = poly * t2 + coef(rp)
-        if odd:
-            poly = poly * tb
-        out[big] = (phi.imag if odd else phi.real) - poly
-    return (-1.0) ** m * out
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def _poisson_inversion(rng, lam: float, n: int) -> np.ndarray:
-    # CDF table + searchsorted; table long enough that residual mass < 1e-16
-    pmf = [math.exp(-lam)]
-    j = 0
-    cum = pmf[0]
-    while cum < 1.0 - 1e-16 and j < lam + 40 * math.sqrt(lam) + 400:
-        j += 1
-        pmf.append(pmf[-1] * lam / j)
-        cum += pmf[-1]
-    cdf = np.cumsum(np.asarray(pmf))
-    return np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right").astype(float)
-
-
-def _poisson_ptrs(rng, lam: float, n: int) -> np.ndarray:
-    # Hoermann's transformed rejection with squeeze, vectorised over the
-    # not-yet-accepted mask.  Only used for lam > 30.
-    from scipy.special import gammaln
-
-    out = np.empty(n)
-    todo = np.arange(n)
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_lam = math.log(lam)
-    while todo.size:
-        u = rng.random(todo.size) - 0.5
-        v = rng.random(todo.size)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        fast = (us >= 0.07) & (v <= v_r) & (k >= 0)
-        squeeze_out = (k < 0) | ((us < 0.013) & (v > us))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = np.log(v * inv_alpha / (a / (us * us) + b))
-            rhs = np.where(k >= 0, k * log_lam - lam - gammaln(np.maximum(k, 0) + 1.0), -np.inf)
-        accept = fast | (~squeeze_out & (lhs <= rhs))
-        out[todo[accept]] = k[accept]
-        todo = todo[~accept]
-    return out
 
 
 def _draw(spec, rng, n: int) -> np.ndarray:
@@ -610,11 +528,7 @@ def _draw(spec, rng, n: int) -> np.ndarray:
     if isinstance(spec, Normal):
         return spec.mu + math.sqrt(spec.var) * rng.standard_normal(n)
     if isinstance(spec, CenteredScaledPoisson):
-        if spec.lam <= 30.0:
-            counts = _poisson_inversion(rng, spec.lam, n)
-        else:
-            counts = _poisson_ptrs(rng, spec.lam, n)
-        return spec.y * (counts - spec.lam)
+        return spec.y * (rng.poisson(spec.lam, n) - spec.lam)
     if isinstance(spec, Shift):
         return _draw(spec.inner, rng, n) + spec.c
     if isinstance(spec, IndependentSum):

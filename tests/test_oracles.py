@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_oracles_do_not_import_the_pipeline():
     assert not hasattr(omod, "ppm_cf")
     assert not hasattr(omod, "ppm_laplace")
     assert not hasattr(omod, "integrate_halfline")
-    source = open(omod.__file__).read()
+    source = Path(omod.__file__).read_text()
     assert "from .moments" not in source
     assert "from .quadrature" not in source
 
