@@ -44,7 +44,6 @@ from .errors import (
 )
 from .moments import (
     MomentOrder,
-    MomentRequest,
     MomentResult,
     gamma_p1,
     i_p,

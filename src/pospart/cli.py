@@ -4,7 +4,9 @@ Four subcommands: ``moment`` for a single positive-part moment, ``pin`` and
 ``curve`` for the tail bound, ``validate`` for the oracle cross-check suites.
 Data rows go to stdout as CSV (or JSON objects with --format json), all
 diagnostics to stderr.  Exit codes: 0 success, 2 usage or precondition
-error, 3 numerical failure.
+error, 3 numerical failure (a failing ``validate`` check included; its FAIL
+lines say which).  ``main`` alone maps the package's exceptions to exit
+codes: the subcommands raise, and it prints the one message line.
 
 Numbers are printed with 17 significant digits, '.' decimal separator, no
 locale dependence, so identical flags give byte-identical output.
@@ -17,7 +19,7 @@ import json
 import sys
 
 from .errors import PositivePartError, PreconditionError, SpecParseError
-from .moments import MomentRequest
+from .moments import match_discrete, ppm_cf, ppm_diff, ppm_laplace, ppm_negative_s
 from .specparse import parse_spec
 from .tailbound import TailBoundProblem, pin, pin_curve
 from .validate import run_suite
@@ -27,9 +29,7 @@ __all__ = ["main", "console_main"]
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
-# what ends a run with "numerical failure" and exit 3: the package's own
-# failures, and float overflow or division by zero from extreme inputs
-_NUMERICAL_FAILURES = (PositivePartError, ArithmeticError)
+_TAIL_FIELDS = ["x", "t_x", "pin", "mu2", "mu3", "residual"]
 
 
 def _fmt(v: float) -> str:
@@ -61,20 +61,20 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: b
 
 
 def _cmd_moment(args) -> int:
-    try:
-        spec = parse_spec(args.dist)
-        other = parse_spec(args.other) if args.other else None
-        request = MomentRequest(
-            spec=spec, p=args.p, method=args.method,
-            s=args.s, j=args.j, other=other, rel_tol=args.rel_tol,
-        )
-        result = request.compute()
-    except (SpecParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+    spec = parse_spec(args.dist)
+    other = parse_spec(args.other) if args.other else None
+    if args.method == "cf":
+        result = ppm_cf(spec, args.p, args.rel_tol)
+    elif args.method == "laplace":
+        s = 1.0 if args.s is None else args.s
+        result = ppm_laplace(spec, args.p, s, args.j, args.rel_tol)
+    elif args.method == "negative":
+        s = -1.0 if args.s is None else args.s
+        result = ppm_negative_s(spec, args.p, s, args.j, args.rel_tol)
+    else:
+        if other is None:
+            other = match_discrete(spec, args.p)
+        result = ppm_diff(spec, other, args.p, args.rel_tol)
     quad = result.quadrature
     row = {
         "value": result.value,
@@ -87,45 +87,23 @@ def _cmd_moment(args) -> int:
 
 
 def _tail_rows(results) -> list[dict]:
-    return [
-        {
-            "x": r.x, "t_x": r.t_x, "pin": r.pin,
-            "mu2": r.mu2, "mu3": r.mu3, "residual": r.residual,
-        }
-        for r in results
-    ]
+    return [{k: getattr(r, k) for k in _TAIL_FIELDS} for r in results]
 
 
 def _cmd_pin(args) -> int:
-    try:
-        problem = TailBoundProblem(args.sigma, args.y, args.eps)
-        row = pin(problem, args.x, rel_tol=args.rel_tol, tol_x=args.tol_x)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    return _emit(_tail_rows([row]), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
-                 args.format, args.out)
+    problem = TailBoundProblem(args.sigma, args.y, args.eps)
+    row = pin(problem, args.x, rel_tol=args.rel_tol, tol_x=args.tol_x)
+    return _emit(_tail_rows([row]), _TAIL_FIELDS, args.format, args.out)
 
 
 def _cmd_curve(args) -> int:
-    try:
-        problem = TailBoundProblem(args.sigma, args.y, args.eps)
-        rows = pin_curve(problem, args.x_min, args.x_max, args.steps,
-                         rel_tol=args.rel_tol, tol_x=args.tol_x)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+    problem = TailBoundProblem(args.sigma, args.y, args.eps)
+    rows = pin_curve(problem, args.x_min, args.x_max, args.steps,
+                     rel_tol=args.rel_tol, tol_x=args.tol_x)
     failures = [r for r in rows if r.is_failure()]
     for r in failures:
         print(f"note: x={r.x:g} failed: {r.error}", file=sys.stderr)
-    code = _emit(_tail_rows(rows), ["x", "t_x", "pin", "mu2", "mu3", "residual"],
-                 args.format, args.out)
+    code = _emit(_tail_rows(rows), _TAIL_FIELDS, args.format, args.out)
     return code or (_EXIT_OK if len(failures) < len(rows) else _EXIT_NUMERICAL)
 
 
@@ -136,16 +114,12 @@ def _cmd_validate(args) -> int:
         print("error: validate needs scipy; install the extra: pip install 'pospart[validate]'",
               file=sys.stderr)
         return _EXIT_USAGE
-    try:
-        checks = run_suite(args.suite, args.seed)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    checks = run_suite(args.suite, args.seed)
     width = max(len(c.check_id) for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{c.check_id.ljust(width)}  {status}  {c.label} ({c.detail})")
-    return _EXIT_OK if all(c.passed for c in checks) else 1
+    return _EXIT_OK if all(c.passed for c in checks) else _EXIT_NUMERICAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,7 +176,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SpecParseError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except (PositivePartError, ArithmeticError) as exc:
+        # the package's own failures, and float overflow or division by
+        # zero from extreme inputs
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
 
 
 def console_main() -> None:

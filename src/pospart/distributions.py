@@ -273,63 +273,66 @@ def _factorial(r: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _poisson_moments(spec) -> list:
-    """The raw moments m_0, m_1, ... of a CenteredScaledPoisson computed so
-    far; _raw_moment_cached extends the list in place."""
+def _moment_list(spec) -> list:
+    """The raw moments m_0, m_1, ... of one spec node computed so far;
+    _moments extends the list in place."""
     return [1.0]
 
 
-# bounded: match_discrete asks for at most 2k+3 orders of one spec (and of
-# its subtrees) per call, far below the size, so hits within a call are kept
-@lru_cache(maxsize=1024)
-def _raw_moment_cached(spec, r: int) -> float:
-    if r == 0:
-        return 1.0
+def _moments(spec, r: int) -> list:
+    """The raw moments of spec through at least order r.
+
+    Each node keeps one list and extends it from where it stopped, reading
+    each child's list once, so a request costs time linear in the tree's
+    depth and an order asked for again is a lookup."""
+    mom = _moment_list(spec)
+    n0 = len(mom)
+    if n0 > r:
+        return mom
     if isinstance(spec, PointMass):
-        return float(spec.x**r)
-    if isinstance(spec, FiniteDiscrete):
-        return math.fsum(w * x**r for x, w in spec.atoms)
-    if isinstance(spec, Normal):
-        # E X^r = mu E X^(r-1) + (r-1) var E X^(r-2)
-        prev2, prev1 = 1.0, spec.mu
-        if r == 1:
-            return prev1
-        for n in range(2, r + 1):
-            cur = spec.mu * prev1 + (n - 1) * spec.var * prev2
-            prev2, prev1 = prev1, cur
-        return prev1
-    if isinstance(spec, CenteredScaledPoisson):
-        # cumulants: kappa_1 = 0, kappa_n = lam * y^n for n >= 2; moments by
-        # the standard cumulant-to-moment recursion.  m_n needs only m_0 ..
-        # m_(n-1), so each spec keeps one sequence and extends it to order r
-        mom = _poisson_moments(spec)
-        kappa = [0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)]
+        for n in range(n0, r + 1):
+            mom.append(float(spec.x**n))
+    elif isinstance(spec, FiniteDiscrete):
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(w * x**n for x, w in spec.atoms))
+    elif isinstance(spec, Normal):
+        # E X^n = mu E X^(n-1) + (n-1) var E X^(n-2)
+        if n0 == 1:
+            mom.append(spec.mu)
         for n in range(len(mom), r + 1):
+            mom.append(spec.mu * mom[n - 1] + (n - 1) * spec.var * mom[n - 2])
+    elif isinstance(spec, CenteredScaledPoisson):
+        # cumulants: kappa_1 = 0, kappa_n = lam * y^n for n >= 2; moments by
+        # the standard cumulant-to-moment recursion
+        kappa = [0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)]
+        for n in range(n0, r + 1):
             mom.append(math.fsum(
                 math.comb(n - 1, i - 1) * kappa[i] * mom[n - i]
                 for i in range(1, n + 1)
             ))
-        return mom[r]
-    if isinstance(spec, Shift):
-        return math.fsum(
-            math.comb(r, i) * spec.c ** (r - i) * _raw_moment_cached(spec.inner, i)
-            for i in range(r + 1)
-        )
-    if isinstance(spec, IndependentSum):
-        return math.fsum(
-            math.comb(r, i)
-            * _raw_moment_cached(spec.left, i)
-            * _raw_moment_cached(spec.right, r - i)
-            for i in range(r + 1)
-        )
-    raise PreconditionError(f"unknown spec {spec!r}")
+    elif isinstance(spec, Shift):
+        inner = _moments(spec.inner, r)
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(
+                math.comb(n, i) * spec.c ** (n - i) * inner[i] for i in range(n + 1)
+            ))
+    elif isinstance(spec, IndependentSum):
+        left, right = _moments(spec.left, r), _moments(spec.right, r)
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(
+                math.comb(n, i) * left[i] * right[n - i] for i in range(n + 1)
+            ))
+    else:
+        raise PreconditionError(f"unknown spec {spec!r}")
+    return mom
 
 
 def raw_moment(spec: DistributionSpec, r: int) -> float:
     """Exact raw moment E X^r by closed-form recursion."""
     if r < 0:
         raise PreconditionError("moment order must be >= 0")
-    return _raw_moment_cached(spec, int(r))
+    r = int(r)
+    return _moments(spec, r)[r]
 
 
 def abs_moment_bound(spec: DistributionSpec, r: int) -> float:
@@ -395,11 +398,11 @@ def freq_scale(spec: DistributionSpec) -> float:
     return f if f > 0.0 else 1.0
 
 
-def atoms(
-    spec: DistributionSpec,
-    csp_max_lambda: float = 0.0,
-    weight_floor: float = 1e-18,
-):
+# Poisson weights at or below this are left out of an atom list
+_WEIGHT_FLOOR = 1e-18
+
+
+def atoms(spec: DistributionSpec, csp_max_lambda: float = 0.0):
     """(atom list, dropped mass) when the spec is purely atomic, else None.
 
     A CenteredScaledPoisson is only expanded when its rate is at or below
@@ -420,21 +423,21 @@ def atoms(
         dropped = 1.0
         j = 0
         while j < spec.lam + 20 * math.sqrt(spec.lam) + 200:
-            if w > weight_floor:
+            if w > _WEIGHT_FLOOR:
                 out.append((spec.y * (j - spec.lam), w))
                 dropped -= w
             j += 1
             w = w * spec.lam / j
         return out, max(dropped, 0.0)
     if isinstance(spec, Shift):
-        inner = atoms(spec.inner, csp_max_lambda, weight_floor)
+        inner = atoms(spec.inner, csp_max_lambda)
         if inner is None:
             return None
         lst, dropped = inner
         return [(x + spec.c, w) for x, w in lst], dropped
     if isinstance(spec, IndependentSum):
-        left = atoms(spec.left, csp_max_lambda, weight_floor)
-        right = atoms(spec.right, csp_max_lambda, weight_floor)
+        left = atoms(spec.left, csp_max_lambda)
+        right = atoms(spec.right, csp_max_lambda)
         if left is None or right is None:
             return None
         ll, dl = left

@@ -71,7 +71,6 @@ from .specparse import render
 __all__ = [
     "MomentOrder",
     "MomentResult",
-    "MomentRequest",
     "gamma_p1",
     "ppm_laplace",
     "ppm_negative_s",
@@ -85,6 +84,7 @@ __all__ = [
 
 _BYPARTS_TERMS = 4
 _HEAD_FRACTION = 0.05   # head cutoff = this / dominant frequency
+_HEAD_TERMS = 24        # the head rule sums series orders r0 .. r0 + this
 _CSP_EXPAND_LAMBDA = 50.0
 _MATCH_RTOL = 1e-10
 
@@ -270,8 +270,7 @@ def _cos_phase(r: int, mo: MomentOrder) -> float:
     return math.cos(0.5 * math.pi * (r - mo.p - 1.0))
 
 
-def _head_rule(spec, mo: MomentOrder, cutoff: float, r0: int, other=None,
-               extra_terms: int = 24) -> HeadRule:
+def _head_rule(spec, mo: MomentOrder, cutoff: float, r0: int, other=None) -> HeadRule:
     """Analytic value of the integrand over (0, cutoff) from the moment series.
 
     The integrand expands as sum_{r >= r0} (m_r / r!) cos(pi(r-p-1)/2) t^(r-p-1)
@@ -280,7 +279,7 @@ def _head_rule(spec, mo: MomentOrder, cutoff: float, r0: int, other=None,
     E|X|^(R+1) <= sqrt(E X^(2R+2)).
     """
     p = mo.p
-    R = r0 + extra_terms
+    R = r0 + _HEAD_TERMS
     terms = []
     for r in range(r0, R + 1):
         mr = raw_moment(spec, r) - (raw_moment(other, r) if other is not None else 0.0)
@@ -350,8 +349,11 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _
 
     At s = 0 with integer p the kernel carries the formula's E X^k / 2
     correction.  For j = -1 a spec whose transform has a single-exp closed
-    form is evaluated as one exponential.
+    form is evaluated as one exponential.  Every remainder order j in
+    {-1, 0, ..., ell} gives the same integral.
     """
+    if not (-1 <= j <= mo.ell):
+        raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
     p = mo.p
     q = p + 1.0
 
@@ -428,8 +430,6 @@ def ppm_laplace(spec: DistributionSpec, p: float, s: float, j: int = -1,
     band = strip(spec)
     if not (0.0 < s <= band.s2):
         raise PreconditionError(f"s = {s!r} outside (0, {band.s2}]")
-    if not (-1 <= j <= mo.ell):
-        raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
     kernel = _transform_kernel(spec, mo, s, j, f"laplace(s={s}, j={j})")
     return _run(kernel, spec, p, rel_tol)
 
@@ -444,8 +444,6 @@ def ppm_negative_s(spec: DistributionSpec, p: float, s: float, j: int = -1,
     band = strip(spec)
     if not (band.s1 <= s < 0.0):
         raise PreconditionError(f"s = {s!r} outside [{band.s1}, 0)")
-    if not (-1 <= j <= mo.ell):
-        raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
     kernel = _transform_kernel(spec, mo, s, j, f"negative(s={s}, j={j})")
     correction = raw_moment(spec, mo.k)
     result = _run(kernel, spec, p, rel_tol)
@@ -592,37 +590,3 @@ def improper_cf_moment(spec: DistributionSpec, p: float, v_sequence,
     abs_tol = _abs_tol(kernel, spec, p, rel_tol)
     pairs = partial_integrals(kernel.f, kernel.profile, v_sequence, rel_tol, abs_tol=abs_tol)
     return [(v, kernel.prefactor * val) for v, val in pairs]
-
-
-# ---------------------------------------------------------------------------
-# Request record used by the CLI
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentRequest:
-    """One moment computation: spec, order, route, and route parameters."""
-
-    spec: DistributionSpec
-    p: float
-    method: str = "cf"              # cf | laplace | negative | diff
-    s: Optional[float] = None
-    j: int = -1
-    other: Optional[DistributionSpec] = None
-    rel_tol: float = 1e-9
-
-    def compute(self) -> MomentResult:
-        if self.method == "cf":
-            return ppm_cf(self.spec, self.p, self.rel_tol)
-        if self.method == "laplace":
-            s = 1.0 if self.s is None else self.s
-            return ppm_laplace(self.spec, self.p, s, self.j, self.rel_tol)
-        if self.method == "negative":
-            s = -1.0 if self.s is None else self.s
-            return ppm_negative_s(self.spec, self.p, s, self.j, self.rel_tol)
-        if self.method == "diff":
-            other = self.other
-            if other is None:
-                other = match_discrete(self.spec, self.p)
-            return ppm_diff(self.spec, other, self.p, self.rel_tol)
-        raise PreconditionError(f"unknown method {self.method!r}")

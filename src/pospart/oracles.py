@@ -44,8 +44,8 @@ class OracleEstimate:
     half_width: float
     method: str
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return abs(x - self.value) <= self.half_width + slack
+    def contains(self, x: float) -> bool:
+        return abs(x - self.value) <= self.half_width
 
 
 def _as_normal(spec) -> tuple[float, float]:
@@ -101,7 +101,7 @@ def _normal_pos_moment(mu: float, sd: float, p: int) -> float:
 
 
 def naive_series_ppm(problem: TailBoundProblem, t: float, p: int,
-                     rel_tol: float = 1e-12, window_pad: int = 0) -> OracleEstimate:
+                     window_pad: int = 0) -> OracleEstimate:
     """E (eta - t)_+^p by summing the Poisson mixture of Gaussian terms.
 
     eta - t given a Poisson count j is Normal(y j - y lam - t, (1-eps) sigma^2),
@@ -126,11 +126,12 @@ def naive_series_ppm(problem: TailBoundProblem, t: float, p: int,
         _normal_pos_moment(problem.y * j - problem.y * lam - t, sd, p) for j in js
     ]
     value = math.fsum(w * v for w, v in zip(weights, terms))
-    # remaining mass, priced at the largest windowed term inflated for growth
+    # remaining mass, priced at the largest windowed term inflated for
+    # growth, plus a 1e-12 relative allowance for the summation
     left_mass = float(_scistats.poisson.cdf(j_lo - 1, lam)) if j_lo > 0 else 0.0
     right_mass = float(_scistats.poisson.sf(j_hi, lam))
     edge = max(terms[-1], 1.0) * (1.0 + problem.y * spread) ** p
-    half_width = (left_mass + right_mass) * edge * 4.0 + rel_tol * abs(value)
+    half_width = (left_mass + right_mass) * edge * 4.0 + 1e-12 * abs(value)
     return OracleEstimate(value, half_width, "naive-series")
 
 

@@ -454,6 +454,12 @@ def _refine(
             setattr(panels, name, spliced)
 
 
+def check_rel_tol(rel_tol: float) -> None:
+    """The range of relative tolerances every integral and route accepts."""
+    if not (1e-13 <= rel_tol <= 1e-2):
+        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
+
+
 def integrate_halfline(
     f: Callable[[np.ndarray], np.ndarray],
     profile: IntegrandProfile,
@@ -469,8 +475,7 @@ def integrate_halfline(
     NonFiniteIntegrand for non-finite values at interior nodes and
     BudgetExceeded (carrying the best partial result) at the evaluation cap.
     """
-    if not (1e-13 <= rel_tol <= 1e-2):
-        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
+    check_rel_tol(rel_tol)
     if abs_tol < 0.0 or start < 0.0:
         raise PreconditionError("abs_tol and start must be nonnegative")
 

@@ -10,16 +10,19 @@ optional exponent):
           | shift(SPEC, c)
           | sum(SPEC, SPEC)
 
+The grammar is one table, _GRAMMAR, read by both parse_spec and render.
 parse_spec builds the DistributionSpec tree directly; the tree mirrors the
 grammar one-to-one, so render(parse_spec(s)) parses back to an equal tree.
-Parse errors carry a 1-based byte offset and an expected-token message;
-invariant violations (weight sums, negative variances) surface as semantic
-errors with the offset of the offending construct.
+Nesting deeper than 64 levels is a parse error.  Parse errors carry a
+1-based byte offset and an expected-token message; invariant violations
+(weight sums, negative variances) surface as semantic errors with the
+offset of the offending construct.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 from .distributions import (
     CenteredScaledPoisson,
@@ -79,58 +82,59 @@ class _Cursor:
         return m.group(), at
 
 
-def _spec(cur: _Cursor) -> DistributionSpec:
+def _atoms(cur: _Cursor, depth: int) -> tuple:
+    pairs = []
+    while True:
+        x = cur.number()
+        cur.expect(":")
+        pairs.append((x, cur.number()))
+        cur.skip_ws()
+        if not cur.text.startswith(",", cur.pos):
+            return tuple(pairs)
+        cur.pos += 1
+
+
+# each argument kind: how it is read, and how it is written back
+_KINDS = {
+    "number": (lambda cur, depth: cur.number(), repr),
+    "atoms": (_atoms, lambda pairs: ", ".join(f"{x!r}:{w!r}" for x, w in pairs)),
+    "spec": (lambda cur, depth: _spec(cur, depth + 1), lambda spec: render(spec)),
+}
+
+# the grammar: name -> (variant, kinds of its comma-separated arguments,
+# which are the variant's fields in order)
+_GRAMMAR = {
+    "point": (PointMass, ("number",)),
+    "discrete": (FiniteDiscrete, ("atoms",)),
+    "normal": (Normal, ("number", "number")),
+    "cpoisson": (CenteredScaledPoisson, ("number", "number")),
+    "shift": (Shift, ("spec", "number")),
+    "sum": (IndependentSum, ("spec", "spec")),
+}
+
+# nesting deeper than this is refused: the spec tree is walked recursively
+_MAX_DEPTH = 64
+
+
+def _spec(cur: _Cursor, depth: int = 1) -> DistributionSpec:
     word, at = cur.name()
+    if depth > _MAX_DEPTH:
+        raise SpecParseError(f"spec nested deeper than {_MAX_DEPTH} levels", at)
     cur.expect("(")
+    if word not in _GRAMMAR:
+        raise SpecParseError(f"expected one of {', '.join(_GRAMMAR)}", at)
+    cls, kinds = _GRAMMAR[word]
+    args = []
+    for i, kind in enumerate(kinds):
+        if i:
+            cur.expect(",")
+        args.append(_KINDS[kind][0](cur, depth))
+    cur.expect(")")
     try:
-        if word == "point":
-            x = cur.number()
-            cur.expect(")")
-            return PointMass(x)
-        if word == "discrete":
-            pairs = []
-            while True:
-                x = cur.number()
-                cur.expect(":")
-                w = cur.number()
-                pairs.append((x, w))
-                cur.skip_ws()
-                if cur.pos < len(cur.text) and cur.text[cur.pos] == ",":
-                    cur.pos += 1
-                    continue
-                break
-            cur.expect(")")
-            return FiniteDiscrete(tuple(pairs))
-        if word == "normal":
-            mu = cur.number()
-            cur.expect(",")
-            var = cur.number()
-            cur.expect(")")
-            return Normal(mu, var)
-        if word == "cpoisson":
-            lam = cur.number()
-            cur.expect(",")
-            y = cur.number()
-            cur.expect(")")
-            return CenteredScaledPoisson(lam, y)
-        if word == "shift":
-            inner = _spec(cur)
-            cur.expect(",")
-            c = cur.number()
-            cur.expect(")")
-            return Shift(inner, c)
-        if word == "sum":
-            left = _spec(cur)
-            cur.expect(",")
-            right = _spec(cur)
-            cur.expect(")")
-            return IndependentSum(left, right)
+        return cls(*args)
     except PreconditionError as exc:
         # constructor invariants become semantic errors at the call site
         raise SpecSemanticError(str(exc), at) from exc
-    raise SpecParseError(
-        "expected one of point, discrete, normal, cpoisson, shift, sum", at
-    )
 
 
 def parse_spec(text: str) -> DistributionSpec:
@@ -145,17 +149,9 @@ def parse_spec(text: str) -> DistributionSpec:
 
 def render(spec: DistributionSpec) -> str:
     """Canonical spec string; parse_spec(render(s)) equals s."""
-    if isinstance(spec, PointMass):
-        return f"point({spec.x!r})"
-    if isinstance(spec, FiniteDiscrete):
-        inner = ", ".join(f"{x!r}:{w!r}" for x, w in spec.atoms)
-        return f"discrete({inner})"
-    if isinstance(spec, Normal):
-        return f"normal({spec.mu!r}, {spec.var!r})"
-    if isinstance(spec, CenteredScaledPoisson):
-        return f"cpoisson({spec.lam!r}, {spec.y!r})"
-    if isinstance(spec, Shift):
-        return f"shift({render(spec.inner)}, {spec.c!r})"
-    if isinstance(spec, IndependentSum):
-        return f"sum({render(spec.left)}, {render(spec.right)})"
+    for word, (cls, kinds) in _GRAMMAR.items():
+        if isinstance(spec, cls):
+            args = (_KINDS[kind][1](getattr(spec, f.name))
+                    for kind, f in zip(kinds, fields(cls)))
+            return f"{word}({', '.join(args)})"
     raise PreconditionError(f"unknown spec {spec!r}")

@@ -81,7 +81,7 @@ from .errors import (
     UnmetBudget,
 )
 from .moments import gamma_p1, ppm_laplace
-from .quadrature import _NODES, gk15_reduce
+from .quadrature import _NODES, check_rel_tol, gk15_reduce
 
 __all__ = [
     "TailBoundProblem",
@@ -250,17 +250,11 @@ def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
     return mu2, mu3, t + mu3 / mu2, r2.reported_error, r3.reported_error
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    """rel_tol takes the range the moment routes enforce."""
-    if not (1e-13 <= rel_tol <= 1e-2):
-        raise PreconditionError(f"rel_tol must lie in [1e-13, 1e-2], got {rel_tol!r}")
-
-
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
     """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2."""
     if not math.isfinite(t):
         raise PreconditionError(f"level t must be finite, got {t!r}")
-    _check_rel_tol(rel_tol)
+    check_rel_tol(rel_tol)
     return _moments23(problem, t, rel_tol)[2]
 
 
@@ -499,7 +493,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     """
     if not (1e-12 <= tol_x <= 1e-3):
         raise PreconditionError(f"tol_x must lie in [1e-12, 1e-3], got {tol_x!r}")
-    _check_rel_tol(rel_tol)
+    check_rel_tol(rel_tol)
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise PreconditionError("levels x must be finite")

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from pospart import validate
 from pospart.cli import main
+from pospart.errors import NonFiniteIntegrand
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,55 @@ def test_moment_method_agreement_default_s(capsys):
                            "--method", "laplace")
     assert code == 0
     assert float(out.split(",")[0]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_moment_routes_and_defaults(capsys):
+    # cf on point(1) is test_moment_point_mass; diff builds its moment-matched
+    # companion when --other is absent
+    code, out, _ = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
+                           "--method", "diff")
+    assert code == 0
+    assert float(out.split(",")[0]) == pytest.approx(0.5, abs=1e-8)
+    code, out, _ = run_cli(capsys, "moment", "--dist", "point(1)", "--p", "0.5",
+                           "--method", "bogus")
+    assert code == 2
+    assert out == ""
+    # --other is parsed before any route runs, whichever route it is
+    code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
+                             "--method", "cf", "--other", "bad(")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+_DEEP = "shift(" * 300 + "point(1)" + ", 0.001)" * 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dist", "bogus(1)", "--p", "1.5"],
+    ["--dist", "point(1", "--p", "1.5"],
+    ["--dist", "point(1) x", "--p", "2"],
+    ["--dist", "normal(0,-1)", "--p", "2", "--method", "laplace"],
+    ["--dist", "discrete(1:0.3)", "--p", "1.5", "--method", "diff"],
+    ["--dist", "point(1e308)", "--p", "2"],
+    ["--dist", "point(1e308)", "--p", "2", "--method", "negative"],
+    ["--dist", "normal(0,1)", "--p", "2", "--method", "diff", "--other", "point(1"],
+])
+def test_malformed_and_extreme_specs_end_in_a_known_exit(capsys, argv):
+    code, out, err = run_cli(capsys, "moment", *argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+
+
+def test_nesting_past_the_limit_exits_two(capsys):
+    code, out, err = run_cli(capsys, "moment", "--dist", _DEEP, "--p", "1.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "deeper than 64" in err and \
+        len(err.splitlines()) == 1, err
 
 
 def test_moment_weight_sum_message(capsys):
@@ -123,6 +174,28 @@ def test_validate_quick_deterministic(capsys):
     assert "PASS" in out1 and "FAIL" not in out1
     code, out2, _ = run_cli(capsys, "validate", "--suite", "quick", "--seed", "7")
     assert out1 == out2
+
+
+def test_validate_numerical_failure_exits_three(capsys, monkeypatch):
+    def broken(quick, seed):
+        raise NonFiniteIntegrand(1.0)
+
+    monkeypatch.setattr(validate, "_CHECKS", [broken])
+    code, out, err = run_cli(capsys, "validate")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
+
+
+def test_validate_failing_check_exits_three(capsys, monkeypatch):
+    def failing(quick, seed):
+        return validate.ValidationCheck("broken", "a check that fails", False, "detail")
+
+    monkeypatch.setattr(validate, "_CHECKS", [failing])
+    code, out, err = run_cli(capsys, "validate")
+    assert code == 3
+    assert out == "broken  FAIL  a check that fails (detail)\n"
+    assert err == ""
 
 
 def test_validate_rejects_negative_seed(capsys):
@@ -231,7 +304,9 @@ def test_high_integer_order_writes_no_warning():
 _IMPORT_PATH_SCRIPT = """
 import sys
 import pospart, pospart.cli, pospart.validate
+from pospart import validate
 from pospart.cli import main
+from pospart.errors import NonFiniteIntegrand
 from pospart.distributions import CenteredScaledPoisson, sample
 sample(CenteredScaledPoisson(50, 1), 0, 3)
 runs = (

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from pospart.distributions import (
 from pospart.errors import MomentMismatch, PreconditionError
 from pospart.moments import (
     MomentOrder,
-    MomentRequest,
     _TailModel,
     _by_parts,
     _power_tail,
@@ -413,13 +413,17 @@ def test_improper_rejects_integer_order():
         improper_cf_moment(Normal(0.0, 1.0), 2.0, [1.0, 0.1])
 
 
-def test_request_dispatch():
-    req = MomentRequest(spec=PointMass(1.0), p=0.5, method="cf")
-    assert req.compute().value == pytest.approx(1.0, abs=1e-8)
-    req = MomentRequest(spec=Normal(0.0, 1.0), p=2.0, method="diff")
-    assert req.compute().value == pytest.approx(0.5, abs=1e-8)
-    with pytest.raises(PreconditionError):
-        MomentRequest(spec=PointMass(1.0), p=0.5, method="bogus").compute()
+def test_deep_shift_costs_time_linear_in_depth():
+    # each node extends one list of raw moments, reading each child's list
+    # once; a per-(spec, order) cache recomputed the subtrees and took
+    # seconds here, doubling with each level
+    spec = PointMass(1.0)
+    for _ in range(24):
+        spec = Shift(spec, 0.001)
+    start = time.perf_counter()
+    got = ppm_cf(spec, 1.5, 1e-9)
+    assert time.perf_counter() - start < 1.0
+    assert abs(got.value - 1.024**1.5) <= got.reported_error
 
 
 def test_compound_example_against_naive_series():

@@ -57,6 +57,17 @@ def test_parse_error_carries_offset():
     assert "end of input" in str(err.value)
 
 
+def test_nesting_past_the_limit_is_a_parse_error():
+    def nested(levels):
+        return "shift(" * (levels - 1) + "point(1)" + ", 0.5)" * (levels - 1)
+
+    assert parse_spec(nested(64)) == Shift(parse_spec(nested(63)), 0.5)
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(nested(65))
+    assert "deeper than 64" in str(err.value)
+    assert err.value.offset == 64 * len("shift(") + 1  # the 65th construct
+
+
 def test_semantic_error_in_nested_position():
     with pytest.raises(SpecSemanticError) as err:
         parse_spec("sum(point(0), normal(0, -1))")
