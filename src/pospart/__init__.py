@@ -9,21 +9,16 @@ naive Poisson-mixture series, seeded Monte Carlo) to validate every route.
 
 from .distributions import (
     CenteredScaledPoisson,
-    Classification,
     DistributionSpec,
     FiniteDiscrete,
     IndependentSum,
     Normal,
     PointMass,
     Shift,
-    StripBounds,
-    TailClass,
     fl_transform,
-    left_tail_classify,
     raw_moment,
     remainder_transform,
     sample,
-    strip,
 )
 from .errors import (
     BracketFailure,
@@ -39,7 +34,6 @@ from .errors import (
     SeriesGuard,
     SpecParseError,
     SpecSemanticError,
-    StripViolation,
     UnmetBudget,
 )
 from .moments import (

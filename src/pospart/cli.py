@@ -62,7 +62,8 @@ def _emit(rows: list[dict], header: list[str], fmt: str, out_path, header_row: b
 
 def _cmd_moment(args) -> int:
     spec = parse_spec(args.dist)
-    other = parse_spec(args.other) if args.other else None
+    if args.other is not None and args.method != "diff":
+        raise PreconditionError(f"--other applies to --method diff only, not {args.method}")
     if args.method == "cf":
         result = ppm_cf(spec, args.p, args.rel_tol)
     elif args.method == "laplace":
@@ -72,8 +73,7 @@ def _cmd_moment(args) -> int:
         s = -1.0 if args.s is None else args.s
         result = ppm_negative_s(spec, args.p, s, args.j, args.rel_tol)
     else:
-        if other is None:
-            other = match_discrete(spec, args.p)
+        other = parse_spec(args.other) if args.other else match_discrete(spec, args.p)
         result = ppm_diff(spec, other, args.p, args.rel_tol)
     quad = result.quadrature
     row = {

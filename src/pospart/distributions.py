@@ -1,8 +1,8 @@
 """Distribution catalog: exact transforms, raw moments, samplers.
 
 Every entry supplies a closed-form Fourier-Laplace transform E e^{zX}, exact
-raw moments by recursion, a finiteness strip, an analytic left-tail class,
-and a seeded sampler.  Specs are immutable trees built from six variants:
+raw moments by recursion, and a seeded sampler.  Specs are immutable trees
+built from six variants:
 
     PointMass(x)                    X = x
     FiniteDiscrete(((x1,w1), ...))  finitely many atoms, weights sum to 1
@@ -11,13 +11,18 @@ and a seeded sampler.  Specs are immutable trees built from six variants:
     Shift(inner, c)                 X + c
     IndependentSum(left, right)     X + Y independent
 
+Every transform here is entire: the only limit on a line Re z = s is that
+E e^{sX} be finite in floating point, which the moment routes check.  Every
+law has a compact left tail or all moments finite, so the left-tail
+condition of the characteristic-function form holds for every law and
+order.  A spec tree nests at most 64 levels deep.
+
 All operations here are pure; sampling takes an explicit seed.  Of the
 third-party packages the module imports numpy only.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import PreconditionError, StripViolation
+from .errors import PreconditionError
 from .remainders import exp_remainder
 
 __all__ = [
@@ -36,16 +41,10 @@ __all__ = [
     "Shift",
     "IndependentSum",
     "DistributionSpec",
-    "StripBounds",
-    "TailClass",
-    "Classification",
-    "strip",
     "fl_transform",
     "raw_moment",
     "abs_moment_bound",
     "remainder_transform",
-    "left_tail_classify",
-    "tail_class",
     "sample",
     "scale",
     "freq_scale",
@@ -54,22 +53,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StripBounds:
-    """Interval [s1, s2] of real s with E e^{sX} finite, s1 <= 0 <= s2."""
+# nesting deeper than this is refused: the spec tree is walked recursively
+_MAX_DEPTH = 64
 
-    s1: float
-    s2: float
 
-    def __post_init__(self):
-        if not (self.s1 <= 0.0 <= self.s2):
-            raise PreconditionError("strip must contain 0")
-
-    def intersect(self, other: "StripBounds") -> "StripBounds":
-        return StripBounds(max(self.s1, other.s1), min(self.s2, other.s2))
-
-    def contains(self, s: float) -> bool:
-        return self.s1 <= s <= self.s2
+def _nest(node, *children) -> None:
+    """Record a composite node's depth (a leaf has depth 1) and refuse it
+    past _MAX_DEPTH.  The depth is kept out of the dataclass fields, so eq,
+    hash, repr and fields() see only the spec."""
+    depth = 1 + max(getattr(child, "_depth", 1) for child in children)
+    if depth > _MAX_DEPTH:
+        raise PreconditionError(f"spec nested deeper than {_MAX_DEPTH} levels")
+    object.__setattr__(node, "_depth", depth)
 
 
 @dataclass(frozen=True)
@@ -133,6 +128,7 @@ class Shift:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise PreconditionError("shift must be finite")
+        _nest(self, self.inner)
 
 
 @dataclass(frozen=True)
@@ -140,64 +136,13 @@ class IndependentSum:
     left: "DistributionSpec"
     right: "DistributionSpec"
 
+    def __post_init__(self):
+        _nest(self, self.left, self.right)
+
 
 DistributionSpec = Union[
     PointMass, FiniteDiscrete, Normal, CenteredScaledPoisson, Shift, IndependentSum
 ]
-
-
-class TailClass(enum.Enum):
-    COMPACT_LEFT = "compact-left"
-    ALL_MOMENTS_FINITE = "all-moments-finite"
-
-
-class Classification(enum.Enum):
-    SATISFIES_II = "satisfies-left-tail-condition"
-    UNKNOWN = "unknown"
-
-
-def strip(spec: DistributionSpec) -> StripBounds:
-    """Finiteness strip; every catalog variant has an entire transform."""
-    inf = math.inf
-    if isinstance(spec, (PointMass, FiniteDiscrete, Normal, CenteredScaledPoisson)):
-        return StripBounds(-inf, inf)
-    if isinstance(spec, Shift):
-        return strip(spec.inner)
-    if isinstance(spec, IndependentSum):
-        return strip(spec.left).intersect(strip(spec.right))
-    raise PreconditionError(f"unknown spec {spec!r}")
-
-
-def tail_class(spec: DistributionSpec) -> TailClass:
-    """Analytic left-tail class per variant; never estimated numerically."""
-    if isinstance(spec, (PointMass, FiniteDiscrete)):
-        return TailClass.COMPACT_LEFT
-    if isinstance(spec, CenteredScaledPoisson):
-        # support is y*(N - lam), bounded below by -y*lam
-        return TailClass.COMPACT_LEFT
-    if isinstance(spec, Normal):
-        return TailClass.ALL_MOMENTS_FINITE
-    if isinstance(spec, Shift):
-        return tail_class(spec.inner)
-    if isinstance(spec, IndependentSum):
-        left, right = tail_class(spec.left), tail_class(spec.right)
-        if left == right == TailClass.COMPACT_LEFT:
-            return TailClass.COMPACT_LEFT
-        return TailClass.ALL_MOMENTS_FINITE
-    raise PreconditionError(f"unknown spec {spec!r}")
-
-
-def left_tail_classify(spec: DistributionSpec, p: float) -> Classification:
-    """Whether the left tail decays fast enough for the improper
-    characteristic-function representation at order p.
-
-    Every catalog variant qualifies: a compact left tail trivially, and a
-    variant with all moments finite via the Markov bound from any moment of
-    order above p.  Unknown is reserved for future user-supplied transforms.
-    """
-    if tail_class(spec) in (TailClass.COMPACT_LEFT, TailClass.ALL_MOMENTS_FINITE):
-        return Classification.SATISFIES_II
-    return Classification.UNKNOWN
 
 
 def _log_fl_vec(spec, z):
@@ -226,35 +171,28 @@ def _log_fl_vec(spec, z):
 
 
 def _fl_vec(spec, z):
-    """E e^{zX} for an ndarray (or scalar) of complex z; no strip check."""
+    """E e^{zX} for an ndarray (or scalar) of complex z."""
+    lg = _log_fl_vec(spec, z)
+    if lg is not None:
+        return np.exp(lg)
     if isinstance(spec, FiniteDiscrete):
         acc = 0.0
         for x, w in spec.atoms:
             acc = acc + w * np.exp(z * x)
         return acc
-    if isinstance(spec, Shift) or isinstance(spec, IndependentSum):
-        lg = _log_fl_vec(spec, z)
-        if lg is not None:
-            return np.exp(lg)
-        if isinstance(spec, Shift):
-            return np.exp(z * spec.c) * _fl_vec(spec.inner, z)
+    if isinstance(spec, Shift):
+        return np.exp(z * spec.c) * _fl_vec(spec.inner, z)
+    if isinstance(spec, IndependentSum):
         return _fl_vec(spec.left, z) * _fl_vec(spec.right, z)
-    lg = _log_fl_vec(spec, z)
-    if lg is not None:
-        return np.exp(lg)
     raise PreconditionError(f"unknown spec {spec!r}")
 
 
 def fl_transform(spec: DistributionSpec, z: complex) -> complex:
-    """E e^{zX} in closed form.  Re z must lie in the finiteness strip."""
-    re = float(np.min(np.real(np.asarray(z, dtype=complex))))
-    re_hi = float(np.max(np.real(np.asarray(z, dtype=complex))))
-    band = strip(spec)
-    if not (band.contains(re) and band.contains(re_hi)):
-        raise StripViolation(
-            f"Re z in [{re}, {re_hi}] outside strip [{band.s1}, {band.s2}]"
-        )
-    out = _fl_vec(spec, np.asarray(z, dtype=complex))
+    """E e^{zX} in closed form, for any complex z whose real part is not NaN."""
+    zz = np.asarray(z, dtype=complex)
+    if np.isnan(zz.real).any():
+        raise PreconditionError("Re z is NaN")
+    out = _fl_vec(spec, zz)
     return complex(out[()]) if np.ndim(z) == 0 else out
 
 
@@ -508,9 +446,8 @@ def remainder_transform(spec: DistributionSpec, z: complex, j: int) -> complex:
     """E e_j(zX): the transform minus its first j+1 moment terms."""
     if j < -1:
         raise PreconditionError("remainder order must be >= -1")
-    re = float(np.real(z))
-    if not strip(spec).contains(re):
-        raise StripViolation(f"Re z = {re} outside the finiteness strip")
+    if math.isnan(float(np.real(z))):
+        raise PreconditionError("Re z is NaN")
     out = _remainder_vec(spec, np.asarray(z, dtype=complex), j)
     return complex(np.asarray(out)[()])
 

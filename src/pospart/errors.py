@@ -20,10 +20,6 @@ class DomainError(PreconditionError):
     """A mathematical kernel was evaluated at an invalid point."""
 
 
-class StripViolation(PreconditionError):
-    """Re z lies outside the finiteness strip of a transform."""
-
-
 class SpecParseError(PositivePartError, ValueError):
     """Distribution mini-language input could not be parsed.
 

@@ -3,7 +3,7 @@ transforms.
 
 The half-line representations implemented here:
 
-  * ppm_laplace: vertical-line form at 0 < s <= s2,
+  * ppm_laplace: vertical-line form at s > 0,
         E X_+^p = Gamma(p+1)/pi * int_0^inf Re[E e_j((s+it)X) / (s+it)^(p+1)] dt
     valid for every remainder order j in {-1, 0, ..., ell}.
   * ppm_negative_s: the same integrand at s < 0 for integer p, plus the
@@ -44,15 +44,12 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     FiniteDiscrete,
-    Classification,
     abs_moment_bound,
     atoms,
     freq_scale,
     gaussian_var,
-    left_tail_classify,
     raw_moment,
     scale,
-    strip,
     _factorial,
     _fl_vec,
     _log_fl_vec,
@@ -305,6 +302,7 @@ class _Kernel:
     prefactor: float
     correction: float
     method: str
+    extra_error: float = 0.0
 
 
 def _moment_terms(spec, mo: MomentOrder, j: int, s: float):
@@ -343,14 +341,15 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
 
 def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _Kernel:
     """The kernel of Re[E e_j((s+it)X) / (s+it)^(p+1)] for every
-    single-spec route: Laplace (s > 0), negative strip (s < 0), and the
+    single-spec route: Laplace (s > 0), negative line (s < 0), and the
     characteristic-function form (s = 0, j = ell) behind ppm_cf, i_p and the
     improper convergents.
 
     At s = 0 with integer p the kernel carries the formula's E X^k / 2
-    correction.  For j = -1 a spec whose transform has a single-exp closed
-    form is evaluated as one exponential.  Every remainder order j in
-    {-1, 0, ..., ell} gives the same integral.
+    correction, and at s < 0 (integer p) the raw moment E X^k.  For j = -1 a
+    spec whose transform has a single-exp closed form is evaluated as one
+    exponential.  Every remainder order j in {-1, 0, ..., ell} gives the same
+    integral.
     """
     if not (-1 <= j <= mo.ell):
         raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
@@ -366,7 +365,11 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _
                 return np.real(np.exp(lg - q * np.log(z)))
             return np.real(_remainder_vec(spec, z, j) * inv_power(s, tt, q))
 
-    correction = 0.5 * raw_moment(spec, mo.k) if s == 0.0 and mo.is_integer else 0.0
+    correction = 0.0
+    if s == 0.0 and mo.is_integer:
+        correction = 0.5 * raw_moment(spec, mo.k)
+    elif s < 0.0:
+        correction = raw_moment(spec, mo.k)
     freq = freq_scale(spec)
     head = None
     alpha = 0.0
@@ -379,7 +382,9 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _
     return _Kernel(f, profile, gamma_p1(p) / math.pi, correction, method)
 
 
-def _diff_kernel(spec_x, spec_y, mo: MomentOrder) -> _Kernel:
+def _diff_kernel(spec_x, spec_y, mo: MomentOrder, companion: float,
+                 companion_error: float) -> _Kernel:
+    """Re[(E e^{itX} - E e^{itY}) / (it)^(p+1)], corrected by E Y_+^p."""
     p = mo.p
     q = p + 1.0
 
@@ -395,7 +400,7 @@ def _diff_kernel(spec_x, spec_y, mo: MomentOrder) -> _Kernel:
     head = _head_rule(spec_x, mo, _HEAD_FRACTION / freq, mo.k + 1, other=spec_y)
     alpha = mo.k - p if mo.k < p else 0.0
     profile = _profile([(1.0, spec_x), (-1.0, spec_y)], p, 0.0, [], freq, head, alpha)
-    return _Kernel(f, profile, gamma_p1(p) / math.pi, 0.0, "diff")
+    return _Kernel(f, profile, gamma_p1(p) / math.pi, companion, "diff", companion_error)
 
 
 def _abs_tol(kernel: _Kernel, spec, p: float, rel_tol: float) -> float:
@@ -415,6 +420,7 @@ def _run(kernel: _Kernel, spec, p: float, rel_tol: float) -> MomentResult:
         method_used=kernel.method,
         correction_terms=kernel.correction,
         prefactor=kernel.prefactor,
+        extra_error=kernel.extra_error,
     )
 
 
@@ -425,11 +431,11 @@ def _run(kernel: _Kernel, spec, p: float, rel_tol: float) -> MomentResult:
 
 def ppm_laplace(spec: DistributionSpec, p: float, s: float, j: int = -1,
                 rel_tol: float = 1e-9) -> MomentResult:
-    """E X_+^p from the vertical-line transform at 0 < s <= s2."""
+    """E X_+^p from the vertical-line transform at s > 0.  Every catalog
+    transform is entire; _structure refuses an s with E e^{sX} not finite."""
     mo = MomentOrder.from_p(p)
-    band = strip(spec)
-    if not (0.0 < s <= band.s2):
-        raise PreconditionError(f"s = {s!r} outside (0, {band.s2}]")
+    if not s > 0.0:
+        raise PreconditionError(f"s = {s!r} outside (0, inf]")
     kernel = _transform_kernel(spec, mo, s, j, f"laplace(s={s}, j={j})")
     return _run(kernel, spec, p, rel_tol)
 
@@ -441,15 +447,10 @@ def ppm_negative_s(spec: DistributionSpec, p: float, s: float, j: int = -1,
     mo = MomentOrder.from_p(p)
     if not mo.is_integer:
         raise PreconditionError("the negative-strip form needs integer p")
-    band = strip(spec)
-    if not (band.s1 <= s < 0.0):
-        raise PreconditionError(f"s = {s!r} outside [{band.s1}, 0)")
+    if not s < 0.0:
+        raise PreconditionError(f"s = {s!r} outside [-inf, 0)")
     kernel = _transform_kernel(spec, mo, s, j, f"negative(s={s}, j={j})")
-    correction = raw_moment(spec, mo.k)
-    result = _run(kernel, spec, p, rel_tol)
-    result.value += correction
-    result.correction_terms = correction
-    return result
+    return _run(kernel, spec, p, rel_tol)
 
 
 def ppm_cf(spec: DistributionSpec, p: float, rel_tol: float = 1e-9) -> MomentResult:
@@ -487,12 +488,7 @@ def ppm_diff(spec_x: DistributionSpec, spec_y: DistributionSpec, p: float,
         companion = ppm_cf(spec_y, p, rel_tol)
         exact = companion.value
         extra_error = companion.reported_error
-    kernel = _diff_kernel(spec_x, spec_y, mo)
-    result = _run(kernel, spec_x, p, rel_tol)
-    result.value += exact
-    result.correction_terms = exact
-    result.extra_error = extra_error
-    return result
+    return _run(_diff_kernel(spec_x, spec_y, mo, exact, extra_error), spec_x, p, rel_tol)
 
 
 def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
@@ -578,14 +574,13 @@ def improper_cf_moment(spec: DistributionSpec, p: float, v_sequence,
                        rel_tol: float = 1e-9) -> list[tuple[float, float]]:
     """Improper-integral convergents of the characteristic-function form.
 
-    Returns (v, Gamma(p+1)/pi * int_v^inf ...) for each v; when the left
-    tail of the spec decays fast enough these approach ppm_cf(spec, p).
+    Returns (v, Gamma(p+1)/pi * int_v^inf ...) for each v.  These approach
+    ppm_cf(spec, p) for every catalog law at every order: each left tail is
+    compact or has all moments finite, which meets the left-tail condition.
     """
     mo = MomentOrder.from_p(p)
     if mo.is_integer:
         raise PreconditionError("the improper form is for noninteger p")
-    if left_tail_classify(spec, p) is not Classification.SATISFIES_II:
-        raise PreconditionError("left-tail class unknown; improper form rejected")
     kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "improper-cf")
     abs_tol = _abs_tol(kernel, spec, p, rel_tol)
     pairs = partial_integrals(kernel.f, kernel.profile, v_sequence, rel_tol, abs_tol=abs_tol)

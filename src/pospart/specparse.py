@@ -32,6 +32,7 @@ from .distributions import (
     Normal,
     PointMass,
     Shift,
+    _MAX_DEPTH,
 )
 from .errors import PreconditionError, SpecParseError, SpecSemanticError
 
@@ -111,10 +112,6 @@ _GRAMMAR = {
     "shift": (Shift, ("spec", "number")),
     "sum": (IndependentSum, ("spec", "spec")),
 }
-
-# nesting deeper than this is refused: the spec tree is walked recursively
-_MAX_DEPTH = 64
-
 
 def _spec(cur: _Cursor, depth: int = 1) -> DistributionSpec:
     word, at = cur.name()

@@ -46,12 +46,21 @@ def test_moment_routes_and_defaults(capsys):
                            "--method", "bogus")
     assert code == 2
     assert out == ""
-    # --other is parsed before any route runs, whichever route it is
+    # --other given to a route other than diff is refused before it runs
     code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
                              "--method", "cf", "--other", "bad(")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("method", ["cf", "laplace", "negative"])
+def test_other_outside_diff_exits_two(capsys, method):
+    code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
+                             "--method", method, "--other", "point(5)")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --other applies to --method diff only, not {method}\n"
 
 
 _DEEP = "shift(" * 300 + "point(1)" + ", 0.001)" * 300

@@ -1,28 +1,24 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pospart.distributions import (
     CenteredScaledPoisson,
-    Classification,
     FiniteDiscrete,
     IndependentSum,
     Normal,
     PointMass,
     Shift,
-    TailClass,
     abs_moment_bound,
     fl_transform,
-    left_tail_classify,
     raw_moment,
     remainder_transform,
     sample,
     scale,
-    strip,
-    tail_class,
 )
-from pospart.errors import PreconditionError, StripViolation
+from pospart.errors import PreconditionError
 
 ETA = Shift(
     IndependentSum(Normal(0.0, 0.75), CenteredScaledPoisson(0.25, 1.0)), -0.8
@@ -73,11 +69,35 @@ def test_sum_transform_is_product():
     assert fl_transform(pair, z) == pytest.approx(want, rel=1e-14)
 
 
-def test_strip_is_everything_and_checked():
-    band = strip(ETA)
-    assert band.s1 == -math.inf and band.s2 == math.inf
+def test_transform_refuses_nan_re_z():
     with pytest.raises(PreconditionError):
         fl_transform(FiniteDiscrete(((1.0, 1.0),)), float("nan") + 0j)
+
+
+def test_remainder_transform_refuses_nan_re_z():
+    with pytest.raises(PreconditionError):
+        remainder_transform(FiniteDiscrete(((1.0, 1.0),)), complex(math.nan, 0.5), 1)
+    with pytest.raises(PreconditionError):
+        remainder_transform(ETA, complex(math.nan, 0.0), -1)
+
+
+def test_python_built_trees_nest_at_most_64_levels():
+    # the limit parse_spec enforces holds for trees built in Python too
+    spec = PointMass(1.0)
+    for _ in range(63):
+        spec = Shift(spec, 0.01)
+    with pytest.raises(PreconditionError, match="deeper than 64"):
+        Shift(spec, 0.01)
+    with pytest.raises(PreconditionError, match="deeper than 64"):
+        IndependentSum(Normal(0.0, 1.0), spec)
+    # the depth is no field: eq, hash, repr and fields() see the spec only
+    pair = IndependentSum(Shift(PointMass(1.0), 0.5), Normal(0.0, 1.0))
+    assert [f.name for f in fields(Shift)] == ["inner", "c"]
+    assert [f.name for f in fields(IndependentSum)] == ["left", "right"]
+    assert pair == IndependentSum(Shift(PointMass(1.0), 0.5), Normal(0.0, 1.0))
+    assert hash(pair) == hash(IndependentSum(Shift(PointMass(1.0), 0.5), Normal(0.0, 1.0)))
+    assert repr(pair) == ("IndependentSum(left=Shift(inner=PointMass(x=1.0), c=0.5), "
+                          "right=Normal(mu=0.0, var=1.0))")
 
 
 def test_raw_moment_examples():
@@ -167,15 +187,6 @@ def test_remainder_transform_examples():
     t = 0.7
     got = remainder_transform(Normal(0.0, 1.0), 1j * t, 1)
     assert got == pytest.approx(math.exp(-t * t / 2) - 1.0, rel=1e-13)
-
-
-def test_left_tail_classification():
-    assert left_tail_classify(Normal(0.0, 1.0), 2.5) is Classification.SATISFIES_II
-    assert left_tail_classify(PointMass(-5.0), 0.5) is Classification.SATISFIES_II
-    assert left_tail_classify(FiniteDiscrete(((-2.0, 0.5), (3.0, 0.5))), 1.7) \
-        is Classification.SATISFIES_II
-    assert tail_class(ETA) is TailClass.ALL_MOMENTS_FINITE
-    assert tail_class(Shift(FiniteDiscrete(((0.0, 1.0),)), 3.0)) is TailClass.COMPACT_LEFT
 
 
 def test_negative_part_moments_are_finite_for_catalog():

@@ -12,6 +12,7 @@ from pospart.distributions import (
     Normal,
     PointMass,
     Shift,
+    atoms,
     raw_moment,
 )
 from pospart.errors import MomentMismatch, PreconditionError
@@ -163,6 +164,21 @@ def test_laplace_preconditions():
         ppm_laplace(Normal(0.0, 1.0), 1.5, -0.5)
     with pytest.raises(PreconditionError):
         ppm_laplace(Normal(0.0, 1.0), 1.5, 1.0, j=2)
+
+
+@pytest.mark.parametrize("route, window", [(ppm_laplace, "(0, inf]"),
+                                           (ppm_negative_s, "[-inf, 0)")])
+def test_nan_line_is_refused(route, window):
+    with pytest.raises(PreconditionError) as err:
+        route(Normal(0.0, 1.0), 2, math.nan)
+    assert str(err.value) == f"s = nan outside {window}"
+
+
+def test_line_where_the_transform_overflows_is_refused():
+    # E e^{40 X} = e^800 for the standard normal: every s > 0 is a line of
+    # the entire transform, but this one is past the float range
+    with pytest.raises(PreconditionError, match="not finite in floating point"):
+        ppm_laplace(Normal(0.0, 1.0), 2, 40.0)
 
 
 def test_negative_strip_examples():
@@ -424,6 +440,16 @@ def test_deep_shift_costs_time_linear_in_depth():
     got = ppm_cf(spec, 1.5, 1e-9)
     assert time.perf_counter() - start < 1.0
     assert abs(got.value - 1.024**1.5) <= got.reported_error
+
+
+def test_deepest_python_built_tree_within_bar():
+    # 63 shifts around a point: 64 levels, the deepest tree the limit accepts
+    spec = PointMass(1.0)
+    for _ in range(63):
+        spec = Shift(spec, 0.01)
+    got = ppm_cf(spec, 2.5, 1e-9)
+    x = atoms(spec)[0][0][0]
+    assert abs(got.value - x**2.5) <= got.reported_error
 
 
 def test_compound_example_against_naive_series():
