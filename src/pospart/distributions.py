@@ -396,6 +396,7 @@ def atoms(spec: DistributionSpec, csp_max_lambda: float = 0.0):
 # ---------------------------------------------------------------------------
 
 _SERIES_TERMS = 60  # tail-series length for the non-atomic small-|z| branch
+_EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=1024)
@@ -407,30 +408,34 @@ def _series_coefs(spec, n: int) -> tuple:
 def _remainder_vec(spec, z, j: int):
     """E e_j(zX) over an ndarray of complex z.
 
-    Atomic specs evaluate atom-wise through the stable scalar kernel.  For
-    the rest, small |z| * freq uses the convergent moment series
-    sum_{r>j} m_r z^r / r! and large |z| the direct subtraction from the
-    transform; both branches are exact in exact arithmetic.
+    Atomic specs evaluate the stable kernel once over the atoms x nodes grid
+    and sum over the atom axis.  For the rest, small |z| * freq
+    uses the convergent moment series sum_{r>j} m_r z^r / r!, but a node
+    stays on it only while the series' last two terms are below rounding of
+    its sum; every other node takes the direct subtraction from the
+    transform.  Both branches are exact in exact arithmetic.
     """
     at = atoms(spec)
     if at is not None and len(at[0]) <= 512:
-        acc = 0.0
-        for x, w in at[0]:
-            acc = acc + w * exp_remainder(z * x, j)
-        return acc + 0j
+        xs, ws = np.array(at[0]).T
+        shape = (-1,) + (1,) * np.ndim(z)
+        return np.add.reduce(ws.reshape(shape) * exp_remainder(xs.reshape(shape) * z, j)) + 0j
     if j == -1:
         return _fl_vec(spec, z)
     fr = freq_scale(spec)
     zz = np.asarray(z, dtype=complex)
     out = np.empty_like(zz)
-    small = np.abs(zz) * fr <= 0.5
+    small = np.asarray(np.abs(zz) * fr <= 0.5)
     if small.any():
         zs = zz[small]
         c = _series_coefs(spec, j + 1 + _SERIES_TERMS)
         acc = np.full_like(zs, c[-1])
         for r in range(j + _SERIES_TERMS, j, -1):
             acc = acc * zs + c[r]
+        az = np.abs(zs)
+        last = (abs(c[-1]) * az + abs(c[-2])) * az ** (_SERIES_TERMS - 1)
         out[small] = acc * zs ** (j + 1)
+        small[small] = last <= _EPS * np.abs(acc)
     big = ~small
     if big.any():
         zb = zz[big]

@@ -10,8 +10,11 @@ The half-line representations implemented here:
     exact raw moment E X^p as an additive correction.
   * ppm_cf: the characteristic-function form at s = 0 with j = ell, the
     same integrand; integer orders add the E X^k / 2 correction.
-  * ppm_diff: the difference form against a moment-matched companion whose
-    positive-part moment is computable exactly.
+  * ppm_diff: the same integrand at s = 0, j = ell, taken over X minus a
+    moment-matched companion Y, plus E Y_+^p, an exact atom sum for a
+    finite Y.  The moment polynomials cancel, and the remainder difference
+    E e_ell(itX) - E e_ell(itY) stays free of the O(1) cancellation that
+    E e^{itX} - E e^{itY} suffers near 0.
 
 Each route factors its integrand as
 
@@ -81,7 +84,7 @@ __all__ = [
 
 _BYPARTS_TERMS = 4
 _HEAD_FRACTION = 0.05   # head cutoff = this / dominant frequency
-_HEAD_TERMS = 24        # the head rule sums series orders r0 .. r0 + this
+_HEAD_TERMS = 24        # the head rule sums series orders ell+1 .. ell+1 + this
 _CSP_EXPAND_LAMBDA = 50.0
 _MATCH_RTOL = 1e-10
 
@@ -267,25 +270,23 @@ def _cos_phase(r: int, mo: MomentOrder) -> float:
     return math.cos(0.5 * math.pi * (r - mo.p - 1.0))
 
 
-def _head_rule(spec, mo: MomentOrder, cutoff: float, r0: int, other=None) -> HeadRule:
+def _head_rule(parts, mo: MomentOrder, cutoff: float) -> HeadRule:
     """Analytic value of the integrand over (0, cutoff) from the moment series.
 
-    The integrand expands as sum_{r >= r0} (m_r / r!) cos(pi(r-p-1)/2) t^(r-p-1)
-    with exact raw moments (moment differences for the two-spec form), which
-    integrates term by term; the truncation error is controlled through
-    E|X|^(R+1) <= sqrt(E X^(2R+2)).
+    The integrand expands as sum_{r > ell} (m_r / r!) cos(pi(r-p-1)/2) t^(r-p-1)
+    with exact raw moments (signed sums over ``parts`` for the difference
+    form), which integrates term by term; the truncation error is controlled
+    through E|X|^(R+1) <= sqrt(E X^(2R+2)).
     """
     p = mo.p
-    R = r0 + _HEAD_TERMS
+    R = mo.ell + 1 + _HEAD_TERMS
     terms = []
-    for r in range(r0, R + 1):
-        mr = raw_moment(spec, r) - (raw_moment(other, r) if other is not None else 0.0)
+    for r in range(mo.ell + 1, R + 1):
+        mr = sum(sign * raw_moment(spec, r) for sign, spec in parts)
         c = _cos_phase(r, mo)
         if mr != 0.0 and c != 0.0:
             terms.append(mr / _factorial(r) * c * cutoff ** (r - p) / (r - p))
-    bnd = abs_moment_bound(spec, R + 1)
-    if other is not None:
-        bnd += abs_moment_bound(other, R + 1)
+    bnd = sum(abs_moment_bound(spec, R + 1) for _, spec in parts)
     bound = bnd / _factorial(R + 1) * cutoff ** (R + 1 - p) / (R + 1 - p)
     return HeadRule(cutoff=cutoff, value=math.fsum(terms), bound=bound)
 
@@ -339,68 +340,54 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
     )
 
 
-def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str) -> _Kernel:
-    """The kernel of Re[E e_j((s+it)X) / (s+it)^(p+1)] for every
-    single-spec route: Laplace (s > 0), negative line (s < 0), and the
-    characteristic-function form (s = 0, j = ell) behind ppm_cf, i_p and the
-    improper convergents.
+def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str,
+                      other=None) -> _Kernel:
+    """The kernel of Re[E e_j((s+it)X) / (s+it)^(p+1)] for every route:
+    Laplace (s > 0), negative line (s < 0), and the characteristic-function
+    form (s = 0, j = ell) behind ppm_cf, i_p and the improper convergents.
+    With a companion ``other`` = Y (s = 0, j = ell) the remainder is taken
+    over X minus Y, the difference form behind ppm_diff.
 
     At s = 0 with integer p the kernel carries the formula's E X^k / 2
-    correction, and at s < 0 (integer p) the raw moment E X^k.  For j = -1 a
-    spec whose transform has a single-exp closed form is evaluated as one
-    exponential.  Every remainder order j in {-1, 0, ..., ell} gives the same
-    integral.
+    correction ((E X^k - E Y^k) / 2 with a companion), and at s < 0
+    (integer p) the raw moment E X^k.  For j = -1 a spec whose transform
+    has a single-exp closed form is evaluated as one exponential.  Every
+    remainder order j in {-1, 0, ..., ell} gives the same integral.
     """
     if not (-1 <= j <= mo.ell):
         raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
     p = mo.p
     q = p + 1.0
+    parts = [(1.0, spec)] if other is None else [(1.0, spec), (-1.0, other)]
 
     def f(t):
         tt = np.asarray(t, dtype=float)
         z = s + 1j * tt
-        lg = _log_fl_vec(spec, z) if j == -1 else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            lg = _log_fl_vec(spec, z) if j == -1 else None
             if lg is not None:
                 return np.real(np.exp(lg - q * np.log(z)))
-            return np.real(_remainder_vec(spec, z, j) * inv_power(s, tt, q))
+            rem = _remainder_vec(spec, z, j)
+            if other is not None:
+                rem = rem - _remainder_vec(other, z, j)
+            return np.real(rem * inv_power(s, tt, q))
 
     correction = 0.0
-    if s == 0.0 and mo.is_integer:
-        correction = 0.5 * raw_moment(spec, mo.k)
-    elif s < 0.0:
-        correction = raw_moment(spec, mo.k)
-    freq = freq_scale(spec)
+    if s <= 0.0 and mo.is_integer:
+        correction = math.fsum(sign * raw_moment(sp, mo.k) for sign, sp in parts)
+        if s == 0.0:
+            correction *= 0.5
+    freq = max(freq_scale(sp) for _, sp in parts)
     head = None
     alpha = 0.0
     if s == 0.0:
-        head = _head_rule(spec, mo, _HEAD_FRACTION / freq, mo.ell + 1)
+        head = _head_rule(parts, mo, _HEAD_FRACTION / freq)
         # for integer p the would-be t^(ell-p) = 1/t coefficient vanishes by
         # parity and the integrand extends continuously to 0
         alpha = mo.ell - p if not mo.is_integer else 0.0
-    profile = _profile([(1.0, spec)], p, s, _moment_terms(spec, mo, j, s), freq, head, alpha)
+    terms = [(sign * c, r) for sign, sp in parts for c, r in _moment_terms(sp, mo, j, s)]
+    profile = _profile(parts, p, s, terms, freq, head, alpha)
     return _Kernel(f, profile, gamma_p1(p) / math.pi, correction, method)
-
-
-def _diff_kernel(spec_x, spec_y, mo: MomentOrder, companion: float,
-                 companion_error: float) -> _Kernel:
-    """Re[(E e^{itX} - E e^{itY}) / (it)^(p+1)], corrected by E Y_+^p."""
-    p = mo.p
-    q = p + 1.0
-
-    def f(t):
-        tt = np.asarray(t, dtype=float)
-        z = 1j * tt
-        d = _fl_vec(spec_x, z) - _fl_vec(spec_y, z)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            w = inv_power(0.0, tt, q)
-        return np.real(d * w)
-
-    freq = max(freq_scale(spec_x), freq_scale(spec_y))
-    head = _head_rule(spec_x, mo, _HEAD_FRACTION / freq, mo.k + 1, other=spec_y)
-    alpha = mo.k - p if mo.k < p else 0.0
-    profile = _profile([(1.0, spec_x), (-1.0, spec_y)], p, 0.0, [], freq, head, alpha)
-    return _Kernel(f, profile, gamma_p1(p) / math.pi, companion, "diff", companion_error)
 
 
 def _abs_tol(kernel: _Kernel, spec, p: float, rel_tol: float) -> float:
@@ -470,7 +457,7 @@ def _exact_positive_part(spec, p: float) -> Optional[float]:
 
 def ppm_diff(spec_x: DistributionSpec, spec_y: DistributionSpec, p: float,
              rel_tol: float = 1e-9) -> MomentResult:
-    """E X_+^p = E Y_+^p + transform-difference integral, for Y whose raw
+    """E X_+^p = E Y_+^p + remainder-difference integral, for Y whose raw
     moments 1..k match X (within 1e-10 relative).
 
     With a finitely supported Y the companion term is an exact atom sum, so
@@ -488,7 +475,10 @@ def ppm_diff(spec_x: DistributionSpec, spec_y: DistributionSpec, p: float,
         companion = ppm_cf(spec_y, p, rel_tol)
         exact = companion.value
         extra_error = companion.reported_error
-    return _run(_diff_kernel(spec_x, spec_y, mo, exact, extra_error), spec_x, p, rel_tol)
+    kernel = _transform_kernel(spec_x, mo, 0.0, mo.ell, "diff", other=spec_y)
+    kernel.correction += exact
+    kernel.extra_error = extra_error
+    return _run(kernel, spec_x, p, rel_tol)
 
 
 def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:

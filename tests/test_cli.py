@@ -300,14 +300,17 @@ def test_transform_overflow_at_s_exits_two(argv):
 
 def test_high_integer_order_writes_no_warning():
     # at p = 145 the integrand's powers of t reach the edge of the float
-    # range; stderr carries diagnostics only, never a numpy warning
+    # range, and on the line s = inf the transform of a law below 0 is 0;
+    # stderr carries diagnostics only, never a numpy warning
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "pospart", "moment", "--dist", "point(1)",
-                           "--p", "145"], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    for argv in (["--dist", "point(1)", "--p", "145"],
+                 ["--dist", "point(-1)", "--p", "2", "--method", "laplace", "--s", "inf"]):
+        proc = subprocess.run([sys.executable, "-m", "pospart", "moment", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 _IMPORT_PATH_SCRIPT = """

@@ -15,7 +15,7 @@ from pospart.distributions import (
     atoms,
     raw_moment,
 )
-from pospart.errors import MomentMismatch, PreconditionError
+from pospart.errors import MomentMismatch, PositivePartError, PreconditionError
 from pospart.moments import (
     MomentOrder,
     _TailModel,
@@ -316,6 +316,52 @@ def test_diff_rejects_mismatched_moments():
     with pytest.raises(MomentMismatch) as err:
         ppm_diff(Normal(0.0, 1.0), PointMass(0.3), 2.5)
     assert err.value.order == 1
+
+
+def _exact_ppm(spec, p):
+    """E X_+^p for N(0, 1), by the Gamma-function formula, or for y (N - lam)
+    with N Poisson, by the atom sum over n > lam."""
+    if isinstance(spec, Normal):
+        return 2.0 ** (0.5 * p - 1.0) * math.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
+    lam, y = spec.lam, spec.y
+    return math.fsum(math.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0)) * (y * (n - lam)) ** p
+                     for n in range(1, 200) if n > lam)
+
+
+@pytest.mark.parametrize("spec, p", [
+    (Normal(0.0, 1.0), 4.5), (Normal(0.0, 1.0), 5.0), (Normal(0.0, 1.0), 5.5),
+    (CenteredScaledPoisson(3.0, 0.5), 3.0),
+])
+def test_diff_against_matched_atoms_within_bar(spec, p):
+    # the remainders of X and of its matched atoms are both small near the
+    # head cutoff, so their difference carries no O(1) rounding noise for
+    # refinement to chase
+    result = ppm_diff(spec, match_discrete(spec, p), p)
+    assert abs(result.value - _exact_ppm(spec, p)) <= result.reported_error
+    assert result.quadrature.evaluations <= 5000
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("lam", [1e-6, 1e-5])
+def test_small_rate_poisson_cf_within_bar(lam, p):
+    # freq_scale is far below the lattice frequency 1 here, so the moment
+    # series is asked for nodes where it has not converged
+    spec = CenteredScaledPoisson(lam, 1.0)
+    result = ppm_cf(spec, p)
+    assert abs(result.value - _exact_ppm(spec, p)) <= result.reported_error
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.5])
+def test_small_rate_poisson_diff_within_bar_or_refused(p):
+    # orders up to 2 may exhaust the evaluation budget (ROADMAP item 2); a
+    # value that comes back lies within its bar
+    spec = CenteredScaledPoisson(1e-6, 1.0)
+    try:
+        result = ppm_diff(spec, match_discrete(spec, p), p)
+    except PositivePartError:
+        assert p <= 2.0
+        return
+    assert abs(result.value - _exact_ppm(spec, p)) <= result.reported_error
 
 
 # -- moment matching --------------------------------------------------------

@@ -243,13 +243,30 @@ def _bits(r):
 def test_refine_heavy_moment_bits():
     # golden values: refinement has to pick, split and sum the panels in the
     # same order as the list-of-panels integrator it replaced
-    from pospart.distributions import CenteredScaledPoisson
-    from pospart.moments import match_discrete, ppm_cf, ppm_diff
+    from pospart.distributions import CenteredScaledPoisson, _fl_vec, freq_scale
+    from pospart.moments import (MomentOrder, _abs_tol, _profile, _transform_kernel,
+                                 match_discrete, ppm_cf)
+    from pospart.remainders import inv_power
 
     spec = CenteredScaledPoisson(3.0, 0.5)
     assert _bits(ppm_cf(spec, 2.5).quadrature) == (
         "0x1.06b47683d9c5ep-1", "0x1.e02baa707c6e9p-47", 84, 1350)
-    quad = ppm_diff(spec, match_discrete(spec, 4.0), 4.0).quadrature
+    # Re[(E e^{itX} - E e^{itY}) / (it)^5] against the moment-matched
+    # companion: the difference of two O(1) transforms just above the head
+    # cutoff is rounding noise, so refinement runs into its round cap
+    other = match_discrete(spec, 4.0)
+    mo = MomentOrder.from_p(4.0)
+    kern = _transform_kernel(spec, mo, 0.0, mo.ell, "diff", other=other)
+    freq = max(freq_scale(spec), freq_scale(other))
+    prof = _profile([(1.0, spec), (-1.0, other)], 4.0, 0.0, [], freq,
+                    kern.profile.head, kern.profile.alpha)
+
+    def f(t):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            return np.real((_fl_vec(spec, 1j * t) - _fl_vec(other, 1j * t))
+                           * inv_power(0.0, t, 5.0))
+
+    quad = integrate_halfline(f, prof, 1e-9, abs_tol=_abs_tol(kern, spec, 4.0, 1e-9))
     assert _bits(quad) == ("0x1.7e7725a21b5c7p-12", "0x1.d836504180866p-34", 31812, 953790)
     assert quad.refine_capped
 
