@@ -484,10 +484,14 @@ def ppm_diff(spec_x: DistributionSpec, spec_y: DistributionSpec, p: float,
 def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
     """A finitely supported companion matching raw moments 1..k of ``spec``.
 
-    k+1 atoms suffice: they are the Gauss nodes/weights of the spec's moment
-    sequence, obtained by the classical Hankel-Cholesky / Jacobi-matrix
-    construction, which reproduces moments 0..2k+1.  Specs already supported
-    on at most k+1 points are returned unchanged.
+    A Gauss rule of n nodes, from the classical Hankel-Cholesky /
+    Jacobi-matrix construction on the spec's moment sequence, reproduces
+    moments 0..2n-1, so any n from k+1 down to floor(k/2)+1 matches 1..k.
+    The rule takes the largest n whose (n+1)-square Hankel matrix has a
+    Cholesky factor: a law close to fewer atoms (a small-rate Poisson) has
+    a nearly singular one at n = k+1.  Specs already supported on at most
+    k+1 points are returned unchanged, as are atomic specs whose first
+    factorisation fails.
     """
     mo = MomentOrder.from_p(p)
     n = mo.k + 1
@@ -496,14 +500,15 @@ def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
         return spec
     mom = [raw_moment(spec, r) for r in range(2 * n + 1)]
     hankel = np.array([[mom[i + j] for j in range(n + 1)] for i in range(n + 1)])
-    try:
-        chol = np.linalg.cholesky(hankel)
-    except np.linalg.LinAlgError as exc:
-        if at is not None:
-            return spec
-        raise NumericalDegeneracy(
-            "Hankel moment matrix is singular beyond tolerance"
-        ) from exc
+    for n in range(n, mo.k // 2, -1):
+        try:
+            chol = np.linalg.cholesky(hankel[: n + 1, : n + 1])
+            break
+        except np.linalg.LinAlgError:
+            if at is not None:
+                return spec
+    else:
+        raise NumericalDegeneracy("Hankel moment matrix is singular beyond tolerance")
     r = chol.T
     diag = np.empty(n)
     off = np.empty(n - 1) if n > 1 else np.empty(0)

@@ -1,8 +1,9 @@
 """Independent ground-truth generators for validation.
 
 Three oracle families, none of which touch the transform pipeline (the
-dependency direction is enforced by imports: this module sees only the
-distribution catalog):
+dependency direction is enforced by imports: this module takes the
+distribution catalog and the TailBoundProblem record, and calls no pipeline
+numerics):
 
   * density_ppm: direct quadrature of x^p times a Gaussian density,
   * naive_series_ppm: the Poisson-mixture sum of Gaussian positive-part

@@ -33,9 +33,10 @@ real rotation cos(ut) Re H_p + sin(ut) Im H_p; the positive factor e^{-st}
 multiplies a level's panel sums and error bars afterwards.  The paper's
 identity d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
 m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass.  A level whose grid error
-misses its budget takes the adaptive single-t route (_moments23):
-moments.ppm_laplace on eta_spec(problem, t), the vertical-line route every
-catalog spec takes.
+misses its budget takes mu2 and mu3 from the adaptive single-t route
+(_moments23): moments.ppm_laplace on eta_spec(problem, t), the
+vertical-line route every catalog spec takes; the solver fetches mu1 there
+too when the grid's is unusable.  m_of_t runs the same engine on one level.
 
 All levels of a curve sample the same increasing m, so the solver keeps one
 table of the samples (t, m, m') of every pass and steps each level to the
@@ -196,12 +197,6 @@ def _line(problem: TailBoundProblem, t):
     return np.ldexp(s_star, -k)
 
 
-def _basis(problem: TailBoundProblem, t, p):
-    """Scale of E(eta-t)_+^p that sets the absolute part of its budget (inf past overflow)."""
-    with np.errstate(over="ignore"):
-        return 1.0 + np.maximum(problem.sigma, np.abs(t)) ** p
-
-
 def _envelope(a: float, K, T, q):
     """Bound on the line integrand's tail beyond T for the order q = p + 1,
     on arrays: K = e^{log transform} times the smaller of the Gaussian-Mills
@@ -217,45 +212,32 @@ def _far_left_edge(problem: TailBoundProblem) -> float:
     return -(problem.lam * problem.y + _FAR_LEFT_Z * gauss_sd)
 
 
-def _eta_m3(problem: TailBoundProblem) -> float:
-    """E eta^3."""
-    return raw_moment(_eta(problem), 3)
-
-
 def _far_left(problem: TailBoundProblem, t):
     """(mu1, mu2, mu3, m) at or below the far-left edge, where (eta-t)_+ is
     eta - t itself: raw moments, and m(t) in the cancellation-free form
     (m3 - 2 sigma^2 t) / (t^2 + sigma^2).  t may be an array."""
     var = problem.sigma * problem.sigma
-    m3 = _eta_m3(problem)
+    m3 = raw_moment(_eta(problem), 3)
     mu2 = t * t + var
     return -t, mu2, m3 - 3.0 * var * t - t**3, (m3 - 2.0 * var * t) / mu2
 
 
-def _moments23(problem: TailBoundProblem, t: float, rel_tol: float):
-    """(mu2, mu3, m(t), mu2_err, mu3_err) for eta - t by the adaptive
-    single-t route, ppm_laplace on the line s(t).
-
-    Below the support's effective left edge the raw moments are exact.
-    """
-    if t <= _far_left_edge(problem):
-        return (*_far_left(problem, t)[1:], 0.0, 0.0)
-    if t >= _RIGHT_GUARD_SIGMAS * problem.sigma:
-        raise DegenerateMoment(t)
+def _moments23(problem: TailBoundProblem, t: float, rel_tol: float, orders: tuple) -> list:
+    """The adaptive route for eta - t: ppm_laplace on the line s(t), per order in orders."""
     spec, s = eta_spec(problem, t), float(_line(problem, t))
-    r2, r3 = (ppm_laplace(spec, p, s, -1, rel_tol) for p in (2.0, 3.0))
-    mu2, mu3 = r2.value, r3.value
-    if not math.isfinite(mu2) or mu2 <= rel_tol * _basis(problem, t, 2.0):
-        raise DegenerateMoment(t)
-    return mu2, mu3, t + mu3 / mu2, r2.reported_error, r3.reported_error
+    return [ppm_laplace(spec, p, s, -1, rel_tol) for p in orders]
 
 
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
-    """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2."""
+    """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2, from the engine the solver
+    runs (_eta_moments) on the one level t."""
     if not math.isfinite(t):
         raise PreconditionError(f"level t must be finite, got {t!r}")
     check_rel_tol(rel_tol)
-    return _moments23(problem, t, rel_tol)[2]
+    ev = _eta_moments(problem, [t], rel_tol)
+    if ev.failure[0] is not None:
+        raise ev.failure[0]
+    return float(ev.m[0])
 
 
 @dataclass
@@ -263,15 +245,16 @@ class _EtaMoments:
     """Moments of eta - t for a batch of levels t, one column per level.
 
     mu[p-1] is E(eta-t)_+^p and err[p-1] its error bar, for p = 1, 2, 3; m is
-    m(t).  Rows taken by the adaptive fallback carry that route's values and
-    error bars; their mu1 and its bar stay the grid's when that mu1 is finite
-    and positive.  A row that failed is NaN throughout, and failure holds the
-    PositivePartError it raised (else None).
+    m(t).  mu1 is the grid's where that is finite and positive, else NaN.
+    fall_tol is the tolerance of the adaptive route on the rows that took mu2
+    and mu3 from it, NaN elsewhere.  A failed row is NaN, and failure holds
+    the PositivePartError that ended it (else None).
     """
 
     mu: np.ndarray
     err: np.ndarray
     m: np.ndarray
+    fall_tol: np.ndarray
     failure: list
 
 
@@ -371,23 +354,23 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
 
 
 def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _EtaMoments:
-    """mu1, mu2, mu3 and m(t) of eta - t for every level in ts in one pass.
+    """mu1, mu2, mu3 and m(t) of eta - t for every level in ts in one pass;
+    the one place that classifies a level.
 
-    Far-left levels take the closed form.  The others share Gauss-Kronrod
-    grids on their lines (_grid_moments).  A grid ends where each moment's
-    truncation fits its allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or
-    tail[p-1] where tail, a (3, n) array, gives a smaller one (NaN entries
-    give none); the solver sizes tail from a level's own moments when its
-    bar on m missed.  A level falls back to the adaptive _moments23 when a
-    mu2 or mu3 error bar misses the budget
-    max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)), or when either
-    value is not finite or not above the degeneracy floor.  The fallback
-    runs at rel_tol times the smaller of the shares tail[p-1] / (0.125
-    rel_tol (1 + max(sigma,|t|)^p)) for p = 2, 3 (at most 1, at least
-    1e-13 in all), so a level sized for its bar on m is sized there too.
-    mu1 only steers the step: a level that falls back keeps the grid's
-    mu1 whenever it is finite and positive, else takes it from the adaptive
-    route too.
+    Far-left levels take the closed form, and levels at or above 40 sigma
+    fail with DegenerateMoment.  The others share Gauss-Kronrod grids on
+    their lines (_grid_moments).  A grid ends where each moment's truncation
+    fits its allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or tail[p-1]
+    where tail, a (3, n) array, gives a smaller one (NaN entries give none);
+    the solver sizes tail from a level's own moments when its bar on m
+    missed.  A level takes mu2 and mu3 from the adaptive _moments23 when an
+    error bar misses max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)),
+    a value is not finite, mu3 is not positive or mu2 is not above the floor
+    rel_tol (1 + max(sigma,|t|)^2).  That route runs at rel_tol times the
+    smaller of the shares tail[p-1] / (0.125 rel_tol (1 + max(sigma,|t|)^p))
+    for p = 2, 3 (at most 1, at least 1e-13 in all), so a level sized for
+    its bar on m is sized there too, and a mu2 it returns below the floor at
+    that tolerance is a DegenerateMoment.  m = t + mu3 / mu2.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -400,7 +383,8 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     err[:, left] = 0.0
     s = _line(problem, ts)
     log_k = _log_transform_at(problem, ts, s)
-    basis = _basis(problem, ts, np.array(_ORDERS)[:, None])
+    with np.errstate(over="ignore"):   # the absolute budget's scale, inf past overflow
+        basis = 1.0 + np.maximum(problem.sigma, np.abs(ts)) ** np.array(_ORDERS)[:, None]
     cut = 0.125 * rel_tol * basis
     fall_tol = np.full(n, rel_tol)
     if tail is not None:
@@ -417,19 +401,23 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
         within = np.isfinite(mu) & (err <= np.maximum(rel_tol * np.abs(mu), 0.5 * rel_tol * basis))
         good = line & within[1] & within[2] & (mu[1] > rel_tol * basis[1]) & (mu[2] > 0.0)
         mu[0, ~(np.isfinite(mu[0]) & (mu[0] > 0.0))] = np.nan
-    m[good] = ts[good] + mu[2, good] / mu[1, good]
     failure = [None] * n
-    for i in np.flatnonzero(~left & ~good):
-        t, tol = float(ts[i]), float(fall_tol[i])
+    fall = line & ~good
+    for i in np.flatnonzero(fall):
         try:
-            mu[1, i], mu[2, i], m[i], err[1, i], err[2, i] = _moments23(problem, t, tol)
-            if np.isnan(mu[0, i]):
-                r1 = ppm_laplace(eta_spec(problem, t), 1.0, float(s[i]), -1, tol)
-                mu[0, i], err[0, i] = r1.value, r1.reported_error
+            r2, r3 = _moments23(problem, float(ts[i]), float(fall_tol[i]), (2.0, 3.0))
+            mu[1:, i], err[1:, i] = (r2.value, r3.value), (r2.reported_error, r3.reported_error)
         except PositivePartError as exc:
             failure[i] = exc
-            mu[:, i] = err[:, i] = np.nan
-    return _EtaMoments(mu, err, m, failure)
+    # the degeneracy floor: grid values below it at rel_tol fell back, and
+    # the right guard's levels hold no values
+    floored = np.isfinite(mu[1]) & (mu[1] > fall_tol * basis[1])
+    for i in np.flatnonzero(~left & ~floored):
+        failure[i] = failure[i] or DegenerateMoment(float(ts[i]))
+    ok = np.array([exc is None for exc in failure])
+    mu[:, ~ok] = err[:, ~ok] = np.nan
+    m[~left] = ts[~left] + mu[2, ~left] / mu[1, ~left]
+    return _EtaMoments(mu, err, m, np.where(fall & ok, fall_tol, np.nan), failure)
 
 
 def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
@@ -442,7 +430,7 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
     else:
         r = problem.sigma**2 / (t * t)
         value = math.exp(3.0 * math.log1p(r)
-                         - 2.0 * math.log1p(3.0 * r - _eta_m3(problem) / t**3))
+                         - 2.0 * math.log1p(3.0 * r - raw_moment(_eta(problem), 3) / t**3))
     return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x),
                            mu2_err=mu2_err, mu3_err=mu3_err,
                            pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3))
@@ -468,7 +456,9 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     quadratic x t^2 + 2 sigma^2 t + x sigma^2 - m3 = 0; levels x <= tol_x/2
     take the root at tol_x/2, since m never reaches 0.  Every other root lies
     in [edge, x] because m(x) > x.  From t = x each pass evaluates all open
-    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
+    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass; a
+    level that fell back with no usable grid mu1 takes mu1 from the adaptive
+    route at the fallback's tolerance, and a failure there is the probe's.
 
     A probe's bar on m is (mu3_err + (m - t) mu2_err) / mu2.  A probe is
     sound when that bar is within tol_x: only a sound probe settles a level,
@@ -500,7 +490,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     tol = max(min(0.05 * tol_x, rel_tol), 1e-13)
     var = problem.sigma * problem.sigma
     edge = _far_left_edge(problem)
-    m3 = _eta_m3(problem)
+    m3 = raw_moment(_eta(problem), 3)
     mu1_e, mu2_e, mu3_e, m_edge = _far_left(problem, edge)
     out: list = [None] * xs.size
     far = xs <= m_edge
@@ -539,6 +529,13 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
             break
         probe = t[open_]
         ev = _eta_moments(problem, probe, tol, tail[:, open_])
+        for k in np.flatnonzero(np.isnan(ev.mu[0]) & ~np.isnan(ev.fall_tol)):
+            try:
+                r1, = _moments23(problem, float(probe[k]), float(ev.fall_tol[k]), (1.0,))
+                ev.mu[0, k], ev.err[0, k] = r1.value, r1.reported_error
+            except PositivePartError as exc:
+                ev.failure[k] = exc
+                ev.mu[:, k] = ev.err[:, k] = np.nan
         mu1, mu2, mu3 = ev.mu
         with np.errstate(invalid="ignore", divide="ignore"):
             bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2

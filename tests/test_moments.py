@@ -33,6 +33,7 @@ from pospart.moments import (
     ppm_negative_s,
 )
 from pospart.quadrature import integrate_halfline
+from pospart.specparse import parse_spec
 
 ETA = Shift(
     IndependentSum(Normal(0.0, 0.75), CenteredScaledPoisson(0.25, 1.0)), -0.8
@@ -362,6 +363,66 @@ def test_small_rate_poisson_diff_within_bar_or_refused(p):
         assert p <= 2.0
         return
     assert abs(result.value - _exact_ppm(spec, p)) <= result.reported_error
+
+
+def _poisson_atoms(lam, y):
+    """The atoms (y (n - lam), P(N = n)) of y (N - lam), N Poisson(lam), in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    lam, y = mpmath.mpf(lam), mpmath.mpf(y)
+    return [(y * (n - lam), mpmath.exp(-lam) * lam**n / mpmath.factorial(n)) for n in range(80)]
+
+
+def _atom_sum(law, p):
+    """E X_+^p of a list of (x, weight) atoms, summed in mpmath at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.fsum(w * x**p for x, w in law if x > 0))
+
+
+@pytest.mark.parametrize("lam, p", [
+    (1e-4, 4.0), (1e-4, 4.5), (1e-4, 6.0), (1e-5, 4.0), (1e-5, 4.5), (1e-5, 6.0), (1e-3, 6.0),
+])
+def test_diff_on_nearly_one_atom_laws_within_bar(lam, p):
+    # the moment sequence of a small-rate Poisson law is nearly that of one
+    # atom, so the Hankel matrix of k+1 Gauss nodes has no Cholesky factor;
+    # a rule of fewer nodes still matches moments 1..k
+    spec = CenteredScaledPoisson(lam, 1.0)
+    result = ppm_diff(spec, match_discrete(spec, p), p)
+    assert abs(result.value - _atom_sum(_poisson_atoms(lam, 1.0), p)) <= result.reported_error
+
+
+def _conv(a, b):
+    return [(x + u, w * v) for x, w in a for u, v in b]
+
+
+def _mp_atoms(*pairs):
+    mpmath = pytest.importorskip("mpmath")
+    return [(mpmath.mpf(x), mpmath.mpf(w)) for x, w in pairs]
+
+
+_TWO_ATOMS = ((-1.0, 0.5), (2.0, 0.5))
+
+
+@pytest.mark.parametrize("text, law", [
+    ("sum(discrete(-1:0.5,2:0.5), point(0.3))",
+     lambda: _conv(_mp_atoms(*_TWO_ATOMS), _mp_atoms((0.3, 1.0)))),
+    ("shift(discrete(-1:0.25,0.5:0.5,2:0.25), 0.7)",
+     lambda: _conv(_mp_atoms((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25)), _mp_atoms((0.7, 1.0)))),
+    ("sum(discrete(-1:0.5,2:0.5), cpoisson(0.5,1))",
+     lambda: _conv(_mp_atoms(*_TWO_ATOMS), _poisson_atoms(0.5, 1.0))),
+    ("sum(cpoisson(0.3,1), cpoisson(2,0.5))",
+     lambda: _conv(_poisson_atoms(0.3, 1.0), _poisson_atoms(2.0, 0.5))),
+])
+def test_sums_and_shifts_of_atomic_laws_within_bar(text, law):
+    # these laws run the convolution branch of atoms() and the shift
+    # factor of the transform kernel
+    spec, law = parse_spec(text), law()
+    for p in (0.5, 1.5, 2.0, 3.5):
+        exact = _atom_sum(law, p)
+        for result in (ppm_cf(spec, p), ppm_laplace(spec, p, 0.5),
+                       ppm_diff(spec, match_discrete(spec, p), p)):
+            assert abs(result.value - exact) <= result.reported_error, (p, result.method_used)
+            assert result.quadrature.evaluations <= 20_000, (p, result.method_used)
 
 
 # -- moment matching --------------------------------------------------------

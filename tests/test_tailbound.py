@@ -291,20 +291,55 @@ def test_curve_rows_match_series_oracle():
 
 def test_fallback_rows_match_series_oracle(monkeypatch):
     # a shared grid that misses its budget (as at y / sigma >= 20) sends each
-    # line level to the adaptive route, which also supplies mu1 for the step
+    # line level to the adaptive route for mu2 and mu3; the solver fetches
+    # mu1 for its step from that route too, and m_of_t never does
     def missed(problem, t, *args):
         return np.full((3, t.size), np.nan), np.full((3, t.size), np.nan)
 
+    adaptive, calls = tailbound._moments23, []
+
+    def counted(problem, t, rel_tol, orders):
+        out = adaptive(problem, t, rel_tol, orders)
+        calls.append((tuple(orders), [r.value for r in out]))
+        return out
+
     monkeypatch.setattr(tailbound, "_grid_moments", missed)
+    monkeypatch.setattr(tailbound, "_moments23", counted)
     ev = _eta_moments(P_UNIT, [-2.0, 1.0], 5e-11)
-    assert np.all(np.isfinite(ev.err)) and np.all(ev.mu[0] > 0.0)
+    assert np.all(np.isfinite(ev.err[1:])) and np.all(ev.fall_tol == 5e-11)
+    calls.clear()
+    m_of_t(P_UNIT, 1.0, 5e-11)
+    assert [orders for orders, _ in calls] == [(2.0, 3.0)]
+    calls.clear()
     rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
+    mu1 = [v for orders, values in calls if orders == (1.0,) for v in values]
+    assert len(mu1) == sum(orders == (2.0, 3.0) for orders, _ in calls) and min(mu1) > 0.0
     # the adaptive route runs at the tolerance the bar on m asks for: within
     # tol_x, that bar holds mu2 and mu3 to tol_x / (m - t) relative, and
     # m - t >= 1.3 on these rows
     _assert_rows_match_series(P_UNIT, rows, 1e-9)
     assert all(r.residual <= 1e-9 and _bar_on_m(r) <= 1e-9 for r in rows)
     assert all(math.isfinite(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
+
+
+def test_m_of_t_runs_the_solver_engine():
+    # m_of_t and a one-level pin probe do the same arithmetic, so m_of_t at
+    # the root reproduces the row's residual; the adaptive route alone used
+    # to give 5.8e-12 and 6.5e-11 here against residuals of 3.9e-14 and
+    # 6.9e-11
+    for x in (1.0, 2.0):
+        row = pin(P_UNIT, x)
+        assert abs(m_of_t(P_UNIT, row.t_x, 5e-11) - x) == row.residual, x
+    # at right-tail roots the adaptive route's absolute budget floor left
+    # m 2.4e-8, 7.0e-7 and 4.0e-7 off the series oracle
+    problem = TailBoundProblem(1.0, 1.001074356060161, 0.08100531266023471)
+    for x in (3.5, 4.35, 4.5):
+        t = pin(problem, x).t_x
+        want = t + naive_series_ppm(problem, t, 3).value / naive_series_ppm(problem, t, 2).value
+        assert abs(m_of_t(problem, t, 5e-11) - want) <= 1e-8, x
+    # at y = 1e-4 the shared grid would be too long: the level falls back to
+    # the two adaptive integrals, whose m is kept bit for bit
+    assert m_of_t(TailBoundProblem(1.0, 1e-4, 0.5), 0.5, 5e-11) == 1.8870530408935482
 
 
 def test_right_tail_moments_regression():
