@@ -313,7 +313,16 @@ def gaussian_var(spec: DistributionSpec) -> float:
 
 
 def freq_scale(spec: DistributionSpec) -> float:
-    """Upper estimate of the dominant oscillation frequency of t -> E e^{itX}."""
+    """Upper estimate of the dominant oscillation frequency of t -> E e^{itX}.
+
+    For X = y (N - lam) the transform is phi(t) = exp(lam (e^{ity} - 1 - ity)),
+    whose phase lam (sin ty - ty) turns at the rate lam y (1 - cos ty), and
+    that is exactly y (-ln |phi(t)|).  So the rate is at most 2 lam y, and at
+    most y ln(1 / _WEIGHT_FLOOR) = 41.4 y wherever |phi| is above the weight
+    floor; where it is below, the factor is negligible.  The two bounds meet
+    at lam = 20.7.  The 10 y sqrt(lam) spread on top keeps adaptivity from
+    having to rescue the grid.
+    """
 
     def rec(s):
         if isinstance(s, PointMass):
@@ -323,9 +332,8 @@ def freq_scale(spec: DistributionSpec) -> float:
         if isinstance(s, Normal):
             return abs(s.mu) + math.sqrt(s.var)
         if isinstance(s, CenteredScaledPoisson):
-            # instantaneous phase rate of exp(lam(e^{ity}-1-ity)) is at most
-            # 2*lam*y; add spread so adaptivity rarely has to rescue us.
-            return 2.0 * s.lam * s.y + 10.0 * s.y * math.sqrt(s.lam)
+            rate = min(2.0 * s.lam, -math.log(_WEIGHT_FLOOR))
+            return rate * s.y + 10.0 * s.y * math.sqrt(s.lam)
         if isinstance(s, Shift):
             return rec(s.inner) + abs(s.c)
         if isinstance(s, IndependentSum):

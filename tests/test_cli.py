@@ -156,6 +156,16 @@ def test_curve_structure_and_determinism(capsys):
     assert out1 == out2  # byte identical
 
 
+def test_small_y_curve_has_no_failed_rows(capsys):
+    # y / sigma = 1e-4 (lam = 5e7): every row meets its budget on m, so no
+    # failed-row note reaches stderr
+    code, out, err = run_cli(capsys, "curve", "--sigma", "1", "--y", "1e-4", "--eps", "0.5",
+                             "--x-min", "0", "--x-max", "5", "--steps", "11")
+    assert code == 0
+    assert "note:" not in err
+    assert len(out.strip().split("\n")) == 12
+
+
 def test_curve_out_file(tmp_path, capsys):
     target = tmp_path / "curve.csv"
     code, out, _ = run_cli(capsys, "curve", "--sigma", "1", "--y", "1", "--eps", "0.5",

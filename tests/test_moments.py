@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from mixture import mixture_ppm
 from pospart.distributions import (
     CenteredScaledPoisson,
     FiniteDiscrete,
@@ -14,6 +15,7 @@ from pospart.distributions import (
     Shift,
     atoms,
     raw_moment,
+    scale,
 )
 from pospart.errors import MomentMismatch, PositivePartError, PreconditionError
 from pospart.moments import (
@@ -423,6 +425,29 @@ def test_sums_and_shifts_of_atomic_laws_within_bar(text, law):
                        ppm_diff(spec, match_discrete(spec, p), p)):
             assert abs(result.value - exact) <= result.reported_error, (p, result.method_used)
             assert result.quadrature.evaluations <= 20_000, (p, result.method_used)
+
+
+@pytest.mark.parametrize("spread", [0.1, 1.0])
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e6, 1e7])
+def test_large_rate_poisson_gaussian_within_bar(lam, spread):
+    # spread = lam y^2 is the Poisson part's variance.  The evaluations stay
+    # bounded as lam grows because freq_scale bounds the phase rate by
+    # y ln 1e18 wherever |E e^{itX}| is above the weight floor
+    y = math.sqrt(spread / lam)
+    spec = Shift(IndependentSum(Normal(0.0, 0.25), CenteredScaledPoisson(lam, y)), -0.5)
+    ps = (0.5, 1.5, 2.0, 3.5)
+    exact = mixture_ppm(0.25, lam, y, -0.5, ps)
+    s = 1.0 / scale(spec)
+    for p in ps:
+        results = [ppm_cf(spec, p), ppm_laplace(spec, p, s),
+                   ppm_diff(spec, match_discrete(spec, p), p)]
+        if p == int(p):
+            results.append(ppm_negative_s(spec, p, -s))
+        for result in results:
+            where = (p, result.method_used)
+            assert abs(result.value - exact[p]) <= result.reported_error + 1e-13 * exact[p], where
+            assert not result.quadrature.refine_capped, where
+            assert result.quadrature.evaluations <= 20_000, where
 
 
 # -- moment matching --------------------------------------------------------

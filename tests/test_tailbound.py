@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixture import mixture_ppm23
 from pospart import tailbound
 from pospart.distributions import raw_moment
 from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError, UnmetBudget
@@ -322,7 +323,7 @@ def test_fallback_rows_match_series_oracle(monkeypatch):
     assert all(math.isfinite(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
 
 
-def test_m_of_t_runs_the_solver_engine():
+def test_m_of_t_runs_the_solver_engine(monkeypatch):
     # m_of_t and a one-level pin probe do the same arithmetic, so m_of_t at
     # the root reproduces the row's residual; the adaptive route alone used
     # to give 5.8e-12 and 6.5e-11 here against residuals of 3.9e-14 and
@@ -337,9 +338,39 @@ def test_m_of_t_runs_the_solver_engine():
         t = pin(problem, x).t_x
         want = t + naive_series_ppm(problem, t, 3).value / naive_series_ppm(problem, t, 2).value
         assert abs(m_of_t(problem, t, 5e-11) - want) <= 1e-8, x
-    # at y = 1e-4 the shared grid would be too long: the level falls back to
-    # the two adaptive integrals, whose m is kept bit for bit
-    assert m_of_t(TailBoundProblem(1.0, 1e-4, 0.5), 0.5, 5e-11) == 1.8870530408935482
+    # at y = 1e-4 (lam = 5e7) the level stays on the shared grid, and its m
+    # agrees with the two adaptive integrals' within the two bars on m
+    small_y = TailBoundProblem(1.0, 1e-4, 0.5)
+    calls = []
+    real = tailbound._moments23
+    monkeypatch.setattr(tailbound, "_moments23", lambda *a: calls.append(a) or real(*a))
+    m = m_of_t(small_y, 0.5, 5e-11)
+    ev = _eta_moments(small_y, [0.5], 5e-11)
+    assert calls == []
+    r2, r3 = real(small_y, 0.5, 5e-11, (2.0, 3.0))
+    m_ref = 0.5 + r3.value / r2.value
+    bar = (ev.err[2, 0] + (m - 0.5) * ev.err[1, 0]) / ev.mu[1, 0]
+    bar_ref = (r3.reported_error + (m_ref - 0.5) * r2.reported_error) / r2.value
+    assert m == ev.m[0]
+    assert abs(m - m_ref) <= bar + bar_ref
+
+
+@pytest.mark.parametrize("y", [1e-4, 1e-3])
+def test_small_y_curve_stays_on_the_grid(y, monkeypatch):
+    # lam = 5e7 and 5e5: freq_scale bounds the Poisson phase rate by
+    # y ln 1e18, so each level's grid fits in one work block and no level
+    # needs the adaptive route
+    problem = TailBoundProblem(1.0, y, 0.5)
+    calls = []
+    real = tailbound._moments23
+    monkeypatch.setattr(tailbound, "_moments23", lambda *a: calls.append(a) or real(*a))
+    rows = pin_curve(problem, 0.0, 5.0, 11, rel_tol=1e-7, tol_x=1e-9)
+    assert calls == []
+    assert not any(r.is_failure() for r in rows)
+    for r in rows[1:]:    # x = 0 takes the far-left closed form
+        mu2, mu3 = mixture_ppm23(0.5, problem.lam, y, -r.t_x)
+        assert abs(r.mu2 - mu2) <= r.mu2_err + 1e-13 * mu2, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3) <= r.mu3_err + 1e-13 * mu3, (r.x, r.mu3, mu3)
 
 
 def test_right_tail_moments_regression():
