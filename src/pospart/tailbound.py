@@ -24,30 +24,18 @@ apply exactly; that switch keeps the x -> 0 end of a bound curve exact and
 fast.
 
 On the line z = s + iu the integrand of E(eta-t)_+^p is Re[e^{-zt} H_p(u)]
-with H_p = E e^{z eta} z^-(p+1): the level t enters only through
-e^{-zt} = e^{-st} e^{-iut}, and the levels at or above -6/s* (or on one
-rung) lie on the same line.  The batched engine (_eta_moments) therefore evaluates H_p for
-p = 1, 2, 3 once per node of a Gauss-Kronrod grid shared by the levels of
-similar oscillation scale on one line, and each (t, node) cell costs only the
-real rotation cos(ut) Re H_p + sin(ut) Im H_p; the positive factor e^{-st}
-multiplies a level's panel sums and error bars afterwards.  The paper's
-identity d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
+with H_p = E e^{z eta} z^-(p+1), so the batched engine (_eta_moments)
+evaluates H_p for p = 1, 2, 3 once per node of a Gauss-Kronrod grid that
+the levels on one line share (_grid_moments).  The paper's identity
+d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
 m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass.  A level whose grid error
-misses its budget takes mu2 and mu3 from the adaptive single-t route
-(_moments23): moments.ppm_laplace on eta_spec(problem, t), the
-vertical-line route every catalog spec takes; the solver fetches mu1 there
-too when the grid's is unusable.  m_of_t runs the same engine on one level.
+misses its budget is integrated again with the flat panels halved
+(_moments23); m_of_t runs the same engine on one level.
 
-All levels of a curve sample the same increasing m, so the solver keeps one
-table of the samples (t, m, m') of every pass and steps each level to the
-cubic Hermite inverse interpolant of t(m) between the samples on either side
-of its x, falling back to Newton and then bisection.  The budget that counts
-is the bar on m itself, (mu3_err + (m - t) mu2_err) / mu2: a probe enters
-the table or settles a level only when that bar is within tol_x, and a level
-whose bar misses has its later grid ends (and adaptive tolerance) sized from
-its own moments, so right-tail levels are not held to 1 + max(sigma,|t|)^p.
-Each result row carries the error bars of mu2, mu3 and Pin; they are NaN
-only on a level that failed.
+All levels of a curve sample the same increasing m, so the solver (_solve)
+steps them together through one table of samples of m, and the budget that
+counts is the bar on m itself.  Each result row carries the error bars of
+mu2, mu3 and Pin; they are NaN only on a level that failed.
 
 _eta, the unshifted spec that eta_spec shifts, is the one description of the
 surrogate here: the line transform, the oscillation frequency and the raw
@@ -76,12 +64,13 @@ from .distributions import (
 )
 from .errors import (
     BracketFailure,
+    BudgetExceeded,
     DegenerateMoment,
     PositivePartError,
     PreconditionError,
     UnmetBudget,
 )
-from .moments import gamma_p1, ppm_laplace
+from .moments import gamma_p1
 from .quadrature import _NODES, check_rel_tol, gk15_reduce
 
 __all__ = [
@@ -99,13 +88,14 @@ _RIGHT_GUARD_SIGMAS = 40.0
 _NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
 _ORDERS = (1.0, 2.0, 3.0)
 _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
-# (t, node) cells per work block of the engine: memory stays bounded however
-# many levels a pass holds.  One level's grid must fit in one block; a longer
-# grid sends the level to the adaptive route, which is far slower: an
-# 11-level curve at y / sigma = 1e-4 took 8.8 s of CPU there, and takes
-# 0.01 s on the grid
+# (t, node) cells per work block of the engine, which spans runs of panels
+# and of levels: memory stays bounded however many levels and panels a pass has
 _BLOCK_CELLS = 1 << 16
-_MAX_GRID_PANELS = _BLOCK_CELLS // 15
+# transform nodes one grid may take after its cut; the adaptive route it
+# replaced solved eps up to about 1 - 1.8e-9, whose grids take 4.3e6 to 5.0e6
+_MAX_NODES = 5_000_000
+# flat-width halvings for a missed level (y / sigma = 100 resolves at 3 to 4)
+_MAX_HALVINGS = 6
 # bisection alone narrows [edge, x] to 1e-14 relative width in about 60
 # passes; interpolation and Newton passes only shorten that
 _MAX_PASSES = 200
@@ -223,12 +213,6 @@ def _far_left(problem: TailBoundProblem, t):
     return -t, mu2, m3 - 3.0 * var * t - t**3, (m3 - 2.0 * var * t) / mu2
 
 
-def _moments23(problem: TailBoundProblem, t: float, rel_tol: float, orders: tuple) -> list:
-    """The adaptive route for eta - t: ppm_laplace on the line s(t), per order in orders."""
-    spec, s = eta_spec(problem, t), float(_line(problem, t))
-    return [ppm_laplace(spec, p, s, -1, rel_tol) for p in orders]
-
-
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
     """m(t) = t + E(eta-t)_+^3 / E(eta-t)_+^2, from the engine the solver
     runs (_eta_moments) on the one level t."""
@@ -246,30 +230,27 @@ class _EtaMoments:
     """Moments of eta - t for a batch of levels t, one column per level.
 
     mu[p-1] is E(eta-t)_+^p and err[p-1] its error bar, for p = 1, 2, 3; m is
-    m(t).  mu1 is the grid's where that is finite and positive, else NaN.
-    fall_tol is the tolerance of the adaptive route on the rows that took mu2
-    and mu3 from it, NaN elsewhere.  A failed row is NaN, and failure holds
-    the PositivePartError that ended it (else None).
+    m(t).  mu1 is NaN unless finite and positive.  A failed row is NaN, and
+    failure holds the PositivePartError that ended it (else None).
     """
 
     mu: np.ndarray
     err: np.ndarray
     m: np.ndarray
-    fall_tol: np.ndarray
     failure: list
 
 
 def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
-                  log_k: np.ndarray, cut: np.ndarray):
+                  log_k: np.ndarray, cut: np.ndarray, halvings: int = 0):
     """mu1..mu3 and their error bars on shared Gauss-Kronrod grids.
 
     Levels are bucketed by oscillation frequency (within a factor 2); each
     bucket shares one grid.  Near u = 0 each panel spans a quarter of its
     left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
-    the bucket); the widths grow until they would reach 4/freq, and from
-    there on all panels share that one width.  The grid ends where the tail
-    envelope of every level and order fits its truncation allowance cut[p-1]
-    (absolute, in units of the moment).
+    the bucket); the widths grow until they would reach 4/freq, halved
+    `halvings` times, and from there on all panels share that one width.  The
+    grid ends where the tail envelope of every level and order fits its
+    truncation allowance cut[p-1] (absolute, in units of the moment).
 
     Within a bucket the levels are grouped by their line s (_line: s*, or a
     rung s* 2^-k below -6/s*).  A group evaluates the transform of eta once
@@ -277,12 +258,12 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p], with
     e^{iut} = e^{i t mid} e^{i t (u - mid)} for the node u of a panel with
     midpoint mid: one exponential per (level, panel), and one row of 15 per
-    (level, panel width), which all flat panels share.  The Kronrod values and
-    QUADPACK error estimates (the 50 eps resabs floor included) are linear
+    (level, panel width), which all flat panels share.  Blocks of at most
+    _BLOCK_CELLS cells span runs of panels and of levels.  The Kronrod values
+    and QUADPACK error estimates (the 50 eps resabs floor included) are linear
     in the integrand, so the level's factor e^{-st} multiplies them after
     the reduction.  A level's error bar is its summed panel errors plus the
-    tail envelope.  Buckets whose grid would be longer than _MAX_GRID_PANELS
-    are left NaN.
+    tail envelope.  Buckets whose grid would pass _MAX_NODES nodes are NaN.
     """
     eta = _eta(problem)
     a = gaussian_var(eta)
@@ -298,12 +279,12 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     base = freq_scale(eta)
     freq = np.abs(t) + base
     bucket = np.ceil(np.log2(freq / base))
-    mu = np.full((3, t.size), np.nan)
-    err = np.full((3, t.size), np.nan)
+    mu, err = np.full((2, 3, t.size), np.nan)
     env = np.zeros((3, t.size))
+    span = _BLOCK_CELLS // 15        # panels per block
     for b in np.unique(bucket):
         rows = np.flatnonzero(bucket == b)
-        cap = 4.0 / freq[rows].max()
+        cap = math.ldexp(4.0 / freq[rows].max(), -halvings)
         s_min = s[rows].min()
         edges = [0.0]
         while edges[-1] < t_end[rows].max():
@@ -311,20 +292,21 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
             if width >= cap:
                 break
             edges.append(edges[-1] + width)
-        n_graded = len(edges) - 1
-        n_flat = max(t_end[rows].max() - edges[-1], 0.0) / cap
-        if not len(edges) + n_flat <= _MAX_GRID_PANELS:
-            continue
-        edges = np.concatenate([edges, edges[-1] + cap * np.arange(1, math.ceil(n_flat) + 1)])
+        n_graded, top = len(edges) - 1, edges[-1]
         # cut at the first edge where every envelope fits its target; the
-        # envelopes fall with T, so bisect on the edge index
-        lo, hi = 0, edges.size - 1
+        # envelopes fall with T, so bisect on the edge index.  Flat edges lie
+        # cap apart past the graded ones, so no edge past the cut is built
+        lo, hi = 0, n_graded + math.ceil(max(t_end[rows].max() - top, 0.0) / cap)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if np.all(_envelope(a, K[rows], edges[mid], q) <= target[:, rows]):
+            T = edges[mid] if mid <= n_graded else top + cap * (mid - n_graded)
+            if np.all(_envelope(a, K[rows], T, q) <= target[:, rows]):
                 hi = mid
             else:
                 lo = mid
+        if not 15 * hi <= _MAX_NODES:
+            continue
+        edges = np.concatenate([edges, top + cap * np.arange(1, hi - n_graded + 1)])
         env[:, rows] = _envelope(a, K[rows], edges[hi], q)
         # panel i has the node offsets off[w[i]] from its midpoint: one row
         # per graded panel, and one that all flat panels share
@@ -333,25 +315,60 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
         off = half[:, None] * _NODES
         half = half[w]
         mids = edges[:hi] + half
-        u = mids[:, None] + off[w]
-        per_block = max(1, _BLOCK_CELLS // u.size)
+        per_block = max(1, _BLOCK_CELLS // (15 * min(hi, span)))
+        mu[:, rows] = err[:, rows] = 0.0
         for line in np.unique(s[rows]):
             group = rows[s[rows] == line]
-            z = line + 1j * u
-            iz = 1.0 / z
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                h = _fl_vec(eta, z) * iz * iz
-            # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
-            h = np.stack([h, h * iz, h * iz * iz])[:, None]
-            for first in range(0, group.size, per_block):
-                r = group[first: first + per_block]
-                it = 1j * t[r, None]
-                phase = np.exp(it * mids)[..., None] * np.exp(it[..., None] * off)[:, w]
-                f = phase.real * h.real + phase.imag * h.imag
-                k, e = gk15_reduce(f, half)
-                mu[:, r], err[:, r] = k.sum(axis=2), e.sum(axis=2)
+            for first_panel in range(0, hi, span):
+                run = slice(first_panel, first_panel + span)
+                z = line + 1j * (mids[run, None] + off[w[run]])
+                iz = 1.0 / z
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    h = _fl_vec(eta, z) * iz * iz
+                # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
+                h = np.stack([h, h * iz, h * iz * iz])[:, None]
+                for first in range(0, group.size, per_block):
+                    r = group[first: first + per_block]
+                    it = 1j * t[r, None]
+                    phase = (np.exp(it * mids[run])[..., None]
+                             * np.exp(it[..., None] * off)[:, w[run]])
+                    f = phase.real * h.real + phase.imag * h.imag
+                    k, e = gk15_reduce(f, half[run])
+                    mu[:, r] += k.sum(axis=2)
+                    err[:, r] += e.sum(axis=2)
     shift = np.exp(-s * t)
     return _PREF * mu * shift, _PREF * (err * shift + env)
+
+
+def _meets(mu, err, tol, basis):
+    """(ok, share): share is the larger of err_p / max(tol |mu_p|, 0.5 tol basis_p)
+    for p = 2, 3; ok if both are finite and <= 1, mu3 > 0 and mu2 > tol basis_2."""
+    with np.errstate(invalid="ignore"):
+        budget = np.maximum(tol * np.abs(mu[1:]), 0.5 * tol * basis[1:])
+        within = np.all(np.isfinite(mu[1:]) & (err[1:] <= budget), axis=0)
+        return within & (mu[1] > tol * basis[1]) & (mu[2] > 0.0), np.max(err[1:] / budget, axis=0)
+
+
+def _moments23(problem: TailBoundProblem, t, s, log_k, cut, tol, basis, mu, err):
+    """Refines each level whose first grid (mu, err: _grid_moments on t, s,
+    log_k, cut) misses at tol, halving its flat panels up to _MAX_HALVINGS
+    times while it misses and its share has not stalled; it keeps the finest."""
+    ok, share = _meets(mu, err, tol, basis)
+    open_, shrinking = np.flatnonzero(~ok), np.zeros(t.size, dtype=bool)
+    for k in range(1, _MAX_HALVINGS + 1):
+        if not open_.size:
+            break
+        m, e = _grid_moments(problem, t[open_], s[open_], log_k[open_], cut[:, open_], k)
+        ok, new = _meets(m, e, tol[open_], basis[:, open_])
+        reached = ~np.isnan(new)
+        mu[:, open_[reached]], err[:, open_[reached]] = m[:, reached], e[:, reached]
+        # too coarse a grid leaves the share about flat for a few halvings;
+        # a resolved one more than halves it per halving, down to rounding
+        shrank = new < 0.5 * share[open_]
+        go_on = reached & ~ok & (shrank | ~shrinking[open_])
+        share[open_], shrinking[open_] = new, shrank
+        open_ = open_[go_on]
+    return mu, err
 
 
 def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _EtaMoments:
@@ -364,14 +381,12 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     fits its allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or tail[p-1]
     where tail, a (3, n) array, gives a smaller one (NaN entries give none);
     the solver sizes tail from a level's own moments when its bar on m
-    missed.  A level takes mu2 and mu3 from the adaptive _moments23 when an
-    error bar misses max(rel_tol |mu_p|, 0.5 rel_tol (1 + max(sigma,|t|)^p)),
-    a value is not finite, mu3 is not positive or mu2 is not above the floor
-    rel_tol (1 + max(sigma,|t|)^2).  That route runs at rel_tol times the
-    smaller of the shares tail[p-1] / (0.125 rel_tol (1 + max(sigma,|t|)^p))
-    for p = 2, 3 (at most 1, at least 1e-13 in all), so a level sized for
-    its bar on m is sized there too, and a mu2 it returns below the floor at
-    that tolerance is a DegenerateMoment.  m = t + mu3 / mu2.
+    missed.  A level that fails _meets at rel_tol is refined (_moments23) at
+    rel_tol times the smaller share tail[p-1] / (0.125 rel_tol (1 +
+    max(sigma,|t|)^p)) of p = 2, 3 (at most 1, at least 1e-13 in all), its own
+    tolerance.  A level whose grid would pass _MAX_NODES fails with
+    BudgetExceeded, one whose mu2 is not above the floor at its own tolerance
+    with DegenerateMoment.  m = t + mu3 / mu2.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -387,38 +402,32 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     with np.errstate(over="ignore"):   # the absolute budget's scale, inf past overflow
         basis = 1.0 + np.maximum(problem.sigma, np.abs(ts)) ** np.array(_ORDERS)[:, None]
     cut = 0.125 * rel_tol * basis
-    fall_tol = np.full(n, rel_tol)
+    tol = np.full(n, rel_tol)
     if tail is not None:
-        # the adaptive route's budget scales with its tolerance, so a level
-        # whose mu2 or mu3 allowance shrank takes the same share of rel_tol
+        # the budget scales with the tolerance, so a level whose mu2 or mu3
+        # allowance shrank takes the same share of rel_tol
         share = np.fmin(1.0, np.fmin(tail[1] / cut[1], tail[2] / cut[2]))
-        fall_tol = np.maximum(1e-13, share * rel_tol)
+        tol = np.maximum(1e-13, share * rel_tol)
         cut = np.fmin(cut, tail)
     line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma)
     if line.any():
         mu[:, line], err[:, line] = _grid_moments(problem, ts[line], s[line], log_k[line],
                                                   cut[:, line])
-    with np.errstate(invalid="ignore"):
-        within = np.isfinite(mu) & (err <= np.maximum(rel_tol * np.abs(mu), 0.5 * rel_tol * basis))
-        good = line & within[1] & within[2] & (mu[1] > rel_tol * basis[1]) & (mu[2] > 0.0)
-        mu[0, ~(np.isfinite(mu[0]) & (mu[0] > 0.0))] = np.nan
+    miss = line & ~_meets(mu, err, rel_tol, basis)[0]
+    if miss.any():
+        mu[:, miss], err[:, miss] = _moments23(problem, ts[miss], s[miss], log_k[miss],
+                                               cut[:, miss], tol[miss], basis[:, miss],
+                                               mu[:, miss], err[:, miss])
+    mu[0, ~(np.isfinite(mu[0]) & (mu[0] > 0.0))] = np.nan
+    # below the degeneracy floor; the right guard's levels hold no values
+    bad = ~left & ~(np.isfinite(mu[1]) & (mu[1] > tol * basis[1]))
     failure = [None] * n
-    fall = line & ~good
-    for i in np.flatnonzero(fall):
-        try:
-            r2, r3 = _moments23(problem, float(ts[i]), float(fall_tol[i]), (2.0, 3.0))
-            mu[1:, i], err[1:, i] = (r2.value, r3.value), (r2.reported_error, r3.reported_error)
-        except PositivePartError as exc:
-            failure[i] = exc
-    # the degeneracy floor: grid values below it at rel_tol fell back, and
-    # the right guard's levels hold no values
-    floored = np.isfinite(mu[1]) & (mu[1] > fall_tol * basis[1])
-    for i in np.flatnonzero(~left & ~floored):
-        failure[i] = failure[i] or DegenerateMoment(float(ts[i]))
-    ok = np.array([exc is None for exc in failure])
-    mu[:, ~ok] = err[:, ~ok] = np.nan
+    for i in np.flatnonzero(bad):
+        over = line[i] and np.isnan(mu[1, i])    # a grid past _MAX_NODES
+        failure[i] = BudgetExceeded(None, _MAX_NODES) if over else DegenerateMoment(float(ts[i]))
+    mu[:, bad] = err[:, bad] = np.nan
     m[~left] = ts[~left] + mu[2, ~left] / mu[1, ~left]
-    return _EtaMoments(mu, err, m, np.where(fall & ok, fall_tol, np.nan), failure)
+    return _EtaMoments(mu, err, m, failure)
 
 
 def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
@@ -457,9 +466,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     quadratic x t^2 + 2 sigma^2 t + x sigma^2 - m3 = 0; levels x <= tol_x/2
     take the root at tol_x/2, since m never reaches 0.  Every other root lies
     in [edge, x] because m(x) > x.  From t = x each pass evaluates all open
-    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass; a
-    level that fell back with no usable grid mu1 takes mu1 from the adaptive
-    route at the fallback's tolerance, and a failure there is the probe's.
+    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
 
     A probe's bar on m is (mu3_err + (m - t) mu2_err) / mu2.  A probe is
     sound when that bar is within tol_x: only a sound probe settles a level,
@@ -530,13 +537,6 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
             break
         probe = t[open_]
         ev = _eta_moments(problem, probe, tol, tail[:, open_])
-        for k in np.flatnonzero(np.isnan(ev.mu[0]) & ~np.isnan(ev.fall_tol)):
-            try:
-                r1, = _moments23(problem, float(probe[k]), float(ev.fall_tol[k]), (1.0,))
-                ev.mu[0, k], ev.err[0, k] = r1.value, r1.reported_error
-            except PositivePartError as exc:
-                ev.failure[k] = exc
-                ev.mu[:, k] = ev.err[:, k] = np.nan
         mu1, mu2, mu3 = ev.mu
         with np.errstate(invalid="ignore", divide="ignore"):
             bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2

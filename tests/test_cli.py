@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pospart import validate
 from pospart.cli import main
@@ -262,6 +266,40 @@ def test_numerical_failure_exits_three(capsys, recwarn):
     assert out == ""
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
     assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+def test_pin_past_the_grid_work_bound_exits_three(capsys):
+    # at eps = 1 - 1e-16 the Gaussian part of eta has variance 1e-16, so the
+    # transform hardly decays and the level's grid would take far more than
+    # the engine's node bound: a message, not a MemoryError or a hang
+    code, out, err = run_cli(capsys, "pin", "--sigma", "1", "--y", "1",
+                             "--eps", "0.9999999999999999", "--x", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
+
+
+@given(sigma=st.floats(-1.0, 1.0), ratio=st.floats(-4.0, 2.0),
+       eps=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(1e-16, 1e-15).map(lambda d: 1.0 - d)),
+       x=st.floats(0.0, 5.0))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_pin_fuzz_ends_in_a_known_exit(sigma, ratio, eps, x):
+    # y / sigma log-uniform in [1e-4, 1e2], eps in (0, 1) and within 1e-15 of
+    # 1, x in [0, 5 sigma]: success, a precondition error (a subnormal eps
+    # puts the Poisson rate out of range) or a numerical failure, each with
+    # its message alone
+    sigma = 10.0**sigma
+    argv = ["pin", "--sigma", repr(sigma), "--y", repr(sigma * 10.0**ratio),
+            "--eps", repr(eps), "--x", repr(x * sigma)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
 
 
 def test_moment_negative_strip_method(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixture import mixture_ppm23
-from pospart import tailbound
+from pospart import moments, tailbound
 from pospart.distributions import raw_moment
 from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError, UnmetBudget
 from pospart.moments import ppm_cf, ppm_laplace
@@ -290,37 +290,77 @@ def test_curve_rows_match_series_oracle():
     assert all(r.residual <= 1e-9 for r in rows)
 
 
-def test_fallback_rows_match_series_oracle(monkeypatch):
-    # a shared grid that misses its budget (as at y / sigma >= 20) sends each
-    # line level to the adaptive route for mu2 and mu3; the solver fetches
-    # mu1 for its step from that route too, and m_of_t never does
-    def missed(problem, t, *args):
-        return np.full((3, t.size), np.nan), np.full((3, t.size), np.nan)
+def _count_refinements(monkeypatch) -> list:
+    # the number of levels each _moments23 call refines
+    calls, real = [], tailbound._moments23
+    monkeypatch.setattr(tailbound, "_moments23",
+                        lambda *a: calls.append(np.size(a[1])) or real(*a))
+    return calls
 
-    adaptive, calls = tailbound._moments23, []
 
-    def counted(problem, t, rel_tol, orders):
-        out = adaptive(problem, t, rel_tol, orders)
-        calls.append((tuple(orders), [r.value for r in out]))
-        return out
+# y / sigma = 22.7: the benchmark's moment_mix eta request whose level leaves
+# the first grid
+P_WIDE = TailBoundProblem(1.0, 22.70367194543268, 0.7073413367479777)
 
-    monkeypatch.setattr(tailbound, "_grid_moments", missed)
-    monkeypatch.setattr(tailbound, "_moments23", counted)
-    ev = _eta_moments(P_UNIT, [-2.0, 1.0], 5e-11)
-    assert np.all(np.isfinite(ev.err[1:])) and np.all(ev.fall_tol == 5e-11)
+
+def test_refined_rows_match_series_oracle(monkeypatch):
+    # at y / sigma >= 20 the flat panels 4/freq wide are too coarse for the
+    # integrand's e^{iuy} part, so a level can miss its budget on the first
+    # grid; it is refined on the same engine, and all three orders come from
+    # the finest grid, within their bars of both independent references
+    calls = _count_refinements(monkeypatch)
+    ts = [-1.0, 0.5, 1.4592682828722885, 3.0]
+    ev = _eta_moments(P_WIDE, ts, 5e-11)
+    assert calls == [2]
+    for i, t in enumerate(ts):
+        mix = mixture_ppm23(1.0 - P_WIDE.eps, P_WIDE.lam, P_WIDE.y, -t)
+        for p in (1, 2, 3):
+            ref = naive_series_ppm(P_WIDE, t, p)
+            assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width, (t, p)
+            if p > 1:
+                assert abs(ev.mu[p - 1, i] - mix[p - 2]) <= ev.err[p - 1, i] + 1e-13 * mix[p - 2]
+    # the solver takes mu1 for its step from the refined grid too
     calls.clear()
-    m_of_t(P_UNIT, 1.0, 5e-11)
-    assert [orders for orders, _ in calls] == [(2.0, 3.0)]
-    calls.clear()
-    rows = pin_curve(P_UNIT, 0.5, 4.5, 3, rel_tol=1e-7)
-    mu1 = [v for orders, values in calls if orders == (1.0,) for v in values]
-    assert len(mu1) == sum(orders == (2.0, 3.0) for orders, _ in calls) and min(mu1) > 0.0
-    # the adaptive route runs at the tolerance the bar on m asks for: within
-    # tol_x, that bar holds mu2 and mu3 to tol_x / (m - t) relative, and
-    # m - t >= 1.3 on these rows
-    _assert_rows_match_series(P_UNIT, rows, 1e-9)
+    rows = pin_curve(P_WIDE, 0.5, 4.5, 3, rel_tol=1e-7)
+    assert calls
+    _assert_rows_match_series(P_WIDE, rows, 1e-9)
     assert all(r.residual <= 1e-9 and _bar_on_m(r) <= 1e-9 for r in rows)
     assert all(math.isfinite(v) for r in rows for v in (r.mu2_err, r.mu3_err, r.pin_err))
+
+
+def test_large_y_curve_within_bars_at_bounded_work(monkeypatch):
+    # y / sigma = 50: the adaptive route that used to take the missed levels
+    # spent 65.8M evaluations (33 s) on this curve
+    problem = TailBoundProblem(1.0, 50.0, 0.3)
+    work = []
+    transform, integrate = tailbound._fl_vec, moments.integrate_halfline
+
+    def counted_nodes(spec, z):
+        work.append(np.size(z))
+        return transform(spec, z)
+
+    def counted_integral(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        work.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(tailbound, "_fl_vec", counted_nodes)
+    monkeypatch.setattr(moments, "integrate_halfline", counted_integral)
+    rows = pin_curve(problem, 0.5, 4.5, 5)
+    _assert_rows_match_series(problem, rows, 1e-9)
+    assert sum(work) <= 5_000_000, sum(work)
+
+
+def test_far_negative_small_y_level_stays_on_the_grid(monkeypatch):
+    # the level t = -2,510 of the y = 1e-4 curve: its grid is longer than one
+    # work block, which used to send it to the adaptive route
+    problem = TailBoundProblem(1.0, 1e-4, 0.5)
+    calls = _count_refinements(monkeypatch)
+    ev = _eta_moments(problem, [-2510.0], 5e-11)
+    assert calls == [] and ev.failure == [None]
+    mix = mixture_ppm23(0.5, problem.lam, problem.y, 2510.0)
+    for p in (2, 3):
+        assert abs(ev.mu[p - 1, 0] - mix[p - 2]) <= ev.err[p - 1, 0], (p, ev.mu[:, 0], mix)
 
 
 def test_m_of_t_runs_the_solver_engine(monkeypatch):
@@ -338,32 +378,31 @@ def test_m_of_t_runs_the_solver_engine(monkeypatch):
         t = pin(problem, x).t_x
         want = t + naive_series_ppm(problem, t, 3).value / naive_series_ppm(problem, t, 2).value
         assert abs(m_of_t(problem, t, 5e-11) - want) <= 1e-8, x
-    # at y = 1e-4 (lam = 5e7) the level stays on the shared grid, and its m
-    # agrees with the two adaptive integrals' within the two bars on m
+    # at y = 1e-4 (lam = 5e7, past the series oracle's guard) the level
+    # stays on the first grid, and its m agrees with the mixture sums within
+    # its bar on m
     small_y = TailBoundProblem(1.0, 1e-4, 0.5)
-    calls = []
-    real = tailbound._moments23
-    monkeypatch.setattr(tailbound, "_moments23", lambda *a: calls.append(a) or real(*a))
+    calls = _count_refinements(monkeypatch)
     m = m_of_t(small_y, 0.5, 5e-11)
     ev = _eta_moments(small_y, [0.5], 5e-11)
     assert calls == []
-    r2, r3 = real(small_y, 0.5, 5e-11, (2.0, 3.0))
-    m_ref = 0.5 + r3.value / r2.value
+    mu2, mu3 = mixture_ppm23(0.5, small_y.lam, small_y.y, -0.5)
     bar = (ev.err[2, 0] + (m - 0.5) * ev.err[1, 0]) / ev.mu[1, 0]
-    bar_ref = (r3.reported_error + (m_ref - 0.5) * r2.reported_error) / r2.value
     assert m == ev.m[0]
-    assert abs(m - m_ref) <= bar + bar_ref
+    assert abs(m - (0.5 + mu3 / mu2)) <= bar + 1e-13 * m
+    # the refined level of P_WIDE agrees with the series oracle
+    t = 1.4592682828722885
+    want = t + naive_series_ppm(P_WIDE, t, 3).value / naive_series_ppm(P_WIDE, t, 2).value
+    assert abs(m_of_t(P_WIDE, t, 5e-11) - want) <= 1e-10 and calls == [1]
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-3])
 def test_small_y_curve_stays_on_the_grid(y, monkeypatch):
     # lam = 5e7 and 5e5: freq_scale bounds the Poisson phase rate by
-    # y ln 1e18, so each level's grid fits in one work block and no level
-    # needs the adaptive route
+    # y ln 1e18, so each level meets its budget on its first grid and none is
+    # refined
     problem = TailBoundProblem(1.0, y, 0.5)
-    calls = []
-    real = tailbound._moments23
-    monkeypatch.setattr(tailbound, "_moments23", lambda *a: calls.append(a) or real(*a))
+    calls = _count_refinements(monkeypatch)
     rows = pin_curve(problem, 0.0, 5.0, 11, rel_tol=1e-7, tol_x=1e-9)
     assert calls == []
     assert not any(r.is_failure() for r in rows)
