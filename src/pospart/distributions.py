@@ -12,7 +12,10 @@ built from six variants:
     IndependentSum(left, right)     X + Y independent
 
 Every transform here is entire: the only limit on a line Re z = s is that
-E e^{sX} be finite in floating point, which the moment routes check.  Every
+E e^{sX} be finite in floating point, which the moment routes check.
+``lattice`` recognises a centred Poisson, shifted or not, as a law on the
+lattice of span y, whose transform repeats after one period 2 pi / y up to
+a phase; the moment routes fold their integrals onto that period.  Every
 law has a compact left tail or all moments finite, so the left-tail
 condition of the characteristic-function form holds for every law and
 order.  A spec tree nests at most 64 levels deep.
@@ -50,6 +53,7 @@ __all__ = [
     "freq_scale",
     "gaussian_var",
     "atoms",
+    "lattice",
 ]
 
 
@@ -348,6 +352,46 @@ def freq_scale(spec: DistributionSpec) -> float:
 _WEIGHT_FLOOR = 1e-18
 
 
+def lattice(spec: DistributionSpec):
+    """(y, lam, theta) when X = y (N - lam) + c with N Poisson(lam), else None.
+
+    Such a law lives on a lattice of span y, and its transform repeats over
+    one period P = 2 pi / y up to a phase: E e^{(s + i(t + P))X} =
+    e^{i theta} E e^{(s + it)X} with theta = 2 pi (c / y - lam), reduced to
+    [-pi, pi).  Shifts and point masses added to a centred Poisson move c;
+    centred Poissons of the same span add their rates.  A point mass alone
+    is not a lattice here, nor is a sum with a Gaussian or with other atoms.
+    """
+
+    def rec(s):
+        # (span or None, rate, offset)
+        if isinstance(s, CenteredScaledPoisson):
+            return s.y, s.lam, 0.0
+        if isinstance(s, PointMass):
+            return None, 0.0, s.x
+        if isinstance(s, Shift):
+            inner = rec(s.inner)
+            return inner and (inner[0], inner[1], inner[2] + s.c)
+        if isinstance(s, IndependentSum):
+            left, right = rec(s.left), rec(s.right)
+            if not (left and right):
+                return None
+            spans = {left[0], right[0]} - {None}
+            if len(spans) > 1:
+                return None
+            return min(spans, default=None), left[1] + right[1], left[2] + right[2]
+        return None
+
+    got = rec(spec)
+    if not got or got[0] is None:
+        return None
+    y, lam, c = got
+    turns = ((c / y) % 1.0 - lam % 1.0) % 1.0
+    if turns >= 0.5:
+        turns -= 1.0
+    return y, lam, 2.0 * math.pi * turns
+
+
 def atoms(spec: DistributionSpec, csp_max_lambda: float = 0.0):
     """(atom list, dropped mass) when the spec is purely atomic, else None.
 
@@ -421,7 +465,10 @@ def _remainder_vec(spec, z, j: int):
     uses the convergent moment series sum_{r>j} m_r z^r / r!, but a node
     stays on it only while the series' last two terms are below rounding of
     its sum; every other node takes the direct subtraction from the
-    transform.  Both branches are exact in exact arithmetic.
+    transform.  Both branches are exact in exact arithmetic.  For a lattice
+    law freq is its spread y (1 + sqrt(lam)): there E e^{|z| |X|} stays
+    near 1, so the series is no noisier than the subtraction, which near
+    z = 0 loses everything to cancellation.
     """
     at = atoms(spec)
     if at is not None and len(at[0]) <= 512:
@@ -430,7 +477,8 @@ def _remainder_vec(spec, z, j: int):
         return np.add.reduce(ws.reshape(shape) * exp_remainder(xs.reshape(shape) * z, j)) + 0j
     if j == -1:
         return _fl_vec(spec, z)
-    fr = freq_scale(spec)
+    lat = lattice(spec)
+    fr = lat[0] * (1.0 + math.sqrt(lat[1])) if lat else freq_scale(spec)
     zz = np.asarray(z, dtype=complex)
     out = np.empty_like(zz)
     small = np.asarray(np.abs(zz) * fr <= 0.5)
@@ -447,12 +495,20 @@ def _remainder_vec(spec, z, j: int):
     big = ~small
     if big.any():
         zb = zz[big]
-        c = _series_coefs(spec, j)
-        poly = np.full_like(zb, c[-1])
-        for r in range(j - 1, -1, -1):
-            poly = poly * zb + c[r]
-        out[big] = _fl_vec(spec, zb) - poly
+        out[big] = _fl_vec(spec, zb) - _moment_poly(spec, zb, j)
     return out
+
+
+def _moment_poly(spec, z, j: int):
+    """The moment polynomial sum_{r<=j} m_r z^r / r! over an ndarray of z
+    (0 for j = -1)."""
+    c = _series_coefs(spec, j)
+    if not c:
+        return np.zeros_like(z)
+    poly = np.full_like(z, c[-1])
+    for r in range(j - 1, -1, -1):
+        poly = poly * z + c[r]
+    return poly
 
 
 def remainder_transform(spec: DistributionSpec, z: complex, j: int) -> complex:

@@ -33,6 +33,17 @@ Near zero the integrand is a convergent power series in t with exact raw
 moments as coefficients; the segment below a small cutoff is integrated from
 that series analytically (the head rule), so no panel ever evaluates the
 cancellation-prone region.
+
+A pure lattice law X = y (N - lam) + c (``distributions.lattice``) has a
+transform that never decays: E e^{(s+i(t+P))X} = e^{i theta} E e^{(s+it)X}
+with P = 2 pi / y.  Its part of the integral past one period is folded
+exactly onto [c0, c0 + P], c0 the head cutoff (0 on a line), against the
+kernel K_1(t) = sum_{k>=1} e^{ik theta} (s + i(t + kP))^-(p+1), a Lerch
+transcendent (``remainders.LatticeKernel``).  Past the period only the
+moment polynomial, with its closed tail, and a companion's atoms remain, so
+every route on such a law takes a bounded number of evaluations at every
+rate.  The period end is a fixed panel edge, and the kernel's error bound
+joins the reported error.  The improper convergents keep the unfolded path.
 """
 
 from __future__ import annotations
@@ -51,13 +62,16 @@ from .distributions import (
     atoms,
     freq_scale,
     gaussian_var,
+    lattice,
     raw_moment,
     scale,
     _factorial,
     _fl_vec,
     _log_fl_vec,
+    _moment_poly,
     _remainder_vec,
     _series_coefs,
+    _WEIGHT_FLOOR,
 )
 from .errors import (
     MomentMismatch,
@@ -65,7 +79,7 @@ from .errors import (
     PreconditionError,
 )
 from .quadrature import HeadRule, IntegrandProfile, QuadratureResult, integrate_halfline, partial_integrals
-from .remainders import MomentOrder, inv_power
+from .remainders import LatticeKernel, MomentOrder, inv_power
 from .specparse import render
 
 __all__ = [
@@ -192,6 +206,7 @@ class _TailModel:
     poly: list               # (coef, r): coef * Re[(s+it)^(r-p-1)] in f
     gauss: list              # (K, vg) residual factors K e^{-vg t^2 / 2}
     fallback_K: float        # residual with no decay beyond |z|^-q
+    start: float = 0.0       # the model holds for T >= start only
     k: int = _BYPARTS_TERMS
 
     def __post_init__(self):
@@ -209,6 +224,8 @@ class _TailModel:
         return math.fsum(acc)
 
     def envelope(self, T: float) -> float:
+        if T < self.start:
+            return math.inf
         acc = 0.0
         slow = T ** (1.0 - self.q) / (self.q - 1.0)
         if self.harmonics:
@@ -228,6 +245,17 @@ class _TailModel:
         return bool(self.harmonics or self.poly)
 
 
+def _transform_at(spec, s: float) -> float:
+    """E e^{sX}; raises PreconditionError when it is not finite in floating
+    point, since no tail bound can scale by it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = float(np.real(_fl_vec(spec, complex(s))))
+    if not math.isfinite(phis):
+        raise PreconditionError(
+            f"E e^(sX) is not finite in floating point at s = {s!r} for {render(spec)}")
+    return phis
+
+
 def _structure(spec, s: float):
     """Split the transform part of an integrand for tail purposes.
 
@@ -238,11 +266,7 @@ def _structure(spec, s: float):
     falls back to the decay-free bound.  Raises PreconditionError when
     E e^{sX} is not finite in floating point: no tail bound can scale by it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phis = float(np.real(_fl_vec(spec, complex(s))))
-    if not math.isfinite(phis):
-        raise PreconditionError(
-            f"E e^(sX) is not finite in floating point at s = {s!r} for {render(spec)}")
+    phis = _transform_at(spec, s)
     vg = gaussian_var(spec)
     if vg > 0.0:
         return [], [(phis, vg)], 0.0, 0.0
@@ -316,10 +340,11 @@ def _moment_terms(spec, mo: MomentOrder, j: int, s: float):
 
 
 def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
-             alpha: float) -> IntegrandProfile:
+             alpha: float, edges=None) -> IntegrandProfile:
     """Integrand profile for the transform part sum_i sign_i E e^{(s+it)X_i}
     (``parts`` pairs each sign with its spec) plus the algebraic
-    ``moment_terms`` the route subtracts from it."""
+    ``moment_terms`` the route subtracts from it.  With fixed ``edges`` the
+    tail model holds from the last edge on."""
     harmonics, gauss, fallback, zero_w = [], [], 0.0, 0.0
     for sign, spec in parts:
         h, g, fb, zw = _structure(spec, s)
@@ -329,7 +354,7 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
         zero_w += sign * zw
     poly = _merge_poly(moment_terms + ([(zero_w, 0)] if zero_w else []))
     tail = _TailModel(p=p, q=p + 1.0, s=s, harmonics=harmonics, poly=poly,
-                      gauss=gauss, fallback_K=fallback)
+                      gauss=gauss, fallback_K=fallback, start=edges[-1] if edges else 0.0)
     return IntegrandProfile(
         alpha=alpha,
         tail_envelope=tail.envelope,
@@ -337,11 +362,32 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
         tail_closed_form=tail.closed if tail.has_closed else None,
         head=head,
         max_panel_width=4.0 * math.pi / freq,
+        edges=edges,
     )
 
 
+def _period_edges(c: float, P: float, s: float, spike: float, fine: float,
+                  coarse: float) -> tuple:
+    """Panel edges over one period [c, c + P] of a lattice transform, which
+    peaks at t = 0 and t = P.  Within ``spike`` of a peak the panels are at
+    most ``fine`` wide, beyond it they double up to ``coarse``.  The left
+    side grades up from the head cutoff c (or from |s| on a line, the scale
+    of (s+it)^-q near 0); c + P is the last edge."""
+    def side(first: float, width: float) -> list:
+        out = [first]
+        while out[-1] < 0.5 * P:
+            width = min(width, fine if out[-1] < spike else coarse)
+            out.append(min(out[-1] + width, 0.5 * P))
+            width *= 2.0
+        return out
+
+    left = side(c, c if c > 0.0 else min(abs(s), fine))
+    right = [P - d for d in reversed(side(0.0, fine)[:-1])]
+    return tuple(left + right + ([c + P] if c > 0.0 else []))
+
+
 def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str,
-                      other=None) -> _Kernel:
+                      other=None, fold: bool = True) -> _Kernel:
     """The kernel of Re[E e_j((s+it)X) / (s+it)^(p+1)] for every route:
     Laplace (s > 0), negative line (s < 0), and the characteristic-function
     form (s = 0, j = ell) behind ppm_cf, i_p and the improper convergents.
@@ -352,7 +398,9 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str,
     correction ((E X^k - E Y^k) / 2 with a companion), and at s < 0
     (integer p) the raw moment E X^k.  For j = -1 a spec whose transform
     has a single-exp closed form is evaluated as one exponential.  Every
-    remainder order j in {-1, 0, ..., ell} gives the same integral.
+    remainder order j in {-1, 0, ..., ell} gives the same integral.  A pure
+    lattice law is folded onto one period (``_fold``) unless ``fold`` is
+    off, as for the improper convergents, which integrate from v > 0.
     """
     if not (-1 <= j <= mo.ell):
         raise PreconditionError(f"remainder order j = {j} outside [-1, {mo.ell}]")
@@ -377,17 +425,77 @@ def _transform_kernel(spec, mo: MomentOrder, s: float, j: int, method: str,
         correction = math.fsum(sign * raw_moment(sp, mo.k) for sign, sp in parts)
         if s == 0.0:
             correction *= 0.5
-    freq = max(freq_scale(sp) for _, sp in parts)
-    head = None
-    alpha = 0.0
-    if s == 0.0:
-        head = _head_rule(parts, mo, _HEAD_FRACTION / freq)
-        # for integer p the would-be t^(ell-p) = 1/t coefficient vanishes by
-        # parity and the integrand extends continuously to 0
-        alpha = mo.ell - p if not mo.is_integer else 0.0
+    # for integer p the would-be t^(ell-p) = 1/t coefficient vanishes by
+    # parity and the integrand extends continuously to 0
+    alpha = mo.ell - p if s == 0.0 and not mo.is_integer else 0.0
     terms = [(sign * c, r) for sign, sp in parts for c, r in _moment_terms(sp, mo, j, s)]
+    prefactor = gamma_p1(p) / math.pi
+    lat = lattice(spec) if fold else None
+    if lat is not None:
+        f, profile, fold_error = _fold(spec, other, lat, mo, s, j, f, terms, alpha)
+        return _Kernel(f, profile, prefactor, correction, method, prefactor * fold_error)
+    freq = max(freq_scale(sp) for _, sp in parts)
+    head = _head_rule(parts, mo, _HEAD_FRACTION / freq) if s == 0.0 else None
     profile = _profile(parts, p, s, terms, freq, head, alpha)
-    return _Kernel(f, profile, gamma_p1(p) / math.pi, correction, method)
+    return _Kernel(f, profile, prefactor, correction, method)
+
+
+def _fold(spec, other, lat, mo: MomentOrder, s: float, j: int, f, terms, alpha: float):
+    """The route's integrand f and profile with the lattice law
+    X = y (N - lam) + c folded onto one period, and the error the fold adds.
+
+    With P = 2 pi / y, E e^{(s+i(t+P))X} = e^{i theta} E e^{(s+it)X}, so the
+    transform's integral past the period end c + P equals
+    int_c^{c+P} Re[E e^{(s+it)X} K_1(t)] dt, K_1 the LatticeKernel.  On the
+    period the integrand gains that term; past its end only the moment
+    polynomial (closed tail) and a companion's own part are left.  The head
+    cutoff and the panels come from the span and from the spike of
+    |E e^{(s+it)X}| = E e^{sX} exp(-lam e^{sy} (1 - cos ty)), about
+    1 / (y sqrt(lam e^{sy})) wide, not from freq_scale.  The fold's error is
+    the kernel's error bound times E e^{sX} P."""
+    y, lam, theta = lat
+    p, q = mo.p, mo.p + 1.0
+    P = 2.0 * math.pi / y
+    phis = _transform_at(spec, s)
+    rate = lam * math.exp(s * y)
+    # the lattice factor's frequency within its spike: the inverse width
+    # plus the drift of its phase lam (e^{sy} sin ty - ty)
+    nu = y * (1.0 + math.sqrt(rate)) + lam * y * abs(math.expm1(s * y))
+    # past this distance from a peak |E e^{(s+it)X}| is below the weight floor
+    log_floor = -math.log(_WEIGHT_FLOOR)
+    spike = math.acos(1.0 - log_floor / rate) / y if log_floor < 2.0 * rate else 0.5 * P
+    rest = [] if other is None else [(-1.0, other)]
+    freq = max([y] + [freq_scale(sp) for _, sp in rest])
+    c = 0.0
+    head = None
+    if s == 0.0:
+        c = _HEAD_FRACTION / max(nu, freq)
+        head = _head_rule([(1.0, spec)] + rest, mo, c)
+    coarse = min(P / 8.0, 4.0 * math.pi / freq)
+    edges = _period_edges(c, P, s, spike, min(2.0 / nu, coarse), coarse)
+    end = edges[-1]
+    kernel = LatticeKernel(q, theta, s, P, c)
+
+    def folded(t):
+        tt = np.asarray(t, dtype=float)
+        inside = tt < end
+        out = np.empty(tt.shape)
+        ti, to = tt[inside], tt[~inside]
+        if ti.size:
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                phi = _fl_vec(spec, s + 1j * ti)
+            out[inside] = f(ti) + np.real(phi * kernel(ti))
+        if to.size:
+            z = s + 1j * to
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+                rem = -_moment_poly(spec, z, j)
+                if other is not None:
+                    rem = rem - _remainder_vec(other, z, j)
+                out[~inside] = np.real(rem * inv_power(s, to, q))
+        return out
+
+    profile = _profile(rest, p, s, terms, freq, head, alpha, edges)
+    return folded, profile, phis * P * kernel.bound
 
 
 def _abs_tol(kernel: _Kernel, spec, p: float, rel_tol: float) -> float:
@@ -477,7 +585,7 @@ def ppm_diff(spec_x: DistributionSpec, spec_y: DistributionSpec, p: float,
         extra_error = companion.reported_error
     kernel = _transform_kernel(spec_x, mo, 0.0, mo.ell, "diff", other=spec_y)
     kernel.correction += exact
-    kernel.extra_error = extra_error
+    kernel.extra_error += extra_error
     return _run(kernel, spec_x, p, rel_tol)
 
 
@@ -576,7 +684,7 @@ def improper_cf_moment(spec: DistributionSpec, p: float, v_sequence,
     mo = MomentOrder.from_p(p)
     if mo.is_integer:
         raise PreconditionError("the improper form is for noninteger p")
-    kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "improper-cf")
+    kernel = _transform_kernel(spec, mo, 0.0, mo.ell, "improper-cf", fold=False)
     abs_tol = _abs_tol(kernel, spec, p, rel_tol)
     pairs = partial_integrals(kernel.f, kernel.profile, v_sequence, rel_tol, abs_tol=abs_tol)
     return [(v, kernel.prefactor * val) for v, val in pairs]

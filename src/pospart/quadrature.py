@@ -124,6 +124,10 @@ class IntegrandProfile:
         slow non-oscillatory component of f.
     head: optional analytic rule for (0, cutoff).
     max_panel_width: cap on panel width, for oscillatory integrands.
+    edges: optional fixed edges of the first panels, from the head cutoff
+        (or 0) up; growth starts at the last one.  Every edge stays a panel
+        edge, so f may jump there, and the tail model may hold only past the
+        last edge (an infinite envelope below it keeps truncation out).
     """
 
     alpha: float
@@ -132,6 +136,7 @@ class IntegrandProfile:
     tail_closed_form: Optional[Callable[[float], float]] = None
     head: Optional[HeadRule] = None
     max_panel_width: Optional[float] = None
+    edges: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.alpha > -1.0:
@@ -235,23 +240,30 @@ class _CapHit(Exception):
     pass
 
 
-def _initial_boundaries(profile: IntegrandProfile, start: float) -> tuple[list[float], float]:
-    """Left boundary chain and the width to continue growing with."""
+def _initial_edges(profile: IntegrandProfile, start: float) -> tuple[list[float], float, bool]:
+    """Edges of the first panels, the width to continue growing with, and
+    whether they start with the graded chain toward 0."""
     osc = profile.oscillation_scale
     cap = profile.max_panel_width or math.inf
     t0 = 1e-6 * osc
+    if profile.edges is not None:
+        if start > 0.0:
+            raise PreconditionError("a profile with fixed edges integrates from its first edge")
+        edges = [float(e) for e in profile.edges]
+        return edges, min(edges[-1] - edges[0], cap), False
     if start > 0.0:
-        width = min(start, cap)
-        return [start], width
-    if profile.head is not None:
+        chain, width = [start], min(start, cap)
+    elif profile.head is not None:
         c = profile.head.cutoff
-        return [c], min(c, cap)
-    if profile.alpha < 0.0:
+        chain, width = [c], min(c, cap)
+    elif profile.alpha < 0.0:
         # graded sub-t0 chain (ratio 4) pushing the uncovered stub below
         # machine relevance; the stub gets an analytic bound later.
         chain = [t0 * 4.0 ** (-i) for i in range(30, -1, -1)]
-        return chain, min(t0, cap)
-    return [0.0], min(0.5 * osc, cap)
+        return chain + [chain[-1] + min(t0, cap)], min(2.0 * t0, cap), True
+    else:
+        chain, width = [0.0], min(0.5 * osc, cap)
+    return chain + [chain[-1] + width], min(2.0 * width, cap), False
 
 
 def _grow(
@@ -485,11 +497,8 @@ def integrate_halfline(
         head_value = profile.head.value
         head_bound = profile.head.bound
 
-    boundaries, width = _initial_boundaries(profile, start)
+    edges, width, sub_grading = _initial_edges(profile, start)
     state = _State(f, max_evals)
-    sub_grading = len(boundaries) > 1  # true only for the alpha < 0 chain
-    edges = boundaries + [boundaries[-1] + width]
-    width = min(width * 2.0, profile.max_panel_width or math.inf)
     panels = _Panels(edges[:-1], edges[1:])
 
     def _partial(T, capped=False):

@@ -191,3 +191,255 @@ def exp_remainder_bound(u: float, m: int) -> float:
         raise DomainError("bound applies to m >= 0 only")
     au = abs(u)
     return min(2.0 * au**m / math.factorial(m), au ** (m + 1) / math.factorial(m + 1))
+
+
+# ---------------------------------------------------------------------------
+# The folded lattice kernel
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+_CHEB_N = 32          # interpolation degree: 33 Chebyshev points per kernel
+_CHEB_RHO = 4.0       # Bernstein ellipse of the interpolation bound
+_EM_TERMS = 30        # Euler-Maclaurin corrections, derivative orders 1 .. 59
+_BP_TERMS = 30        # by-parts terms of the Euler-Maclaurin integral
+_DIRECT_CAP = 4096    # longest direct sum before the integral term
+_NODE_TARGET = 2.0**-62   # error aimed at in each node's b^q S(b)
+_EULER_GAMMA = 0.5772156649015329
+
+
+@lru_cache(maxsize=None)
+def _zeta(k: int) -> float:
+    """Riemann zeta(k) for k >= 2: 999 terms plus the Euler-Maclaurin tail
+    through B_2, whose first omitted term is below 3e-17."""
+    n = 1000
+    head = math.fsum(j ** -k for j in range(1, n))
+    return head + n ** (1 - k) / (k - 1) + 0.5 * n ** -k + k * n ** (-k - 1) / 12.0
+
+
+def _phi1(x):
+    """expm1(x) / x, with the limit 1 at x = 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
+
+
+def _pole_pair(q: float, n0: int, theta: float, w):
+    """The two terms of J(w) = int_w^inf e^{i theta u} u^-q du that have a
+    pole at q = n0 + 1, summed: Gamma(1-q) (-i theta)^(q-1) and the series
+    term -w^(1-q) (i theta w)^n0 / (n0! (n0 + 1 - q)).
+
+    With e = q - 1 - n0, |e| <= 0.1, the sum is (i theta)^n0 / n0! * D,
+    D = (w^-e - (-i theta)^e G(e)) / e and G(e) = Gamma(1-e) n0! / prod_j (j+e).
+    Written as e^B phi1(e Q) Q with Q = -log w - L - log G(e) / e and
+    B = e (L + log G(e) / e), it has no cancellation and the limit at e = 0
+    is Q.  log Gamma(1-e) / e = gamma + sum_k zeta(k) e^(k-1) / k (DLMF 5.7.3).
+    """
+    e = q - 1.0 - n0
+    lg = _EULER_GAMMA + math.fsum(_zeta(k) * e ** (k - 1) / k for k in range(2, 24))
+    lg -= math.fsum((math.log1p(e / j) / (e / j) if e else 1.0) / j for j in range(1, n0 + 1))
+    big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
+    Q = -np.log(w) - big_l - lg
+    D = np.exp(e * (big_l + lg)) * _phi1(e * Q) * Q
+    return (1j * theta) ** n0 / math.factorial(n0) * D
+
+
+def _integral_term(q: float, theta: float, N: int, b, mode: str):
+    """int_N^inf e^{i theta x} (x + b)^-q dx and a bound on its error.
+
+    'exact' (theta = 0): (N + b)^(1-q) / (q - 1).  'parts': integration by
+    parts, the tail of the one harmonic at theta, with the remainder bound
+    (q)_K |theta|^-K (N + Re b)^(1-q-K) / (q+K-1).  'series': the incomplete
+    gamma function, e^{-i theta b} Gamma(1-q, -i theta w) (-i theta)^(q-1)
+    with w = N + b, from Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k))
+    (DLMF 8.2.4, 8.7.3) and its limit at integer q (DLMF 8.4.15), for
+    |theta w| of order 1."""
+    w = N + b
+    beta = float(np.min(w.real))
+    w1q = np.exp((1.0 - q) * np.log(w))
+    if mode == "exact":
+        val = w1q / (q - 1.0)
+        return val, 4.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) * np.abs(val)
+    if mode == "parts":
+        acc = np.zeros_like(w)
+        term = np.ones_like(w)
+        absum = np.zeros(w.shape)
+        for n in range(_BP_TERMS):
+            acc = acc + term
+            absum = absum + np.abs(term)
+            term = term * (q + n) / (1j * theta * w)
+        val = -np.exp(1j * theta * N) / (1j * theta) * (w1q / w) * acc
+        poch = math.exp(math.lgamma(q + _BP_TERMS) - math.lgamma(q))
+        trunc = poch * abs(theta) ** -_BP_TERMS * beta ** (1.0 - q - _BP_TERMS) / (q + _BP_TERMS - 1.0)
+        rnd = 8.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) \
+            * np.abs(w1q / w) / abs(theta) * absum
+        return val, trunc + rnd
+    z = 1j * theta * w
+    n0 = int(round(q - 1.0))
+    pair = abs(q - 1.0 - n0) <= 0.1
+    zmax = float(np.max(np.abs(z)))
+    kmax = max(int(q) + 2, 8)
+    while zmax ** (kmax + 1) / math.factorial(kmax + 1) > 1e-20 * _EPS:
+        kmax += 1
+    acc = np.zeros_like(w)
+    absum = np.zeros(w.shape)
+    term = np.ones_like(w)
+    for k in range(kmax + 1):
+        if not (pair and k == n0):
+            t = term / (k + 1.0 - q)
+            acc = acc + t
+            absum = absum + np.abs(t)
+        term = term * z / (k + 1)
+    if pair:
+        head = _pole_pair(q, n0, theta, w)
+    else:
+        big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
+        head = math.gamma(1.0 - q) * np.exp((q - 1.0) * big_l) * np.ones_like(w)
+    J = head - w1q * acc
+    val = np.exp(-1j * theta * b) * J
+    scale = np.abs(np.exp(-1j * theta * b))
+    trunc = 2.0 * zmax ** (kmax + 1) / math.factorial(kmax + 1) * np.abs(w1q)
+    rnd = 32.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) \
+        * (np.abs(head) + np.abs(w1q) * absum)
+    return val, scale * (trunc + rnd)
+
+
+def _lerch_sum(q: float, theta: float, b):
+    """S(b) = sum_{n>=0} e^{i theta n} (n + b)^-q for Re b >= 1, and a bound
+    on its error.
+
+    Summed directly over n < N, then closed by Euler-Maclaurin:
+    sum_{n>=N} g(n) = int_N^inf g + g(N)/2 - sum_j B_2j/(2j)! g^(2j-1)(N) + R,
+    |R| <= 2 zeta(2M) (2 pi)^-2M int_N^inf |g^(2M)| (DLMF 2.10.1, 24.7.2),
+    with g(x) = e^{i theta x} (x + b)^-q.  For large q the direct sum alone
+    reaches the node target."""
+    beta = float(np.min(b.real))
+    bmax = float(np.max(np.abs(b)))
+    at = abs(theta)
+    M = _EM_TERMS
+    # direct only: the tail is at most (N + beta - 1)^(1-q) / (q - 1)
+    log_n = (-math.log((q - 1.0) * _NODE_TARGET) + q * math.log(bmax)) / (q - 1.0)
+    direct = log_n <= math.log(512.0)
+    if direct:
+        N = max(1, math.ceil(math.exp(log_n) - beta + 1.0))
+    else:
+        # Euler-Maclaurin needs (|theta| + (q + 2M)/(N + beta)) / (2 pi) <= 0.52
+        N = max(1, math.ceil((q + 2 * M) / (1.04 * math.pi - at) - beta))
+        xbp = 4.0 * (q + _BP_TERMS)
+        if at == 0.0:
+            mode = "exact"
+        elif at * _DIRECT_CAP >= xbp:
+            mode = "parts"
+            N = max(N, math.ceil(xbp / at - beta))
+        else:
+            mode = "series"
+    ns = np.arange(N, dtype=float)[:, None]
+    terms = np.exp(1j * theta * ns - q * np.log(ns + b[None, :]))
+    val = terms.sum(axis=0)
+    err = _EPS * (8.0 + q * math.log(N + bmax) + math.log2(N + 1)) * np.abs(terms).sum(axis=0)
+    if direct:
+        return val, err + (N + beta - 1.0) ** (1.0 - q) / (q - 1.0)
+    w = N + b
+    wq = np.exp(-q * np.log(w))
+    eN = np.exp(1j * theta * N)
+    # u_i = (-1)^i (q)_i w^-i and v_k = (i theta)^k, so that
+    # g^(m)(N) = e^{i theta N} w^-q sum_i C(m, i) v_(m-i) u_i
+    u = [np.ones_like(w)]
+    for i in range(2 * M - 1):
+        u.append(-u[-1] * (q + i) / w)
+    v = [(1j * theta) ** k for k in range(2 * M)]
+    rows = np.zeros((M, 2 * M), dtype=complex)
+    for j in range(M):
+        m = 2 * j + 1
+        rows[j, : m + 1] = [math.comb(m, i) * v[m - i] for i in range(m + 1)]
+    deriv = rows @ np.array(u)
+    coef = np.array([(-1) ** j * 2.0 * _zeta(2 * j + 2) / (2.0 * math.pi) ** (2 * j + 2)
+                     for j in range(M)])
+    corr = coef @ deriv
+    absum = np.abs(coef) @ np.abs(deriv)
+    integral, integral_err = _integral_term(q, theta, N, b, mode)
+    val = val + integral + eN * wq * (0.5 - corr)
+    # the remainder bound, through (x + beta)^(-q-i) <= |x + b|^(-q-i)
+    bound = 0.0
+    poch = 1.0
+    for i in range(2 * M + 1):
+        bound += math.comb(2 * M, i) * at ** (2 * M - i) * poch \
+            * (N + beta) ** (1.0 - q - i) / (q + i - 1.0)
+        poch *= q + i
+    em = 2.0 * _zeta(2 * M) / (2.0 * math.pi) ** (2 * M) * bound
+    err = err + em + integral_err + 8.0 * _EPS * np.abs(wq) * (0.5 + absum)
+    return val, err
+
+
+def _clenshaw(coefs, x):
+    """sum_k coefs[k] T_k(x) by Clenshaw's recurrence."""
+    b1 = np.zeros(np.shape(x), dtype=complex)
+    b2 = np.zeros_like(b1)
+    for a in coefs[:0:-1]:
+        b1, b2 = a + 2.0 * x * b1 - b2, b1
+    return coefs[0] + x * b1 - b2
+
+
+class LatticeKernel:
+    """K_1(t) = sum_{k>=1} w^k (s + i(t + kP))^-q on the period [c, c + P],
+    w = e^{i theta}: the folded tail of a transform with
+    phi(s + i(t + P)) = w phi(s + it), so that
+    int_{c+P}^inf Re[phi(s+it) (s+it)^-q] dt = int_c^{c+P} Re[phi(s+it) K_1(t)] dt.
+
+    K_1(t) = w (iP)^-q Phi(w, q, b) with b = 1 + (t - is)/P and Phi the Lerch
+    transcendent (a Hurwitz zeta when w = 1).  The factor
+    H(b) = b^q Phi(w, q, b) = sum_n w^n (b / (n + b))^q is analytic where
+    Re b > 0, which holds inside the Bernstein ellipse rho = 4 of the period
+    (the nearest singularity of K_1 is a full period away), and there
+    |H| <= sum_n |b / (n + b)|^q.  H is interpolated in 33 Chebyshev points;
+    the interpolation error is at most 4 M rho^-n / (rho - 1) (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2).  ``bound`` is
+    a uniform bound on |K_1 - computed K_1| over the period, with the node
+    errors (times the Lebesgue constant) and rounding included.
+    """
+
+    def __init__(self, q: float, theta: float, s: float, P: float, c: float):
+        if not (q > 1.0 and P > 0.0 and c >= 0.0 and -math.pi <= theta <= math.pi):
+            raise DomainError("lattice kernel needs q > 1, P > 0, c >= 0, |theta| <= pi")
+        self.q, self.s, self.P, self.c = q, s, P, c
+        n = _CHEB_N
+        x = np.cos(math.pi * np.arange(n + 1) / n)
+        b = self._b(c + 0.5 * P * (1.0 + x))
+        S, S_err = _lerch_sum(q, theta, b)
+        bq = np.exp(q * np.log(b))
+        H = bq * S
+        H_err = np.abs(bq) * S_err + 8.0 * _EPS * (1.0 + q * np.abs(np.log(b))) * np.abs(H)
+        # Chebyshev coefficients of the interpolant in the points of the second kind
+        half = np.ones(n + 1)
+        half[0] = half[-1] = 0.5
+        cosines = np.cos(math.pi * np.outer(np.arange(n + 1), np.arange(n + 1)) / n)
+        coefs = (2.0 / n) * cosines @ (half * H)
+        coefs[0] *= 0.5
+        coefs[-1] *= 0.5
+        self._coefs = coefs
+        self._front = np.exp(1j * theta - q * np.log(1j * P))   # w (iP)^-q
+        # |H| on the ellipse: Re b >= r_min > 0 and |b| <= B there
+        rho = _CHEB_RHO
+        reach = 0.25 * (rho + 1.0 / rho)
+        centre = complex(1.5 + c / P, -s / P)
+        r_min = centre.real - reach
+        B = abs(centre) + reach
+        ks = np.arange(1.0, 1e4)
+        # a float sum of positive terms, rounded up by far more than its error
+        M = (1.0 + 1e-9) * (1.0 + float(np.sum((B * B / (ks * ks + 2.0 * ks * r_min + B * B))
+                                                ** (0.5 * q)))
+                           + B ** q * 1e4 ** (1.0 - q) / (q - 1.0))
+        lebesgue = 2.0 / math.pi * math.log(n + 1.0) + 1.0
+        absum = float(np.sum(np.abs(coefs)))
+        e_h = (4.0 * M * rho ** -n / (rho - 1.0) + lebesgue * float(np.max(H_err))
+               + 8.0 * (n + 1) * _EPS * absum)
+        floor = P ** -q * (1.0 + c / P) ** -q      # max of |(iP)^-q b^-q| on the period
+        self.bound = floor * (e_h + (absum + e_h) * _EPS * (8.0 + q * math.log(B)))
+
+    def _b(self, t):
+        return 1.0 + (np.asarray(t, dtype=float) - 1j * self.s) / self.P
+
+    def __call__(self, t):
+        """K_1 at points t of [c, c + P]."""
+        tt = np.asarray(t, dtype=float)
+        x = 2.0 * (tt - self.c) / self.P - 1.0
+        b = self._b(tt)
+        return self._front * np.exp(-self.q * np.log(b)) * _clenshaw(self._coefs, x)

@@ -252,10 +252,10 @@ def test_unknown_flag_exits_two(capsys):
 
 
 def test_numerical_failure_exits_three(capsys, recwarn):
-    # a compound-Poisson-only spec at fractional order has no usable decay
-    # structure for the residual envelope, so the evaluation cap is honest
-    code, out, err = run_cli(capsys, "moment", "--dist", "cpoisson(200, 1)",
-                             "--p", "0.5")
+    # a large-rate compound Poisson plus atoms off its lattice has no usable
+    # decay structure for the residual envelope, so the evaluation cap is honest
+    code, out, err = run_cli(capsys, "moment", "--dist",
+                             "sum(cpoisson(200,1), discrete(-1:0.5,0.37:0.5))", "--p", "0.5")
     assert code == 3
     assert out == ""
     assert "budget" in err.lower()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -352,6 +353,62 @@ def test_small_rate_poisson_cf_within_bar(lam, p):
     spec = CenteredScaledPoisson(lam, 1.0)
     result = ppm_cf(spec, p)
     assert abs(result.value - _exact_ppm(spec, p)) <= result.reported_error
+    assert result.quadrature.evaluations <= 5000
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_sum(lam, y, ps):
+    """E X_+^p of y (N - lam), N Poisson(lam), for each p in ps: the atom sum
+    over lam < n <= lam + 12 sqrt(lam) + 40 in mpmath at 30 digits, the
+    weights from the first one by the ratios lam / n."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lam_mp, y_mp = mpmath.mpf(lam), mpmath.mpf(y)
+        lo = math.floor(lam) + 1
+        w = mpmath.exp(-lam_mp + lo * mpmath.log(lam_mp) - mpmath.loggamma(lo + 1))
+        acc = [[] for _ in ps]
+        for n in range(lo, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0)):
+            x = y_mp * (n - lam_mp)
+            for out, p in zip(acc, ps):
+                out.append(w * x**p)
+            w = w * lam_mp / (n + 1)
+        return tuple(float(mpmath.fsum(out)) for out in acc)
+
+
+_LATTICE_ORDERS = (0.5, 1.5, 2.0, 3.5)
+# the negative line needs integer p; diff at small rates keeps its companion's
+# by-parts tail and is not covered
+_LATTICE_ROWS = [
+    (lam, route, p)
+    for lam in (1e-8, 1e-6, 1e-3, 0.5, 3.0, 51.0, 100.0, 2051.79, 1e4 + 0.3, 70752.5, 1e6 + 0.5)
+    for route in ("cf", "laplace", "negative", "diff")
+    for p in _LATTICE_ORDERS
+    if not (route == "negative" and p != int(p) or route == "diff" and lam < 0.5)
+]
+
+
+@pytest.mark.parametrize("lam, route, p", _LATTICE_ROWS)
+def test_lattice_law_at_every_rate_within_bar(lam, route, p):
+    # a pure lattice law folds its transform's tail onto one period, so every
+    # route costs a bounded number of evaluations at every Poisson rate
+    spec = CenteredScaledPoisson(lam, 1.0)
+    s = 1.0 / max(1.0, math.sqrt(lam))
+    if route == "cf":
+        result = ppm_cf(spec, p)
+    elif route == "laplace":
+        result = ppm_laplace(spec, p, s)
+    elif route == "negative":
+        result = ppm_negative_s(spec, p, -s)
+    else:
+        result = ppm_diff(spec, match_discrete(spec, p), p)
+    exact = _lattice_sum(lam, 1.0, _LATTICE_ORDERS)[_LATTICE_ORDERS.index(p)]
+    # the folded tail is exact, so at large rates the bar can fall below the
+    # value's last ulps; those few ulps of rounding are allowed, as the
+    # benchmark's checker allows them
+    slack = 4.0 * np.finfo(float).eps * abs(exact)
+    assert abs(result.value - exact) <= result.reported_error + slack, (result.value, exact)
+    assert not result.quadrature.refine_capped
+    assert result.quadrature.evaluations <= 50_000
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.5])
@@ -414,10 +471,15 @@ _TWO_ATOMS = ((-1.0, 0.5), (2.0, 0.5))
      lambda: _conv(_mp_atoms(*_TWO_ATOMS), _poisson_atoms(0.5, 1.0))),
     ("sum(cpoisson(0.3,1), cpoisson(2,0.5))",
      lambda: _conv(_poisson_atoms(0.3, 1.0), _poisson_atoms(2.0, 0.5))),
+    ("shift(cpoisson(2.25,0.7), 0.3)",
+     lambda: _conv(_poisson_atoms(2.25, 0.7), _mp_atoms((0.3, 1.0)))),
+    ("sum(cpoisson(0.3,1), cpoisson(2.1,1))",
+     lambda: _conv(_poisson_atoms(0.3, 1.0), _poisson_atoms(2.1, 1.0))),
 ])
 def test_sums_and_shifts_of_atomic_laws_within_bar(text, law):
     # these laws run the convolution branch of atoms() and the shift
-    # factor of the transform kernel
+    # factor of the transform kernel; the last two are lattice laws, folded
+    # with the phase of their shift or of their summed rates
     spec, law = parse_spec(text), law()
     for p in (0.5, 1.5, 2.0, 3.5):
         exact = _atom_sum(law, p)

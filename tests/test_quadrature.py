@@ -244,22 +244,25 @@ def test_refine_heavy_moment_bits():
     # golden values: refinement has to pick, split and sum the panels in the
     # same order as the list-of-panels integrator it replaced
     from pospart.distributions import CenteredScaledPoisson, _fl_vec, freq_scale
-    from pospart.moments import (MomentOrder, _abs_tol, _profile, _transform_kernel,
-                                 match_discrete, ppm_cf)
+    from pospart.moments import (_HEAD_FRACTION, MomentOrder, _abs_tol, _head_rule, _profile,
+                                 _transform_kernel, match_discrete, ppm_cf)
     from pospart.remainders import inv_power
+    from pospart.specparse import parse_spec
 
-    spec = CenteredScaledPoisson(3.0, 0.5)
-    assert _bits(ppm_cf(spec, 2.5).quadrature) == (
-        "0x1.06b47683d9c5ep-1", "0x1.e02baa707c6e9p-47", 84, 1350)
+    law = parse_spec("sum(discrete(-1:0.5,2:0.5), cpoisson(0.5,1))")
+    assert _bits(ppm_cf(law, 2.5).quadrature) == (
+        "0x1.b074777452be4p+1", "0x1.216c835393871p-43", 55, 870)
     # Re[(E e^{itX} - E e^{itY}) / (it)^5] against the moment-matched
     # companion: the difference of two O(1) transforms just above the head
     # cutoff is rounding noise, so refinement runs into its round cap
+    spec = CenteredScaledPoisson(3.0, 0.5)
     other = match_discrete(spec, 4.0)
     mo = MomentOrder.from_p(4.0)
     kern = _transform_kernel(spec, mo, 0.0, mo.ell, "diff", other=other)
     freq = max(freq_scale(spec), freq_scale(other))
-    prof = _profile([(1.0, spec), (-1.0, other)], 4.0, 0.0, [], freq,
-                    kern.profile.head, kern.profile.alpha)
+    # the head cutoff from freq_scale, the one the pinned bits were taken with
+    parts = [(1.0, spec), (-1.0, other)]
+    prof = _profile(parts, 4.0, 0.0, [], freq, _head_rule(parts, mo, _HEAD_FRACTION / freq), 0.0)
 
     def f(t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pospart.errors import DomainError, PreconditionError
 from pospart.remainders import (
+    LatticeKernel,
     MomentOrder,
     cos_remainder,
     exp_remainder,
@@ -192,3 +193,33 @@ def test_overflow_returns_infinite_magnitude():
     # arguments beyond the floating range overflow to inf instead of raising
     out = exp_remainder(800.0, 2)
     assert math.isinf(out.real)
+
+
+_KERNEL_ORDERS = (1.5, 2.0, 3.0, 3.0 + 5e-7, 2.0 - 8e-7)
+_KERNEL_PHASES = (0.0, 2.0 * math.pi * 1e-9, 0.03, math.pi - 1e-9, -math.pi)
+_KERNEL_LINES = (0.0, 1e-3, -1e-3, 1.0, -1.0)
+# every order with every phase, each on one line, and one pair on every line
+_KERNEL_CASES = [(q, th, _KERNEL_LINES[i % 5]) for i, (q, th) in
+                 enumerate((q, th) for q in _KERNEL_ORDERS for th in _KERNEL_PHASES)]
+_KERNEL_CASES += [(2.0 - 8e-7, -math.pi, s) for s in _KERNEL_LINES]
+
+
+@pytest.mark.parametrize("q, theta, s", _KERNEL_CASES)
+def test_lattice_kernel_against_lerchphi(q, theta, s):
+    # K_1(t) = sum_{k>=1} e^{ik theta} (s + i(t + kP))^-q = w (iP)^-q Phi(w, q, b),
+    # b = 1 + (t - is)/P: w = 1 is a Hurwitz zeta, a tiny theta takes the
+    # incomplete-gamma closure, integer and nearly integer q its pole pair
+    mpmath = pytest.importorskip("mpmath")
+    P = 2.0 * math.pi
+    c = 0.05 if s == 0.0 else 0.0
+    kernel = LatticeKernel(q, theta, s, P, c)
+    ts = np.array([c, c + 0.37 * P, c + P])
+    got = kernel(ts)
+    with mpmath.workdps(25):
+        w = mpmath.expj(theta)
+        front = w * mpmath.power(1j * mpmath.mpf(P), -q)
+        want = [complex(front * mpmath.lerchphi(w, q, 1 + (mpmath.mpf(t) - 1j * s) / P))
+                for t in ts]
+    err = np.abs(got - np.array(want))
+    assert np.all(err <= kernel.bound), (err, kernel.bound)
+    assert kernel.bound <= 1e-12 * np.max(np.abs(want))
