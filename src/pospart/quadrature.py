@@ -219,13 +219,16 @@ def gk15_reduce(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray
     y has shape (..., n, 15), one row per panel, half the n half-widths,
     shared by the leading axes.  The error starts from the Gauss/Kronrod gap
     and is scaled in the QUADPACK way, resasc * min(1, (200 gap / resasc)^1.5),
-    with a floor of 50 eps resabs for rounding.
+    with a floor of 50 eps resabs for rounding.  |y| and |y - mean| share one
+    scratch array of y's size, so a call allocates no other array that large.
     """
     k = half * (y @ _WEIGHTS_K)
     g = half * (y @ _WEIGHTS_G)
-    resabs = half * (np.abs(y) @ _WEIGHTS_K)
+    scratch = np.abs(y)
+    resabs = half * (scratch @ _WEIGHTS_K)
     mean = k / (2.0 * half)
-    resasc = half * (np.abs(y - mean[..., None]) @ _WEIGHTS_K)
+    np.subtract(y, mean[..., None], out=scratch)
+    resasc = half * (np.abs(scratch, out=scratch) @ _WEIGHTS_K)
     raw = np.abs(k - g)
     # scaled estimate in the Kronrod tradition: the raw Gauss/Kronrod gap
     # measures the 7-point error, which the 15-point rule beats by a wide

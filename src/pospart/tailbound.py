@@ -32,6 +32,16 @@ m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass.  A level whose grid error
 misses its budget is integrated again with the flat panels halved
 (_moments23); m_of_t runs the same engine on one level.
 
+The engine works through a grid in runs of _RUN_PANELS panels: it
+evaluates H_p on one run at a time and adds each level's panel sums run by
+run.  Within a run the levels go in blocks of about _BLOCK_CELLS (level,
+node) cells, one level at least, and a block's phases, integrand and
+gk15_reduce scratch are a few arrays of at most 3 _BLOCK_CELLS doubles each
+(one level's whole run when that is larger).  Arrays that small mostly
+reuse the memory the block before freed, where larger ones are mapped
+afresh and fault their pages in again; the blocking changes no bit,
+because each level's sums keep their order.
+
 All levels of a curve sample the same increasing m, so the solver (_solve)
 steps them together through one table of samples of m, and the budget that
 counts is the bar on m itself.  Each result row carries the error bars of
@@ -88,9 +98,12 @@ _RIGHT_GUARD_SIGMAS = 40.0
 _NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
 _ORDERS = (1.0, 2.0, 3.0)
 _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
-# (t, node) cells per work block of the engine, which spans runs of panels
-# and of levels: memory stays bounded however many levels and panels a pass has
-_BLOCK_CELLS = 1 << 16
+# panels per run: the engine evaluates the transform of eta on one run of a
+# grid at a time, and sums each level's panels run by run
+_RUN_PANELS = (1 << 16) // 15
+# (t, node) cells per block of levels within a run; a block's arrays stay
+# cache-sized and reuse freed memory, where larger ones are mapped afresh
+_BLOCK_CELLS = 1 << 13
 # transform nodes one grid may take after its cut; the adaptive route it
 # replaced solved eps up to about 1 - 1.8e-9, whose grids take 4.3e6 to 5.0e6
 _MAX_NODES = 5_000_000
@@ -258,8 +271,13 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p], with
     e^{iut} = e^{i t mid} e^{i t (u - mid)} for the node u of a panel with
     midpoint mid: one exponential per (level, panel), and one row of 15 per
-    (level, panel width), which all flat panels share.  Blocks of at most
-    _BLOCK_CELLS cells span runs of panels and of levels.  The Kronrod values
+    (level, panel width), which all flat panels share; two broadcast
+    multiplies form the phases of a block in one array.  The transform is
+    evaluated on runs of _RUN_PANELS panels, and each run's levels go in
+    blocks of at most _BLOCK_CELLS cells, or of one level when its run alone
+    is larger (at most 15 _RUN_PANELS cells): a block's arrays are bounded
+    by three times its cells, and each level sums its panels run by run in
+    the same order however the levels are blocked.  The Kronrod values
     and QUADPACK error estimates (the 50 eps resabs floor included) are linear
     in the integrand, so the level's factor e^{-st} multiplies them after
     the reduction.  A level's error bar is its summed panel errors plus the
@@ -281,7 +299,6 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
     bucket = np.ceil(np.log2(freq / base))
     mu, err = np.full((2, 3, t.size), np.nan)
     env = np.zeros((3, t.size))
-    span = _BLOCK_CELLS // 15        # panels per block
     for b in np.unique(bucket):
         rows = np.flatnonzero(bucket == b)
         cap = math.ldexp(4.0 / freq[rows].max(), -halvings)
@@ -315,24 +332,34 @@ def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
         off = half[:, None] * _NODES
         half = half[w]
         mids = edges[:hi] + half
-        per_block = max(1, _BLOCK_CELLS // (15 * min(hi, span)))
+        per_block = max(1, _BLOCK_CELLS // (15 * min(hi, _RUN_PANELS)))
         mu[:, rows] = err[:, rows] = 0.0
         for line in np.unique(s[rows]):
             group = rows[s[rows] == line]
-            for first_panel in range(0, hi, span):
-                run = slice(first_panel, first_panel + span)
+            for first_panel in range(0, hi, _RUN_PANELS):
+                run = slice(first_panel, min(first_panel + _RUN_PANELS, hi))
+                # the run's graded panels come first, each with its own row
+                # of offsets; the flat ones after them share off[n_graded]
+                n_gr = max(0, min(run.stop, n_graded) - first_panel)
                 z = line + 1j * (mids[run, None] + off[w[run]])
                 iz = 1.0 / z
                 with np.errstate(over="ignore", invalid="ignore", under="ignore"):
                     h = _fl_vec(eta, z) * iz * iz
                 # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
                 h = np.stack([h, h * iz, h * iz * iz])[:, None]
+                h_re, h_im = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
                 for first in range(0, group.size, per_block):
                     r = group[first: first + per_block]
                     it = 1j * t[r, None]
-                    phase = (np.exp(it * mids[run])[..., None]
-                             * np.exp(it[..., None] * off)[:, w[run]])
-                    f = phase.real * h.real + phase.imag * h.imag
+                    at_mid = np.exp(it * mids[run])[..., None]
+                    phase = np.empty((r.size, run.stop - first_panel, 15), dtype=complex)
+                    np.multiply(at_mid[:, :n_gr],
+                                np.exp(it[..., None] * off[first_panel: first_panel + n_gr]),
+                                out=phase[:, :n_gr])
+                    np.multiply(at_mid[:, n_gr:], np.exp(it * off[n_graded])[:, None],
+                                out=phase[:, n_gr:])
+                    f = phase.real * h_re
+                    f += phase.imag * h_im
                     k, e = gk15_reduce(f, half[run])
                     mu[:, r] += k.sum(axis=2)
                     err[:, r] += e.sum(axis=2)
@@ -518,18 +545,23 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     newton = np.full(idx.size, np.nan)  # the Newton step from the level's last probe
     tail = np.full((3, idx.size), np.nan)  # truncation allowances sized from its moments
     sized_at = np.full(idx.size, np.nan)   # the level t those moments came from
-    best: list = [None] * idx.size      # (|m - x|, row) of the closest sound probe
+    # (|m - x|, t, mu2, mu3, m, mu2_err, mu3_err) of the closest sound probe;
+    # its row is built once, when the level settles
+    best: list = [None] * idx.size
     stop: list = [None] * idx.size      # the DegenerateMoment that last cut the bracket
     missed: list = [None] * idx.size    # the UnmetBudget of the last probe that was not sound
     # samples (t, m, m', bar on m) of sound probes, by columns
     table = np.array([[edge], [m_edge], [2.0 * mu1_e * mu3_e / (mu2_e * mu2_e) - 2.0], [0.0]])
+
+    def best_row(j):
+        return _row(problem, float(x[j]), *best[j][1:])
 
     def settle(j):
         # no probe met tol_x: a root past a degenerate probe is unusable,
         # otherwise the closest sound probe reports the residual it reached
         if stop[j] is not None:
             return stop[j]
-        return best[j][1] if best[j] is not None else missed[j]
+        return best_row(j) if best[j] is not None else missed[j]
 
     open_ = list(range(idx.size))
     for _ in range(_MAX_PASSES):
@@ -560,11 +592,10 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
             g = ev.m[k] - x[j]
             if sound[k]:
                 if best[j] is None or abs(g) < best[j][0]:
-                    best[j] = (abs(g), _row(problem, float(x[j]), float(t[j]), float(mu2[k]),
-                                            float(mu3[k]), float(ev.m[k]), float(ev.err[1, k]),
-                                            float(ev.err[2, k])))
+                    best[j] = (abs(g), float(t[j]), float(mu2[k]), float(mu3[k]),
+                               float(ev.m[k]), float(ev.err[1, k]), float(ev.err[2, k]))
                 if abs(g) <= tol_x:
-                    out[idx[j]] = best[j][1]
+                    out[idx[j]] = best_row(j)
                     continue
             else:
                 missed[j] = UnmetBudget("m(t)", float(bar[k]), tol_x, float(t[j]))

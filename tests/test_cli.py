@@ -290,8 +290,11 @@ def test_pin_fuzz_ends_in_a_known_exit(sigma, ratio, eps, x):
     # puts the Poisson rate out of range) or a numerical failure, each with
     # its message alone
     sigma = 10.0**sigma
-    argv = ["pin", "--sigma", repr(sigma), "--y", repr(sigma * 10.0**ratio),
-            "--eps", repr(eps), "--x", repr(x * sigma)]
+    _assert_known_exit(["pin", "--sigma", repr(sigma), "--y", repr(sigma * 10.0**ratio),
+                        "--eps", repr(eps), "--x", repr(x * sigma)])
+
+
+def _assert_known_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -300,6 +303,55 @@ def test_pin_fuzz_ends_in_a_known_exit(sigma, ratio, eps, x):
     assert code in (0, 2, 3), (argv, code)
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+
+
+@given(sigma=st.floats(-1.0, 1.0), ratio=st.floats(-4.0, 1.0),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       x_min=st.floats(-1.0, 5.0), span=st.floats(0.0, 3.0), steps=st.integers(1, 8))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_curve_fuzz_ends_in_a_known_exit(sigma, ratio, eps, x_min, span, steps):
+    # y / sigma log-uniform in [1e-4, 10], up to 8 levels from [-sigma,
+    # 8 sigma], an empty range or a single step now and then
+    sigma = 10.0**sigma
+    _assert_known_exit(["curve", "--sigma", repr(sigma), "--y", repr(sigma * 10.0**ratio),
+                        "--eps", repr(eps), f"--x-min={x_min * sigma!r}",
+                        f"--x-max={(x_min + span) * sigma!r}", "--steps", str(steps)])
+
+
+# two decimals: floats() draws atoms as close to 0 as 1e-280, where a discrete
+# law takes seconds to exhaust the evaluation budget
+_NUMBER = st.integers(-1000, 1000).map(lambda k: k / 100)
+_SCALE = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
+_LAW = st.recursive(
+    st.one_of(
+        st.builds("point({})".format, _NUMBER),
+        st.lists(st.tuples(_NUMBER, st.floats(0.01, 1.0)), min_size=1, max_size=3).map(
+            lambda atoms: "discrete({})".format(",".join(
+                f"{x!r}:{w / sum(w for _, w in atoms)!r}" for x, w in atoms))),
+        st.builds("normal({},{})".format, _NUMBER, _SCALE),
+        st.builds("cpoisson({},{})".format, st.floats(-6.0, 4.0).map(lambda e: 10.0**e), _SCALE),
+    ),
+    lambda inner: st.one_of(st.builds("shift({},{})".format, inner, _NUMBER),
+                            st.builds("sum({},{})".format, inner, inner)),
+    max_leaves=2,
+)
+
+
+@given(law=_LAW, p=st.one_of(st.integers(1, 6).map(float), st.floats(0.05, 8.0)),
+       method=st.sampled_from(["cf", "laplace", "negative", "diff"]),
+       s=st.one_of(st.none(), st.floats(0.05, 3.0)), j=st.integers(-1, 3),
+       rel_tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_moment_fuzz_ends_in_a_known_exit(law, p, method, s, j, rel_tol):
+    # point, discrete, normal and cpoisson laws (rates 1e-6 to 1e4), shifted
+    # and summed, at integer and fractional p on every route, with line
+    # offsets on the route's side and remainder orders in and out of the
+    # law's range
+    argv = ["moment", "--dist", law, "--p", repr(p), "--method", method,
+            "--j", str(j), "--rel-tol", repr(rel_tol)]
+    if s is not None:
+        argv.append(f"--s={-s if method == 'negative' else s!r}")
+    _assert_known_exit(argv)
 
 
 def test_moment_negative_strip_method(capsys):

@@ -7,7 +7,10 @@ import pytest
 from corpus import build_corpus
 from pospart.errors import BudgetExceeded, NonFiniteIntegrand, PreconditionError
 from pospart.quadrature import (
+    _NODES,
     _SPLIT_BATCH,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
     HeadRule,
     IntegrandProfile,
     _exact_parts,
@@ -15,9 +18,42 @@ from pospart.quadrature import (
     _State,
     _trim,
     _worst,
+    gk15_reduce,
     integrate_halfline,
     partial_integrals,
 )
+
+
+def _gk15_reduce_with_temporaries(y, half):
+    # gk15_reduce as it was written with a fresh array per temporary: the
+    # reference its one-scratch form must match bit for bit
+    k = half * (y @ _WEIGHTS_K)
+    g = half * (y @ _WEIGHTS_G)
+    resabs = half * (np.abs(y) @ _WEIGHTS_K)
+    mean = k / (2.0 * half)
+    resasc = half * (np.abs(y - mean[..., None]) @ _WEIGHTS_K)
+    raw = np.abs(k - g)
+    err = raw.copy()
+    ok = (resasc > 0.0) & (raw > 0.0)
+    err[ok] = resasc[ok] * np.minimum(1.0, (200.0 * raw[ok] / resasc[ok]) ** 1.5)
+    return k, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+@pytest.mark.parametrize("shape", [(64, 15), (3, 7, 40, 15)])
+def test_gk15_reduce_bits(shape):
+    # the panel rows span 60 decades; row 3 is all zeros (resasc = 0) and
+    # row 5 is odd about the midpoint (raw = 0 with resasc > 0)
+    rng = np.random.default_rng(20)
+    y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30.0, 30.0, shape[:-1])[..., None]
+    y[..., 3, :] = 0.0
+    y[..., 5, :] = 2.0 * _NODES**3
+    half = 10.0 ** rng.uniform(-3.0, 1.0, shape[-2])
+    want = _gk15_reduce_with_temporaries(y, half)
+    k = half * (y @ _WEIGHTS_K)
+    raw = np.abs(k - half * (y @ _WEIGHTS_G))
+    assert np.all(k[..., 3] == 0.0) and np.all(raw[..., 5] == 0.0) and np.all(k[..., 5] == 0.0)
+    for got, ref in zip(gk15_reduce(y, half), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_exponential_example():

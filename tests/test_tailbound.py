@@ -198,6 +198,47 @@ def test_grid_moments_match_direct_phase(monkeypatch):
     assert len(lines) >= 4 and mixed >= 20, (lines, mixed)
 
 
+@pytest.mark.parametrize("problem, levels, halvings", [
+    (P_UNIT, np.linspace(0.0, 4.5, 400), 0),
+    (TailBoundProblem(1.0, 0.01, 0.99), np.array([0.0, 0.5, 2.0]), 6),
+])
+def test_grid_moments_blocking_keeps_each_level_bits(problem, levels, halvings, monkeypatch):
+    # how a grid's levels fall into level blocks moves no bit: the batch,
+    # the batch reversed with every level twice, and a level repeated (the
+    # one batch whose grid is that level's own) match the level alone.  The
+    # 400 levels share a few grids, so a grid spans several level blocks;
+    # the other grids run past one panel run (about 10,000 panels)
+    from pospart.quadrature import gk15_reduce
+
+    calls = []
+
+    def reduce(f, half):
+        calls.append((f.shape[2], half.tobytes()))
+        return gk15_reduce(f, half)
+
+    def moments(ts):
+        s = tailbound._line(problem, ts)
+        cut = 1e-10 * (1.0 + np.maximum(1.0, np.abs(ts)) ** np.array([[1.0], [2.0], [3.0]]))
+        out = tailbound._grid_moments(problem, ts, s, tailbound._log_transform_at(problem, ts, s),
+                                      cut, halvings)
+        return np.concatenate(out)
+
+    monkeypatch.setattr(tailbound, "gk15_reduce", reduce)
+    want = moments(levels)
+    assert np.all(np.isfinite(want)) and np.unique(tailbound._line(problem, levels)).size == 1
+    if halvings:
+        assert max(panels for panels, _ in calls) == (1 << 16) // 15   # a whole run
+    else:
+        assert len(calls) > len(set(calls))      # a grid in several level blocks
+    twice = moments(np.repeat(levels, 2)[::-1])[:, ::-1]
+    assert twice[:, ::2].tobytes() == want.tobytes() and twice[:, 1::2].tobytes() == want.tobytes()
+    for t in levels[[0, -1]]:
+        alone = moments(np.array([t]))
+        calls.clear()
+        repeated = moments(np.full(levels.size, t))
+        assert len(calls) >= 2 and repeated.tobytes() == np.repeat(alone, levels.size, 1).tobytes()
+
+
 def test_log_transform_on_the_line_stays_small():
     # the bound in _line (about 8.9) is why the line route needs no guard
     # against an overflowing transform
@@ -512,8 +553,8 @@ def test_a8_curve_engine_rows(monkeypatch):
     # Per-level phases, shared rungs and 4/freq flat panels hold its
     # transform of eta to at most 15,000 nodes (32,940 with 2/freq panels,
     # a line per level below -6/s* and a phase per cell)
-    rows, nodes = [], []
-    engine, transform = tailbound._eta_moments, tailbound._fl_vec
+    rows, nodes, blocks = [], [], []
+    engine, transform, reduce = tailbound._eta_moments, tailbound._fl_vec, tailbound.gk15_reduce
 
     def counted(problem, ts, *args):
         rows.append(np.size(ts))
@@ -523,12 +564,20 @@ def test_a8_curve_engine_rows(monkeypatch):
         nodes.append(np.size(z))
         return transform(spec, z)
 
+    def counted_cells(y, half):
+        blocks.append(y.size)
+        return reduce(y, half)
+
     monkeypatch.setattr(tailbound, "_eta_moments", counted)
     monkeypatch.setattr(tailbound, "_fl_vec", counted_nodes)
+    monkeypatch.setattr(tailbound, "gk15_reduce", counted_cells)
     curve = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
     assert all(not r.is_failure() for r in curve)
     assert sum(rows) <= 330, rows
     assert sum(nodes) <= 15_000, sum(nodes)
+    # the engine's blocks hold about 8,192 (level, node) cells, so their
+    # arrays (three orders per cell) stay cache-sized and are not mapped afresh
+    assert max(blocks) <= 3 * 8192, max(blocks)
 
 
 def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
