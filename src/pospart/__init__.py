@@ -51,7 +51,7 @@ from .moments import (
 )
 from .oracles import OracleEstimate, density_ppm, mc_ppm, mc_tail, naive_series_ppm
 from .quadrature import HeadRule, IntegrandProfile, QuadratureResult, integrate_halfline, partial_integrals
-from .remainders import cos_remainder, exp_remainder, inv_power, sin_remainder
+from .remainders import exp_remainder, inv_power
 from .specparse import parse_spec, render
 from .tailbound import (
     TailBoundProblem,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import PositivePartError, PreconditionError, SpecParseError
@@ -122,8 +123,18 @@ def _cmd_validate(args) -> int:
     return _EXIT_OK if all(c.passed for c in checks) else _EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads "-0.5" as a value but "-1e-05" as an option, which
+    left "--x-min -1e-05" without its argument; no option here starts with a
+    digit, so every token that does after "-" is a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pospart",
         description="Positive-part moments from transforms, and the optimal "
                     "tail bound for sums of bounded random variables.",

@@ -1,16 +1,10 @@
-"""Stable evaluation of truncated exp/cos/sin Taylor remainders.
+"""Stable evaluation of truncated exponential Taylor remainders.
 
 exp_remainder(z, m) is e^z minus its Taylor polynomial through degree m
-(m = -1 returns e^z itself).  cos_remainder(x, m) and sin_remainder(x, m)
-are the signed cosine/sine analogues, normalised so the leading term of the
-tail series is positive:
-
-    cos_remainder(x, m)  = (-1)^(m+1) (cos x - sum_{j<=m} (-1)^j x^(2j)/(2j)!)
-    sin_remainder(x, m)  = (-1)^(m+1) (sin x - sum_{j<=m} (-1)^j x^(2j+1)/(2j+1)!)
-
-with cos_remainder(x, -1) = cos x and sin_remainder(x, -1) = sin x.  They
-are projections of one kernel: (-1)^(m+1) times the real and imaginary parts
-of exp_remainder(ix, 2m+1).
+(m = -1 returns e^z itself).  On the imaginary axis its real and imaginary
+parts are the cosine and sine remainders:
+Re exp_remainder(ix, 2m+1) = cos x - sum_{j<=m} (-1)^j x^(2j)/(2j)! and
+Im exp_remainder(ix, 2m+1) = sin x - sum_{j<=m} (-1)^j x^(2j+1)/(2j+1)!.
 
 Below a switch radius the subtraction e^z - poly cancels catastrophically,
 so exp_remainder computes the value from the convergent tail series instead,
@@ -42,9 +36,9 @@ def switch_radius(m: int) -> float:
     max(1, m) * 0.5, half the degree, where the series takes at most 50
     terms (m <= 168).  The direct subtraction just above it still cancels:
     against 250-digit mpmath on 1,200 points of x in [0.05, 60], the worst
-    relative error of cos_remainder / sin_remainder (switch at m + 0.5) is
-    1.6e-12 / 5.4e-12 at m = 20, 1.3e-10 / 2.2e-10 at m = 30 and
-    4.2e-9 / 9.9e-9 at m = 40, each just above the switch.
+    relative error of the real / imaginary part of exp_remainder(ix, 2m+1)
+    (switch at m + 0.5) is 1.6e-12 / 5.4e-12 at m = 20, 1.3e-10 / 2.2e-10 at
+    m = 30 and 4.2e-9 / 9.9e-9 at m = 40, each just above the switch.
     """
     return 0.5 * max(1, m)
 
@@ -144,53 +138,24 @@ def exp_remainder(z, m: int):
     return complex(out[()]) if scalar else out
 
 
-def _trig_projection(x, m: int, part):
-    # (-1)^(m+1) times the real (cosine) or imaginary (sine) part of e_{2m+1}(ix)
-    if m < -1:
-        raise DomainError(f"remainder order must be >= -1, got {m}")
-    xx, scalar = _as_array(x, float)
-    out = (-1.0) ** (m + 1) * part(exp_remainder(1j * xx, 2 * m + 1))
-    return float(out) if scalar else out
-
-
-def cos_remainder(x, m: int):
-    """Signed cosine remainder; m = -1 returns cos x.
-
-    Tail-series form: sum_{r>=0} (-1)^r x^(2(m+1+r)) / (2(m+1+r))!, so the
-    leading term x^(2m+2)/(2m+2)! is positive.
-    """
-    return _trig_projection(x, m, np.real)
-
-
-def sin_remainder(x, m: int):
-    """Signed sine remainder; m = -1 returns sin x.
-
-    Tail-series form: sum_{r>=0} (-1)^r x^(2(m+1+r)+1) / (2(m+1+r)+1)!.
-    """
-    return _trig_projection(x, m, np.imag)
-
-
 def inv_power(s: float, t, q: float):
     """(s + it)^(-q) on the principal branch (argument in (-pi, pi]).
 
-    For s = 0, t > 0 this equals t^(-q) * exp(-i pi q / 2).  Raises at the
-    branch point s = t = 0.
+    For s = 0, t > 0 this equals t^(-q) * exp(-i pi q / 2).  At s = 0 and
+    integer q that phase is the exact unit (-i)^q (its conjugate for t < 0),
+    so a part that vanishes is exactly 0.  Raises at the branch point
+    s = t = 0.
     """
     tt, scalar = _as_array(t, float)
     if s == 0.0 and np.any(tt == 0.0):
         raise DomainError("inv_power is undefined at z = 0")
-    z = s + 1j * tt
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.exp(-q * np.log(z))
+        if s == 0.0 and q == math.floor(q):
+            unit = (1.0, -1j, -1.0, 1j)[int(q) % 4]
+            out = np.abs(tt) ** -q * np.where(tt > 0.0, unit, np.conj(unit))
+        else:
+            out = np.exp(-q * np.log(s + 1j * tt))
     return complex(out[()]) if scalar else out
-
-
-def exp_remainder_bound(u: float, m: int) -> float:
-    """Explicit bound min(2|u|^m/m!, |u|^(m+1)/(m+1)!) for |e_m(iu)|, m >= 0."""
-    if m < 0:
-        raise DomainError("bound applies to m >= 0 only")
-    au = abs(u)
-    return min(2.0 * au**m / math.factorial(m), au ** (m + 1) / math.factorial(m + 1))
 
 
 # ---------------------------------------------------------------------------

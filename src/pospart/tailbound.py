@@ -14,33 +14,17 @@ x is
 
 where t_x is the root of m(t) := t + E(eta-t)_+^3 / E(eta-t)_+^2 = x.
 
-Moments come from the vertical-line route at s* = min(1/y, 2/sigma), which
-keeps e^{s y} moderate while the transform still decays like a Gaussian in
-the integration variable; for strongly negative t the line moves inward, in
-rungs s* 2^-k, so exp(-s t) cannot dwarf the result.  Below the support's
-effective left edge (the Poisson floor minus thirty Gaussian standard
-deviations) the positive part equals the variable itself, so raw moments
-apply exactly; that switch keeps the x -> 0 end of a bound curve exact and
-fast.
-
-On the line z = s + iu the integrand of E(eta-t)_+^p is Re[e^{-zt} H_p(u)]
-with H_p = E e^{z eta} z^-(p+1), so the batched engine (_eta_moments)
-evaluates H_p for p = 1, 2, 3 once per node of a Gauss-Kronrod grid that
-the levels on one line share (_grid_moments).  The paper's identity
+Moments come from the vertical-line route by the trapezoidal rule, whose
+whole error is an alias sum with closed-form bounds, so no level is refined
+(_moments23); each level's line is a saddle point (_line), and the levels on
+one rung share its evaluations of E e^{z eta} (_trapezoid).  Below the
+support's effective left edge (the Poisson floor minus thirty Gaussian
+standard deviations) the positive part equals the variable itself, so raw
+moments apply exactly; that switch keeps the x -> 0 end of a bound curve
+exact and fast.  The paper's identity
 d/dt E(eta-t)_+^p = -p E(eta-t)_+^(p-1) gives the slope
-m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass.  A level whose grid error
-misses its budget is integrated again with the flat panels halved
-(_moments23); m_of_t runs the same engine on one level.
-
-The engine works through a grid in runs of _RUN_PANELS panels: it
-evaluates H_p on one run at a time and adds each level's panel sums run by
-run.  Within a run the levels go in blocks of about _BLOCK_CELLS (level,
-node) cells, one level at least, and a block's phases, integrand and
-gk15_reduce scratch are a few arrays of at most 3 _BLOCK_CELLS doubles each
-(one level's whole run when that is larger).  Arrays that small mostly
-reuse the memory the block before freed, where larger ones are mapped
-afresh and fault their pages in again; the blocking changes no bit,
-because each level's sums keep their order.
+m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass (_eta_moments); m_of_t runs
+the same engine on one level.
 
 All levels of a curve sample the same increasing m, so the solver (_solve)
 steps them together through one table of samples of m, and the budget that
@@ -48,14 +32,16 @@ counts is the bar on m itself.  Each result row carries the error bars of
 mu2, mu3 and Pin; they are NaN only on a level that failed.
 
 _eta, the unshifted spec that eta_spec shifts, is the one description of the
-surrogate here: the line transform, the oscillation frequency and the raw
-moments all come from the catalog's code for that spec.
+surrogate here: the line transform, its Gaussian variance and the raw
+moments all come from the catalog's code for that spec; only the saddle
+point's slope (_saddle) is written out from (sigma, y, eps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -66,9 +52,7 @@ from .distributions import (
     IndependentSum,
     Normal,
     Shift,
-    _fl_vec,
     _log_fl_vec,
-    freq_scale,
     gaussian_var,
     raw_moment,
 )
@@ -81,7 +65,7 @@ from .errors import (
     UnmetBudget,
 )
 from .moments import gamma_p1
-from .quadrature import _NODES, check_rel_tol, gk15_reduce
+from .quadrature import check_rel_tol
 
 __all__ = [
     "TailBoundProblem",
@@ -95,25 +79,23 @@ __all__ = [
 
 _FAR_LEFT_Z = 30.0        # Gaussian z-score beyond which (eta-t) > 0 in effect
 _RIGHT_GUARD_SIGMAS = 40.0
-_NEG_T_EXPONENT_CAP = 6.0  # keep s|t| small when t is far negative
 _ORDERS = (1.0, 2.0, 3.0)
 _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
-# panels per run: the engine evaluates the transform of eta on one run of a
-# grid at a time, and sums each level's panels run by run
-_RUN_PANELS = (1 << 16) // 15
-# (t, node) cells per block of levels within a run; a block's arrays stay
-# cache-sized and reuse freed memory, where larger ones are mapped afresh
-_BLOCK_CELLS = 1 << 13
-# transform nodes one grid may take after its cut; the adaptive route it
-# replaced solved eps up to about 1 - 1.8e-9, whose grids take 4.3e6 to 5.0e6
+# (level, node) cells per block: a block's arrays stay cache-sized and reuse
+# freed memory, where larger ones are mapped afresh
+_CELLS = 1 << 13
+# transform nodes one level may take: pin at eps = 1 - 1.8e-9 takes 1.8e6 a
+# pass, and eps = 1 - 3e-10 is about the last that fits
 _MAX_NODES = 5_000_000
-# flat-width halvings for a missed level (y / sigma = 100 resolves at 3 to 4)
-_MAX_HALVINGS = 6
+_ROUNDING = 16.0          # eps per term for the sums and z^-(p+1)
+# the share of a level's allowance its alias and truncation bounds aim at:
+# the left aliases are a one-signed bias close to their bound, and h and N
+# grow only with the log of the aim
+_AIM = 1e-3
+_EPS = float(np.finfo(float).eps)
 # bisection alone narrows [edge, x] to 1e-14 relative width in about 60
 # passes; interpolation and Newton passes only shorten that
 _MAX_PASSES = 200
-# panel width near u = 0 as a share of the distance to the pole at u = i s
-_GRADE = 0.25
 
 
 @dataclass(frozen=True)
@@ -166,8 +148,9 @@ class TailBoundResult:
         return self.error is not None
 
 
+@lru_cache(maxsize=256)
 def _eta(problem: TailBoundProblem) -> DistributionSpec:
-    """eta itself, unshifted, as a catalog spec."""
+    """eta itself, unshifted, as a catalog spec (immutable, so built once)."""
     return IndependentSum(
         Normal(0.0, (1.0 - problem.eps) * problem.sigma**2),
         CenteredScaledPoisson(problem.lam, problem.y),
@@ -184,29 +167,53 @@ def _log_transform_at(problem: TailBoundProblem, t, s):
     return -s * t + np.real(_log_fl_vec(_eta(problem), s))
 
 
+def _saddle(problem: TailBoundProblem, c, q):
+    """The root r > 0 of kappa'(r) = c + q / r, where kappa(r) = log E e^{r eta}:
+    the minimiser of the convex kappa(r) - c r - q log r.  c and q are
+    arrays that broadcast.
+
+    kappa'(r) = a r + lam y (e^{ry} - 1) lies between sigma^2 r and, for
+    r y <= 1, (e - 1) sigma^2 r, so the root lies between min(1/y, r_(e-1))
+    and r_1, r_v the positive root of v sigma^2 r^2 - c r - q.  Bisection on
+    log2 r narrows that bracket to about 1/32 of a binary order."""
+    a, lam, y = gaussian_var(_eta(problem)), problem.lam, problem.y
+    var = problem.sigma * problem.sigma
+
+    def log2_root(v):
+        d = np.hypot(c, 2.0 * np.sqrt(v * q))
+        with np.errstate(divide="ignore", over="ignore"):
+            r = np.where(c > 0.0, (c + d) / (2.0 * v), 2.0 * q / (d - c))
+            return np.clip(np.log2(r), -1074.0, 1023.0)
+
+    lo = np.minimum(-math.log2(y), log2_root((math.e - 1.0) * var))
+    hi = log2_root(var)
+    with np.errstate(over="ignore"):
+        for _ in range(math.ceil(math.log2(32.0 * np.max(hi - lo) + 1.0))):
+            mid = 0.5 * (lo + hi)
+            r = np.exp2(mid)
+            up = a * r + lam * y * np.expm1(r * y) > c + q / r
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return np.exp2(0.5 * (lo + hi))
+
+
 def _line(problem: TailBoundProblem, t):
-    """The line offset s(t): s* = min(1/y, 2/sigma), or for t < -6/s* the
-    largest rung s* 2^-k with -s t <= 6, so exp(-s t) cannot dwarf the
-    result and levels on one rung share a line; the line choice only moves
-    the contour, not the value.  t may be an array."""
-    s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
-    # On this line the log transform stays below about 8.9, so the line
-    # integrand cannot overflow: -s t <= 6, a s^2/2 <= 2 (1-eps) and, with
-    # s y <= 1 and e_1(x) <= (e-2) x^2 there, lam e_1(s y) <= 4 (e-2) eps.
-    # Scaling by 2^-k is exact, so -s t = (-s* t) 2^-k: the frexp exponent
-    # of (-s* t) / 6 is the k that puts -s t in (3, 6]
-    v = np.maximum(-s_star * np.asarray(t, dtype=float), _NEG_T_EXPONENT_CAP)
-    k = np.frexp(v / _NEG_T_EXPONENT_CAP)[1]
-    k = np.where(np.ldexp(v, 1 - k) <= _NEG_T_EXPONENT_CAP, k - 1, k)
-    return np.ldexp(s_star, -k)
+    """The line offset s(t): the saddle point of log E e^{s(eta - t)} -
+    3 log s, the line on which the p = 2 integrand's largest value e^{-st}
+    E e^{s eta} s^-3 is least (Daniels 1954), rounded down to a power of 2
+    so that levels share a rung: above the saddle E e^{s eta} can grow like
+    e^{e^{sy}}, while at s/2 that value is at most 8 e^{st/2} times larger.
+    The line only moves the contour, not the value; far left s ~ 3/|t|, so
+    -s t stays near 3.  t may be an array."""
+    return np.exp2(np.floor(np.log2(_saddle(problem, t, 3.0))))
 
 
 def _envelope(a: float, K, T, q):
     """Bound on the line integrand's tail beyond T for the order q = p + 1,
     on arrays: K = e^{log transform} times the smaller of the Gaussian-Mills
     bound T^-q e^{-a T^2/2} / (a T) and the algebraic bound T^(1-q) / (q-1)."""
-    mills = np.exp(-0.5 * a * T * T) / (a * T)
-    return K * np.minimum(T**-q * mills, T ** (1.0 - q) / (q - 1.0))
+    log_t = np.log(T)
+    return K * np.exp(np.minimum(-q * log_t - 0.5 * a * T * T - np.log(a * T),
+                                 (1.0 - q) * log_t - np.log(q - 1.0)))
 
 
 def _far_left_edge(problem: TailBoundProblem) -> float:
@@ -253,148 +260,153 @@ class _EtaMoments:
     failure: list
 
 
-def _grid_moments(problem: TailBoundProblem, t: np.ndarray, s: np.ndarray,
-                  log_k: np.ndarray, cut: np.ndarray, halvings: int = 0):
-    """mu1..mu3 and their error bars on shared Gauss-Kronrod grids.
+def _left_alias(p, a_t, s, L):
+    """log of the bound (a_t + L)^p Li_{-p}(e^{-sL}) on the left aliases
+    sum_k e^{-skL} G_p(t - kL), k >= 1, for p = 1, 2, 3: with a_t = M + (-t)_+
+    and M = (E eta^4)^(1/4), Minkowski gives G_p(t - kL) <= (M + (kL - t)_+)^p
+    <= k^p (a_t + L)^p, and sum_k k^p w^k = w P_p(w) / (1 - w)^(p+1) with
+    the Eulerian polynomials P_1 = 1, P_2 = 1 + w, P_3 = 1 + 4w + w^2."""
+    w = np.exp(-s * L)
+    poly = np.where(p == 1.0, 1.0, np.where(p == 2.0, 1.0 + w, 1.0 + w * (4.0 + w)))
+    return p * np.log(a_t + L) - s * L + np.log(poly) - (p + 1.0) * np.log1p(-w)
 
-    Levels are bucketed by oscillation frequency (within a factor 2); each
-    bucket shares one grid.  Near u = 0 each panel spans a quarter of its
-    left end's distance to the pole of z^-(p+1) at u = i s (smallest s of
-    the bucket); the widths grow until they would reach 4/freq, halved
-    `halvings` times, and from there on all panels share that one width.  The
-    grid ends where the tail envelope of every level and order fits its
-    truncation allowance cut[p-1] (absolute, in units of the moment).
 
-    Within a bucket the levels are grouped by their line s (_line: s*, or a
-    rung s* 2^-k below -6/s*).  A group evaluates the transform of eta once
-    per node, as H_p = E e^{z eta} z^-(p+1), and each of its levels
-    integrates cos(u t) Re H_p + sin(u t) Im H_p = Re[e^{-iut} H_p], with
-    e^{iut} = e^{i t mid} e^{i t (u - mid)} for the node u of a panel with
-    midpoint mid: one exponential per (level, panel), and one row of 15 per
-    (level, panel width), which all flat panels share; two broadcast
-    multiplies form the phases of a block in one array.  The transform is
-    evaluated on runs of _RUN_PANELS panels, and each run's levels go in
-    blocks of at most _BLOCK_CELLS cells, or of one level when its run alone
-    is larger (at most 15 _RUN_PANELS cells): a block's arrays are bounded
-    by three times its cells, and each level sums its panels run by run in
-    the same order however the levels are blocked.  The Kronrod values
-    and QUADPACK error estimates (the 50 eps resabs floor included) are linear
-    in the integrand, so the level's factor e^{-st} multiplies them after
-    the reduction.  A level's error bar is its summed panel errors plus the
-    tail envelope.  Buckets whose grid would pass _MAX_NODES nodes are NaN.
+def _right_alias(problem: TailBoundProblem, p, t, r):
+    """log of B(r) = (p / (e r))^p E e^{r(eta - t)}: Chernoff's bound
+    (x)_+^p <= (p / (e r))^p e^{rx} gives, for any r > s, the right aliases
+    sum_k e^{skL} G_p(t + kL) <= B(r) / (e^{(r - s) L} - 1), k >= 1."""
+    return p * np.log(p / (math.e * r)) + _log_transform_at(problem, t, r)
+
+
+def _trapezoid(problem: TailBoundProblem, t, lines, rung, step, last):
+    """Trapezoidal sums on Bromwich lines that levels share.
+
+    Rung j has the nodes u = 0, step[j], ..., last[j] step[j] on the line
+    Re z = lines[j], and level i sits on rung rung[i].  Returns (total,
+    absolute, moment, plain): total[p-1, i] sums Re[e^{-iut} H_p(u)] over its
+    rung's nodes, u = 0 at half weight, where H_p = E e^{z eta} (s/z)^(p+1)
+    / E e^{s eta} is scaled so that |H_p| <= 1 at every scale; absolute,
+    moment and plain, per rung, sum the same weights times |H_p| and _ROUNDING +
+    |log E e^{z eta}| + |log E e^{s eta}|, u and 1.  H_p is evaluated once
+    per node, on chunks of nodes over every rung that reaches them, which
+    end where a rung ends, and the levels go in blocks: at most _CELLS
+    nodes, or (level, node) cells, at a time."""
+    eta = _eta(problem)
+    kappa = _log_transform_at(problem, 0.0, lines)
+    total = np.zeros((3, t.size))
+    absolute, moment, plain = np.zeros((3, 3, lines.size))
+    first = 0
+    for end in np.unique(last) + 1:
+        live = np.flatnonzero(last >= first)
+        rows = np.flatnonzero(last[rung] >= first)
+        place = np.searchsorted(live, rung[rows])
+        while first < end:
+            width = int(min(end - first, max(1, _CELLS // live.size)))
+            index = first + np.arange(width)
+            u = step[live, None] * index
+            z = lines[live, None] + 1j * u
+            w = lines[live, None] / z
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                lg = _log_fl_vec(eta, z)
+                hp = np.exp(lg - kappa[live, None]) * w * w
+            if first == 0:
+                hp[:, 0] *= 0.5
+            hp = np.stack([hp, hp * w, hp * w * w])
+            size = np.abs(hp)
+            weight = _ROUNDING + np.abs(lg) + np.abs(kappa[live, None])
+            absolute[:, live] += (size * weight).sum(axis=2)
+            moment[:, live] += (size * u).sum(axis=2)
+            plain[:, live] += size.sum(axis=2)
+            per_block = max(1, _CELLS // width)
+            for lo in range(0, rows.size, per_block):
+                i, j = rows[lo:lo + per_block], place[lo:lo + per_block]
+                phase = t[i, None] * u[j]
+                terms = np.cos(phase) * hp.real[:, j] + np.sin(phase) * hp.imag[:, j]
+                total[:, i] += terms.sum(axis=2)
+            first += width
+    return total, absolute, moment, plain
+
+
+def _moments23(problem: TailBoundProblem, t: np.ndarray, cut: np.ndarray):
+    """mu1..mu3 and their error bars by the trapezoidal rule on Bromwich lines.
+
+    On the line z = s + iu (s = _line(t)) the rule with step h sums
+    (h / pi) Gamma(p+1) e^{-st} Re[e^{-iut} E e^{z eta} z^-(p+1)] over
+    u = 0 (half weight), h, 2h, ...; by Poisson summation that sum is exactly
+    sum_k e^{skL} G_p(t + kL), L = 2 pi / h, G_p(t) = E(eta - t)_+^p (Abate and
+    Whitt 1992).  Each level takes h and the node count N a priori: its left
+    aliases (_left_alias), right aliases (_right_alias, at the r that
+    minimises B(r) e^{-rL}) and truncation beyond N h (_envelope) each get a
+    third of _AIM times the allowance cut[p-1] (in units of the moment).
+    Levels on one rung share its nodes (_trapezoid): the smallest h and the
+    largest N h of their levels.  A level's bar is those bounds at the rung's
+    h and N plus rounding: eps times the terms' sizes weighted by _ROUNDING,
+    |log E e^{z eta}| + |log E e^{s eta}| + |st| for the exponentials and
+    u |t| for the phase.  A level whose own N would pass _MAX_NODES is NaN.
     """
     eta = _eta(problem)
     a = gaussian_var(eta)
-    q = np.array(_ORDERS)[:, None] + 1.0
-    K = np.exp(log_k)
-    target = cut / _PREF
-    # a grid end that meets every target: at T >= 1 the Mills bound is below
-    # e^{-a T^2/2}/a, and the algebraic bound inverts exactly
-    with np.errstate(over="ignore"):
-        t_gauss = np.maximum(1.0, np.sqrt(2.0 * np.maximum(np.log(K / (a * target)), 0.0) / a))
-        t_slow = (K / ((q - 1.0) * target)) ** (1.0 / (q - 1.0))
-    t_end = np.minimum(t_gauss, t_slow).max(axis=0)
-    base = freq_scale(eta)
-    freq = np.abs(t) + base
-    bucket = np.ceil(np.log2(freq / base))
-    mu, err = np.full((2, 3, t.size), np.nan)
-    env = np.zeros((3, t.size))
-    for b in np.unique(bucket):
-        rows = np.flatnonzero(bucket == b)
-        cap = math.ldexp(4.0 / freq[rows].max(), -halvings)
-        s_min = s[rows].min()
-        edges = [0.0]
-        while edges[-1] < t_end[rows].max():
-            width = _GRADE * math.hypot(s_min, edges[-1])
-            if width >= cap:
+    p = np.array(_ORDERS)[:, None]
+    s = _line(problem, t)
+    log_k = _log_transform_at(problem, t, s)
+    share = cut * (_AIM / 3.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_share = np.log(share)
+        # the left aliases: s L = p log(a_t + L) - log share + ..., a
+        # contraction from below; a level still short steps up to its bound
+        # M = (E eta^4)^(1/4) = sigma M(1, y/sigma, eps): E eta^4 overflows past sigma ~ 1e77
+        unit = TailBoundProblem(1.0, problem.y / problem.sigma, problem.eps)
+        a_t = problem.sigma * raw_moment(_eta(unit), 4) ** 0.25 + np.maximum(-t, 0.0)
+        x = np.maximum(1.0, -log_share)
+        for _ in range(3):
+            x = x + _left_alias(p, a_t, s, x / s) - log_share
+        x = np.where(np.isfinite(x), 1.01 * x + 0.01, np.inf)
+        while True:
+            short = _left_alias(p, a_t, s, x / s) > log_share
+            if not short.any():
                 break
-            edges.append(edges[-1] + width)
-        n_graded, top = len(edges) - 1, edges[-1]
-        # cut at the first edge where every envelope fits its target; the
-        # envelopes fall with T, so bisect on the edge index.  Flat edges lie
-        # cap apart past the graded ones, so no edge past the cut is built
-        lo, hi = 0, n_graded + math.ceil(max(t_end[rows].max() - top, 0.0) / cap)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            T = edges[mid] if mid <= n_graded else top + cap * (mid - n_graded)
-            if np.all(_envelope(a, K[rows], T, q) <= target[:, rows]):
-                hi = mid
-            else:
-                lo = mid
-        if not 15 * hi <= _MAX_NODES:
-            continue
-        edges = np.concatenate([edges, top + cap * np.arange(1, hi - n_graded + 1)])
-        env[:, rows] = _envelope(a, K[rows], edges[hi], q)
-        # panel i has the node offsets off[w[i]] from its midpoint: one row
-        # per graded panel, and one that all flat panels share
-        w = np.minimum(np.arange(hi), n_graded)
-        half = 0.5 * np.append(np.diff(edges[: n_graded + 1]), cap)
-        off = half[:, None] * _NODES
-        half = half[w]
-        mids = edges[:hi] + half
-        per_block = max(1, _BLOCK_CELLS // (15 * min(hi, _RUN_PANELS)))
-        mu[:, rows] = err[:, rows] = 0.0
-        for line in np.unique(s[rows]):
-            group = rows[s[rows] == line]
-            for first_panel in range(0, hi, _RUN_PANELS):
-                run = slice(first_panel, min(first_panel + _RUN_PANELS, hi))
-                # the run's graded panels come first, each with its own row
-                # of offsets; the flat ones after them share off[n_graded]
-                n_gr = max(0, min(run.stop, n_graded) - first_panel)
-                z = line + 1j * (mids[run, None] + off[w[run]])
-                iz = 1.0 / z
-                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                    h = _fl_vec(eta, z) * iz * iz
-                # H_p = E e^{z eta} z^-(p+1) for p = 1, 2, 3
-                h = np.stack([h, h * iz, h * iz * iz])[:, None]
-                h_re, h_im = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
-                for first in range(0, group.size, per_block):
-                    r = group[first: first + per_block]
-                    it = 1j * t[r, None]
-                    at_mid = np.exp(it * mids[run])[..., None]
-                    phase = np.empty((r.size, run.stop - first_panel, 15), dtype=complex)
-                    np.multiply(at_mid[:, :n_gr],
-                                np.exp(it[..., None] * off[first_panel: first_panel + n_gr]),
-                                out=phase[:, :n_gr])
-                    np.multiply(at_mid[:, n_gr:], np.exp(it * off[n_graded])[:, None],
-                                out=phase[:, n_gr:])
-                    f = phase.real * h_re
-                    f += phase.imag * h_im
-                    k, e = gk15_reduce(f, half[run])
-                    mu[:, r] += k.sum(axis=2)
-                    err[:, r] += e.sum(axis=2)
-    shift = np.exp(-s * t)
-    return _PREF * mu * shift, _PREF * (err * shift + env)
-
-
-def _meets(mu, err, tol, basis):
-    """(ok, share): share is the larger of err_p / max(tol |mu_p|, 0.5 tol basis_p)
-    for p = 2, 3; ok if both are finite and <= 1, mu3 > 0 and mu2 > tol basis_2."""
-    with np.errstate(invalid="ignore"):
-        budget = np.maximum(tol * np.abs(mu[1:]), 0.5 * tol * basis[1:])
-        within = np.all(np.isfinite(mu[1:]) & (err[1:] <= budget), axis=0)
-        return within & (mu[1] > tol * basis[1]) & (mu[2] > 0.0), np.max(err[1:] / budget, axis=0)
-
-
-def _moments23(problem: TailBoundProblem, t, s, log_k, cut, tol, basis, mu, err):
-    """Refines each level whose first grid (mu, err: _grid_moments on t, s,
-    log_k, cut) misses at tol, halving its flat panels up to _MAX_HALVINGS
-    times while it misses and its share has not stalled; it keeps the finest."""
-    ok, share = _meets(mu, err, tol, basis)
-    open_, shrinking = np.flatnonzero(~ok), np.zeros(t.size, dtype=bool)
-    for k in range(1, _MAX_HALVINGS + 1):
-        if not open_.size:
-            break
-        m, e = _grid_moments(problem, t[open_], s[open_], log_k[open_], cut[:, open_], k)
-        ok, new = _meets(m, e, tol[open_], basis[:, open_])
-        reached = ~np.isnan(new)
-        mu[:, open_[reached]], err[:, open_[reached]] = m[:, reached], e[:, reached]
-        # too coarse a grid leaves the share about flat for a few halvings;
-        # a resolved one more than halves it per halving, down to rounding
-        shrank = new < 0.5 * share[open_]
-        go_on = reached & ~ok & (shrank | ~shrinking[open_])
-        share[open_], shrinking[open_] = new, shrank
-        open_ = open_[go_on]
+            x = np.where(short, 1.01 * x + 0.01, x)
+        # the right aliases: B(r) / (e^{(r-s)L} - 1) <= share from
+        # L = log1p(B(r) / share) / (r - s), r at the saddle of level t + L
+        r = np.maximum(_saddle(problem, t + x / s, p), 1.0625 * s)
+        log_b = _right_alias(problem, p, t, r)
+        length = np.maximum(x / s, np.logaddexp(0.0, log_b - log_share) / (r - s))
+        h = 2.0 * math.pi / length.max(axis=0)
+        K = np.exp(log_k)
+        target = share / _PREF
+        # a truncation point that meets every target.  In v = sqrt(a) T the
+        # Mills bound is K a^(p/2) v^-(p+2) e^{-v^2/2}: it meets the target
+        # from the root of v = phi(v) = sqrt(2 (A - (p+2) log v)) on, and phi
+        # falls, so from v >= that root two steps land at or above it.  The
+        # algebraic bound inverts exactly
+        A = log_k + 0.5 * p * np.log(a) - np.log(target)
+        v = np.maximum(1.0, np.sqrt(2.0 * np.maximum(A, 0.0)))
+        for _ in range(2):
+            v = np.sqrt(2.0 * np.maximum(A - (p + 2.0) * np.log(v), 0.0))
+        t_slow = (K / (p * target)) ** (1.0 / p)
+        end = np.minimum(v / math.sqrt(a), t_slow).max(axis=0)
+        ok = np.flatnonzero(np.ceil(end / h) <= _MAX_NODES)
+    mu, err = np.full((2, 3, t.size), np.nan)
+    if not ok.size:
+        return mu, err
+    lines, rung = np.unique(s[ok], return_inverse=True)
+    step = np.full(lines.size, np.inf)
+    np.minimum.at(step, rung, h[ok])
+    last = np.zeros(lines.size)
+    np.maximum.at(last, rung, end[ok])
+    last = np.ceil(last / step)
+    tl = t[ok]
+    total, absolute, moment, plain = _trapezoid(problem, tl, lines, rung, step, last)
+    st, sl = step[rung], lines[rung]
+    scale = np.exp(np.log(_PREF * st) + log_k[ok] - (p + 1.0) * np.log(sl))
+    rounding = _EPS * scale * (absolute[:, rung] + np.abs(tl) * moment[:, rung]
+                               + np.abs(sl * tl) * plain[:, rung])
+    span = 2.0 * math.pi / st
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        alias = (np.exp(_left_alias(p, a_t[ok], sl, span))
+                 + np.exp(log_b[:, ok] - np.log(np.expm1((r[:, ok] - sl) * span))))
+    mu[:, ok] = scale * total
+    err[:, ok] = alias + _PREF * _envelope(a, K[ok], last[rung] * st, p + 1.0) + rounding
     return mu, err
 
 
@@ -403,17 +415,14 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     the one place that classifies a level.
 
     Far-left levels take the closed form, and levels at or above 40 sigma
-    fail with DegenerateMoment.  The others share Gauss-Kronrod grids on
-    their lines (_grid_moments).  A grid ends where each moment's truncation
-    fits its allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or tail[p-1]
+    fail with DegenerateMoment.  The others go to one trapezoidal pass on
+    their lines (_moments23), whose aliasing and truncation fit each
+    moment's allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or tail[p-1]
     where tail, a (3, n) array, gives a smaller one (NaN entries give none);
     the solver sizes tail from a level's own moments when its bar on m
-    missed.  A level that fails _meets at rel_tol is refined (_moments23) at
-    rel_tol times the smaller share tail[p-1] / (0.125 rel_tol (1 +
-    max(sigma,|t|)^p)) of p = 2, 3 (at most 1, at least 1e-13 in all), its own
-    tolerance.  A level whose grid would pass _MAX_NODES fails with
-    BudgetExceeded, one whose mu2 is not above the floor at its own tolerance
-    with DegenerateMoment.  m = t + mu3 / mu2.
+    missed.  A level whose rule would pass _MAX_NODES nodes fails with
+    BudgetExceeded, one whose mu2 is not above its own error bar with
+    DegenerateMoment.  m = t + mu3 / mu2.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -424,33 +433,20 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     *moms, m[left] = _far_left(problem, ts[left])
     mu[:, left] = moms
     err[:, left] = 0.0
-    s = _line(problem, ts)
-    log_k = _log_transform_at(problem, ts, s)
     with np.errstate(over="ignore"):   # the absolute budget's scale, inf past overflow
         basis = 1.0 + np.maximum(problem.sigma, np.abs(ts)) ** np.array(_ORDERS)[:, None]
     cut = 0.125 * rel_tol * basis
-    tol = np.full(n, rel_tol)
     if tail is not None:
-        # the budget scales with the tolerance, so a level whose mu2 or mu3
-        # allowance shrank takes the same share of rel_tol
-        share = np.fmin(1.0, np.fmin(tail[1] / cut[1], tail[2] / cut[2]))
-        tol = np.maximum(1e-13, share * rel_tol)
         cut = np.fmin(cut, tail)
     line = ~left & (ts < _RIGHT_GUARD_SIGMAS * problem.sigma)
     if line.any():
-        mu[:, line], err[:, line] = _grid_moments(problem, ts[line], s[line], log_k[line],
-                                                  cut[:, line])
-    miss = line & ~_meets(mu, err, rel_tol, basis)[0]
-    if miss.any():
-        mu[:, miss], err[:, miss] = _moments23(problem, ts[miss], s[miss], log_k[miss],
-                                               cut[:, miss], tol[miss], basis[:, miss],
-                                               mu[:, miss], err[:, miss])
+        mu[:, line], err[:, line] = _moments23(problem, ts[line], cut[:, line])
     mu[0, ~(np.isfinite(mu[0]) & (mu[0] > 0.0))] = np.nan
-    # below the degeneracy floor; the right guard's levels hold no values
-    bad = ~left & ~(np.isfinite(mu[1]) & (mu[1] > tol * basis[1]))
+    # mu2 within its bar of 0; the right guard's levels hold no values
+    bad = ~left & ~(np.isfinite(mu[1]) & (mu[1] > err[1]))
     failure = [None] * n
     for i in np.flatnonzero(bad):
-        over = line[i] and np.isnan(mu[1, i])    # a grid past _MAX_NODES
+        over = line[i] and np.isnan(mu[1, i])    # a rule past _MAX_NODES
         failure[i] = BudgetExceeded(None, _MAX_NODES) if over else DegenerateMoment(float(ts[i]))
     mu[:, bad] = err[:, bad] = np.nan
     m[~left] = ts[~left] + mu[2, ~left] / mu[1, ~left]
@@ -506,9 +502,9 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     that lies strictly inside the bracket, else the Newton step from its own
     probe when that does, else the bracket's midpoint.
 
-    A probe that is not sound sizes the level's later grid ends from its own
-    moments, so that truncation takes at most a quarter of tol_x of the bar
-    on m.  It still steps when the sign of m - x is certain (|m - x| > bar);
+    A probe that is not sound sizes the level's later allowances from its
+    own moments, so that aliasing and truncation take at most a quarter of
+    tol_x of the bar on m.  It still steps when the sign of m - x is certain (|m - x| > bar);
     otherwise the level is probed again at the same t, and if that probe,
     sized from the moments there, is still not sound and uncertain, the
     level ends with UnmetBudget.  Where a degenerate moment stops a probe
@@ -572,7 +568,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         mu1, mu2, mu3 = ev.mu
         with np.errstate(invalid="ignore", divide="ignore"):
             bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2
-            slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
+            slope = 2.0 * (mu1 / mu2) * (mu3 / mu2) - 2.0
         sound = bar <= tol_x                # False on failed rows, whose bars are NaN
         keep = sound & (slope > 0.0)
         table = np.concatenate(
@@ -602,9 +598,9 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
                 if not abs(g) > bar[k] and sized_at[j] == t[j]:
                     out[idx[j]] = missed[j]
                     continue
-                # later grid ends leave truncation a quarter of tol_x of the
-                # bar on m: an eighth of tol_x mu2 to mu3's tail, and the same
-                # over m - t = mu3 / mu2 to mu2's
+                # later passes leave aliasing and truncation a quarter of
+                # tol_x of the bar on m: an eighth of tol_x mu2 to mu3's
+                # allowance, and the same over m - t = mu3 / mu2 to mu2's
                 tail[1:, j] = 0.125 * tol_x * mu2[k] * np.array([mu2[k] / mu3[k], 1.0])
                 sized_at[j] = t[j]
                 if not abs(g) > bar[k]:

@@ -10,7 +10,7 @@ import ast
 import importlib
 import pathlib
 
-from pospart import moments, quadrature
+from pospart import moments, quadrature, tailbound
 from pospart.distributions import FiniteDiscrete
 from pospart.remainders import MomentOrder
 
@@ -31,6 +31,18 @@ def test_traced_attributes_exist():
         module = importlib.import_module(f"pospart.{layer}")
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"pospart.{layer}.{attr}"
+
+
+def test_one_engine_call_per_m_evaluation(monkeypatch):
+    # the tracer counts each _moments23 call as one m(t) evaluation: a line
+    # level takes exactly one call, a far-left level (closed form) none
+    calls, real = [], tailbound._moments23
+    monkeypatch.setattr(tailbound, "_moments23", lambda *a: calls.append(a[1].size) or real(*a))
+    problem = tailbound.TailBoundProblem(1.0, 1.0, 0.5)
+    tailbound.m_of_t(problem, 0.7)
+    assert calls == [1]
+    tailbound.m_of_t(problem, 2.0 * tailbound._far_left_edge(problem))
+    assert calls == [1]
 
 
 def test_work_meter_hooks():

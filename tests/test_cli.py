@@ -251,6 +251,21 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x-min", "-1e-05", "--x-max", "1",
+     "--steps", "2"],
+    ["pin", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x", "-1e-12"],
+    ["moment", "--dist", "normal(0,1)", "--p", "2", "--method", "negative", "--s", "-1e-3"],
+])
+def test_negative_values_in_exponent_notation(capsys, argv):
+    # argparse took "-1e-05" for an option and exited 2 with "expected one
+    # argument"; the two-token form now reads like "--opt=-1e-05"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run_cli(capsys, *joined) == (code, out, err)
+
+
 def test_numerical_failure_exits_three(capsys, recwarn):
     # a large-rate compound Poisson plus atoms off its lattice has no usable
     # decay structure for the residual envelope, so the evaluation cap is honest
@@ -266,6 +281,16 @@ def test_numerical_failure_exits_three(capsys, recwarn):
     assert out == ""
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
     assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+def test_large_y_pin_at_a_tiny_eps_exits_zero(capsys):
+    # y / sigma = 27.5: the Gauss-Kronrod grid on the line s* = 1/y stopped
+    # at QUADPACK's rounding floor with a bar of 1.7e-6 on m (exit 3)
+    code, out, err = run_cli(capsys, "pin", "--sigma", "1", "--y", "27.5", "--eps", "1e-200",
+                             "--x", "3.88")
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    assert float(row[0]) == 3.88 and float(row[-1]) <= 1e-9
 
 
 def test_pin_past_the_grid_work_bound_exits_three(capsys):

@@ -8,11 +8,8 @@ from pospart.errors import DomainError, PreconditionError
 from pospart.remainders import (
     LatticeKernel,
     MomentOrder,
-    cos_remainder,
     exp_remainder,
-    exp_remainder_bound,
     inv_power,
-    sin_remainder,
     switch_radius,
 )
 
@@ -30,13 +27,15 @@ def test_exp_remainder_order_one_at_i():
 
 
 def test_trig_remainders_match_plain_trig_at_minus_one():
-    assert cos_remainder(math.pi, -1) == pytest.approx(-1.0, abs=1e-15)
-    assert sin_remainder(math.pi / 2, -1) == pytest.approx(1.0, abs=1e-15)
+    # e_{-1}(ix) = e^{ix}: its parts are cos x and sin x
+    assert exp_remainder(1j * math.pi, -1).real == pytest.approx(-1.0, abs=1e-15)
+    assert exp_remainder(0.5j * math.pi, -1).imag == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sine_remainder_small_argument():
-    want = 0.1 - math.sin(0.1)
-    assert sin_remainder(0.1, 0) == pytest.approx(want, rel=1e-13)
+    # Im e_1(0.1i) = sin 0.1 - 0.1
+    want = math.sin(0.1) - 0.1
+    assert exp_remainder(0.1j, 1).imag == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("m", range(0, 9))
@@ -70,9 +69,13 @@ def test_relative_accuracy_against_high_precision(m):
     for z in zs:
         want = tail(complex(z), m + 1, 1, 1)
         assert exp_remainder(z, m) == pytest.approx(want, rel=1e-13)
+    # on the imaginary axis e_{2m+1}(ix) is (-1)^(m+1) times the alternating
+    # cosine and sine tails, at the switch radius m + 0.5 of order 2m+1
+    sign = (-1.0) ** (m + 1)
     for x in (1e-6, 0.3 * radius, -0.8 * radius, radius, -radius):
-        assert cos_remainder(x, m) == pytest.approx(tail(x, 2 * m + 2, 2, -1).real, rel=1e-13)
-        assert sin_remainder(x, m) == pytest.approx(tail(x, 2 * m + 3, 2, -1).real, rel=1e-13)
+        got = exp_remainder(1j * x, 2 * m + 1)
+        assert sign * got.real == pytest.approx(tail(x, 2 * m + 2, 2, -1).real, rel=1e-13)
+        assert sign * got.imag == pytest.approx(tail(x, 2 * m + 3, 2, -1).real, rel=1e-13)
 
 
 @given(
@@ -83,14 +86,15 @@ def test_relative_accuracy_against_high_precision(m):
 def test_imaginary_axis_bound(u, m):
     # explicit-constant envelope: |e_m(iu)| <= min(2|u|^m/m!, |u|^(m+1)/(m+1)!)
     u = math.copysign(10.0**u, u)
-    val = abs(exp_remainder(1j * u, m))
-    assert val <= exp_remainder_bound(u, m) * (1.0 + 1e-12)
+    bound = min(2.0 * abs(u) ** m / math.factorial(m), abs(u) ** (m + 1) / math.factorial(m + 1))
+    assert abs(exp_remainder(1j * u, m)) <= bound * (1.0 + 1e-12)
 
 
 def test_imaginary_axis_bound_log_grid():
     for u in np.logspace(-8, 3, 45):
         for m in range(0, 7):
-            assert abs(exp_remainder(1j * u, m)) <= exp_remainder_bound(u, m) * (1 + 1e-12)
+            bound = min(2.0 * u**m / math.factorial(m), u ** (m + 1) / math.factorial(m + 1))
+            assert abs(exp_remainder(1j * u, m)) <= bound * (1 + 1e-12)
 
 
 @given(
@@ -118,27 +122,30 @@ def test_seam_continuity_at_switch_radius(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 4, 8])
 def test_trig_seam_continuity(m):
-    # the trig remainders are parts of exp_remainder(ix, 2m+1), so they
-    # switch from the tail series where it does
+    # the cosine and sine remainders are the parts of exp_remainder(ix,
+    # 2m+1), which switches from the tail series at radius m + 0.5
     x = switch_radius(2 * m + 1)
-    for fn in (cos_remainder, sin_remainder):
-        below = fn(x * (1 - 1e-14), m)
-        above = fn(x * (1 + 1e-14), m)
-        assert abs(below - above) <= 1e-12 * (abs(below) + 1e-300)
+    below = exp_remainder(1j * x * (1 - 1e-14), 2 * m + 1)
+    above = exp_remainder(1j * x * (1 + 1e-14), 2 * m + 1)
+    for part in (np.real, np.imag):
+        assert abs(part(below) - part(above)) <= 1e-12 * (abs(part(below)) + 1e-300)
 
 
 def test_even_odd_reduction_identities():
-    # Re[e_l(itx) / (it)^(p+1)] equals the real sine/cosine remainder forms
+    # Re[e_l(itx) / (it)^(p+1)] reduces to the sine remainder for even p and
+    # the cosine remainder for odd p, both parts of e_{2m-1}(itx)
     for m in (1, 2, 3):
         for t in (0.2, 1.7, 9.3):
             for x in (-2.4, 0.3, 1.0):
+                sign = (-1.0) ** m
+                trig = exp_remainder(1j * t * x, 2 * m - 1)
                 p_even = 2 * m
                 lhs = (exp_remainder(1j * t * x, p_even - 1) * inv_power(0.0, t, p_even + 1)).real
-                rhs = sin_remainder(t * x, m - 1) / t ** (2 * m + 1)
+                rhs = sign * trig.imag / t ** (2 * m + 1)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
                 p_odd = 2 * m - 1
                 lhs = (exp_remainder(1j * t * x, p_odd - 1) * inv_power(0.0, t, p_odd + 1)).real
-                rhs = cos_remainder(t * x, m - 1) / t ** (2 * m)
+                rhs = sign * trig.real / t ** (2 * m)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixture import mixture_ppm23
+from mixture import mixture_ppm23, mixture_ppm23_mp
 from pospart import moments, tailbound
 from pospart.distributions import raw_moment
 from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError, UnmetBudget
@@ -138,105 +138,93 @@ def test_m_rejects_non_finite_level():
 
 
 def test_line_rungs():
-    # s* above -6/s*; below it the largest rung s* 2^-k with -s t <= 6, so
-    # -s t lies in (3, 6] and the levels of one rung share a line
+    # the line is the saddle point of log E e^{s(eta - t)} - 3 log s rounded
+    # down to a power of 2, so levels share rungs: within a factor 2 below the
+    # root of kappa'(s) = t + 3 / s that brentq finds, up to the bisection's
+    # 2^(1/32).  Far left (t below -10 (E eta^4)^(1/4)) s ~ 3 / |t|
+    from scipy.optimize import brentq
+
     rng = np.random.default_rng(5)
     for _ in range(200):
         problem = TailBoundProblem(math.exp(rng.uniform(-3.0, 3.0)),
                                    math.exp(rng.uniform(-6.0, 6.0)), rng.uniform(0.01, 0.99))
-        s_star = min(1.0 / problem.y, 2.0 / problem.sigma)
-        t = np.concatenate([-6.0 / s_star * np.exp(rng.uniform(0.0, 30.0, 50)),
-                            [-6.0 / s_star, -6.0 / s_star * (1.0 + 1e-15), 0.0, 3.0]])
+        sigma, y, lam = problem.sigma, problem.y, problem.lam
+        a = (1.0 - problem.eps) * sigma**2
+        edge = tailbound._far_left_edge(problem)
+        t = np.concatenate([edge * rng.uniform(0.0, 1.0, 20), sigma * rng.uniform(0.0, 40.0, 20)])
         s = tailbound._line(problem, t)
-        k = np.log2(s_star / s)
-        assert np.all(k == np.round(k)) and np.all(k >= 0.0)
-        above = -s_star * t <= 6.0
-        assert np.all(s[above] == s_star)
-        assert np.all((3.0 < -s[~above] * t[~above]) & (-s[~above] * t[~above] <= 6.0))
+        k = np.log2(s)
+        assert np.all(k == np.round(k))
+        for level, line in zip(t, s):
+            def slope(v):
+                return a * v + lam * y * math.expm1(v * y) - level - 3.0 / v
+            hi = 1.0
+            while slope(hi) < 0.0:
+                hi *= 2.0
+            lo = hi / 2.0
+            while slope(lo) > 0.0:
+                lo /= 2.0
+            root = brentq(slope, lo, hi, rtol=1e-14)
+            assert -1.0 - 1.0 / 32.0 <= math.log2(line / root) <= 1.0 / 32.0, \
+                (problem, level, line, root)
+        far = t < -10.0 * raw_moment(tailbound._eta(problem), 4) ** 0.25
+        assert np.all((-s[far] * t[far] > 1.0) & (-s[far] * t[far] <= 3.0))
         assert float(tailbound._line(problem, float(t[0]))) == s[0]
 
 
-def test_grid_moments_match_direct_phase(monkeypatch):
-    # the engine forms e^{iut} as e^{i t mid} e^{i t (u - mid)}; on the same
-    # nodes, direct cos(ut) and sin(ut) give the same moments to 1e-13
-    # relative.  -15 and -8 sit on the rungs s* / 4 and s* / 2 of P_UNIT
-    from pospart.distributions import _fl_vec
-    from pospart.quadrature import gk15_reduce
-
-    seen = []
-
-    def reduce(f, half):
-        seen.append(half)
-        return gk15_reduce(f, half)
-
-    def transform(spec, z):
-        seen.append(z)
-        return _fl_vec(spec, z)
-
-    monkeypatch.setattr(tailbound, "gk15_reduce", reduce)
-    monkeypatch.setattr(tailbound, "_fl_vec", transform)
-    lines, mixed = set(), 0
-    for problem in (P_UNIT, TailBoundProblem(1.0, 0.2, 0.1), TailBoundProblem(1.0, 5.0, 0.9)):
-        for level in (-15.0, -8.0, -3.0, 0.0, 0.7, 2.0, 3.5, 4.5):
-            t = np.array([level])
-            s = tailbound._line(problem, t)
-            cut = 1e-12 * (1.0 + np.maximum(1.0, abs(t)) ** np.array([[1.0], [2.0], [3.0]]))
-            seen.clear()
-            mu, _ = tailbound._grid_moments(problem, t, s, tailbound._log_transform_at(problem, t, s),
-                                            cut)
-            z, half = seen
-            # graded panels of their own widths, then flat ones sharing one
-            mixed += 1 < np.unique(half).size < half.size - 1
-            iz = 1.0 / z
-            h = _fl_vec(tailbound._eta(problem), z) * iz * iz
-            h = np.stack([h, h * iz, h * iz * iz])
-            f = np.cos(z.imag * level) * h.real + np.sin(z.imag * level) * h.imag
-            k, _ = gk15_reduce(f[:, None], half)
-            want = tailbound._PREF * k.sum(axis=2) * np.exp(-s * t)
-            assert np.all(np.abs(mu - want) <= 1e-13 * np.abs(want)), (problem, level, mu, want)
-            lines.add(float(s[0]))
-    assert len(lines) >= 4 and mixed >= 20, (lines, mixed)
+def test_trapezoid_alias_identity():
+    # by Poisson summation the trapezoidal sum with step h on the line s is
+    # sum_k e^{skL} G_p(t + kL), L = 2 pi / h: at a coarse h on s = 4 s*
+    # (s* = min(1/y, 2/sigma)) the right aliases outweigh G_p itself by up to
+    # 1e14, so a rule that bounded only the left aliases would be that far
+    # off.  T_h - G_p is the alias sum built from the mixture sums (in
+    # mpmath: the right aliases sit far in the tail) within the rule's
+    # rounding term, and each side's alias bound holds
+    problem = TailBoundProblem(1.0, 0.05, 0.01)
+    var, lam, y = 0.99, problem.lam, problem.y
+    line = 4.0 * min(1.0 / y, 2.0 / problem.sigma)
+    ts = np.array([-1.0, 0.7, 2.0])
+    a_t = raw_moment(tailbound._eta(problem), 4) ** 0.25 + np.maximum(-ts, 0.0)
+    worst = 0.0
+    for width in (5.0, 8.0):
+        step = 2.0 * math.pi / width
+        total, absolute, moment, plain = tailbound._trapezoid(
+            problem, ts, np.array([line]), np.zeros(ts.size, dtype=int), np.array([step]),
+            np.array([400.0]))
+        scale = (tailbound._PREF * step * line ** -np.array([[2.0], [3.0], [4.0]])
+                 * np.exp(tailbound._log_transform_at(problem, ts, line)))
+        rounding = tailbound._EPS * scale * (absolute + np.abs(ts) * moment
+                                              + np.abs(line * ts) * plain)
+        for i, t in enumerate(ts):
+            g = {k: np.array(mixture_ppm23_mp(var, lam, y, -t - k * width)) for k in range(-4, 7)}
+            right = sum(math.exp(line * k * width) * g[k] for k in range(1, 7))
+            left = sum(math.exp(line * k * width) * g[k] for k in range(-4, 0))
+            for p in (2, 3):
+                value = scale[p - 1, i] * total[p - 1, i]
+                miss = abs(value - g[0][p - 2] - right[p - 2] - left[p - 2])
+                assert miss <= rounding[p - 1, i], (width, t, p, miss, rounding[p - 1, i])
+                worst = max(worst, right[p - 2] / g[0][p - 2])
+                assert left[p - 2] <= math.exp(tailbound._left_alias(p, a_t[i], line, width))
+                r = 1.5 * line
+                bound = math.exp(tailbound._right_alias(problem, p, t, r))
+                assert right[p - 2] <= bound / math.expm1((r - line) * width)
+    assert worst > 1e12, worst
 
 
-@pytest.mark.parametrize("problem, levels, halvings", [
-    (P_UNIT, np.linspace(0.0, 4.5, 400), 0),
-    (TailBoundProblem(1.0, 0.01, 0.99), np.array([0.0, 0.5, 2.0]), 6),
-])
-def test_grid_moments_blocking_keeps_each_level_bits(problem, levels, halvings, monkeypatch):
-    # how a grid's levels fall into level blocks moves no bit: the batch,
-    # the batch reversed with every level twice, and a level repeated (the
-    # one batch whose grid is that level's own) match the level alone.  The
-    # 400 levels share a few grids, so a grid spans several level blocks;
-    # the other grids run past one panel run (about 10,000 panels)
-    from pospart.quadrature import gk15_reduce
-
-    calls = []
-
-    def reduce(f, half):
-        calls.append((f.shape[2], half.tobytes()))
-        return gk15_reduce(f, half)
-
-    def moments(ts):
-        s = tailbound._line(problem, ts)
-        cut = 1e-10 * (1.0 + np.maximum(1.0, np.abs(ts)) ** np.array([[1.0], [2.0], [3.0]]))
-        out = tailbound._grid_moments(problem, ts, s, tailbound._log_transform_at(problem, ts, s),
-                                      cut, halvings)
-        return np.concatenate(out)
-
-    monkeypatch.setattr(tailbound, "gk15_reduce", reduce)
-    want = moments(levels)
-    assert np.all(np.isfinite(want)) and np.unique(tailbound._line(problem, levels)).size == 1
-    if halvings:
-        assert max(panels for panels, _ in calls) == (1 << 16) // 15   # a whole run
-    else:
-        assert len(calls) > len(set(calls))      # a grid in several level blocks
-    twice = moments(np.repeat(levels, 2)[::-1])[:, ::-1]
-    assert twice[:, ::2].tobytes() == want.tobytes() and twice[:, 1::2].tobytes() == want.tobytes()
-    for t in levels[[0, -1]]:
-        alone = moments(np.array([t]))
-        calls.clear()
-        repeated = moments(np.full(levels.size, t))
-        assert len(calls) >= 2 and repeated.tobytes() == np.repeat(alone, levels.size, 1).tobytes()
+def test_engine_blocks_keep_values(monkeypatch):
+    # node chunks and level blocks of any size give the same moments to
+    # rounding: levels on several rungs with different node counts, the
+    # rungs' chunks running out at different places
+    problem = TailBoundProblem(1.0, 5.0, 0.9)
+    ts = np.array([-20.0, -8.0, -3.0, 0.0, 0.4, 2.0, 3.5, 5.0])
+    cut = 1e-9 * (1.0 + np.maximum(1.0, np.abs(ts)) ** np.array([[1.0], [2.0], [3.0]]))
+    want, bar = tailbound._moments23(problem, ts, cut)
+    assert np.unique(tailbound._line(problem, ts)).size >= 3
+    for cells in (7, 64, 1000):
+        monkeypatch.setattr(tailbound, "_CELLS", cells)
+        got, got_bar = tailbound._moments23(problem, ts, cut)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-3 * bar), cells
+        assert np.allclose(got_bar, bar, rtol=1e-6, atol=0.0), cells
 
 
 def test_log_transform_on_the_line_stays_small():
@@ -331,8 +319,8 @@ def test_curve_rows_match_series_oracle():
     assert all(r.residual <= 1e-9 for r in rows)
 
 
-def _count_refinements(monkeypatch) -> list:
-    # the number of levels each _moments23 call refines
+def _count_engine_calls(monkeypatch) -> list:
+    # the number of levels each _moments23 call, one per engine pass, takes
     calls, real = [], tailbound._moments23
     monkeypatch.setattr(tailbound, "_moments23",
                         lambda *a: calls.append(np.size(a[1])) or real(*a))
@@ -345,14 +333,14 @@ P_WIDE = TailBoundProblem(1.0, 22.70367194543268, 0.7073413367479777)
 
 
 def test_refined_rows_match_series_oracle(monkeypatch):
-    # at y / sigma >= 20 the flat panels 4/freq wide are too coarse for the
-    # integrand's e^{iuy} part, so a level can miss its budget on the first
-    # grid; it is refined on the same engine, and all three orders come from
-    # the finest grid, within their bars of both independent references
-    calls = _count_refinements(monkeypatch)
+    # at y / sigma >= 20 Gauss-Kronrod panels 4/freq wide used to miss the
+    # integrand's e^{iuy} part, and a level was refined; the trapezoidal rule
+    # takes its step from the alias bounds, so one pass gives all three
+    # orders within their bars of both independent references
+    calls = _count_engine_calls(monkeypatch)
     ts = [-1.0, 0.5, 1.4592682828722885, 3.0]
     ev = _eta_moments(P_WIDE, ts, 5e-11)
-    assert calls == [2]
+    assert calls == [4]
     for i, t in enumerate(ts):
         mix = mixture_ppm23(1.0 - P_WIDE.eps, P_WIDE.lam, P_WIDE.y, -t)
         for p in (1, 2, 3):
@@ -360,7 +348,6 @@ def test_refined_rows_match_series_oracle(monkeypatch):
             assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width, (t, p)
             if p > 1:
                 assert abs(ev.mu[p - 1, i] - mix[p - 2]) <= ev.err[p - 1, i] + 1e-13 * mix[p - 2]
-    # the solver takes mu1 for its step from the refined grid too
     calls.clear()
     rows = pin_curve(P_WIDE, 0.5, 4.5, 3, rel_tol=1e-7)
     assert calls
@@ -374,7 +361,7 @@ def test_large_y_curve_within_bars_at_bounded_work(monkeypatch):
     # spent 65.8M evaluations (33 s) on this curve
     problem = TailBoundProblem(1.0, 50.0, 0.3)
     work = []
-    transform, integrate = tailbound._fl_vec, moments.integrate_halfline
+    transform, integrate = tailbound._log_fl_vec, moments.integrate_halfline
 
     def counted_nodes(spec, z):
         work.append(np.size(z))
@@ -385,20 +372,38 @@ def test_large_y_curve_within_bars_at_bounded_work(monkeypatch):
         work.append(result.evaluations)
         return result
 
-    monkeypatch.setattr(tailbound, "_fl_vec", counted_nodes)
+    monkeypatch.setattr(tailbound, "_log_fl_vec", counted_nodes)
     monkeypatch.setattr(moments, "integrate_halfline", counted_integral)
     rows = pin_curve(problem, 0.5, 4.5, 5)
     _assert_rows_match_series(problem, rows, 1e-9)
     assert sum(work) <= 5_000_000, sum(work)
 
 
+@pytest.mark.parametrize("y", [100.0, 30.0])
+def test_extreme_y_curve_has_no_failed_row(y):
+    # y / sigma = 100 and 30 at eps = 0.01: on the line s* = 1/y the
+    # Gauss-Kronrod grids stopped at QUADPACK's rounding floor, and rows
+    # x = 1.67, 3.33, 5 (y = 100) and 3.33, 5 (y = 30) failed with
+    # UnmetBudget.  On the saddle-point line every row settles, within its
+    # bars of the mixture sums
+    problem = TailBoundProblem(1.0, y, 0.01)
+    rows = pin_curve(problem, 0.0, 5.0, 4, rel_tol=1e-7, tol_x=1e-9)
+    assert not any(r.is_failure() for r in rows), [(r.x, r.error) for r in rows]
+    for r in rows[1:]:
+        mu2, mu3 = mixture_ppm23(0.99, problem.lam, y, -r.t_x)
+        assert abs(r.mu2 - mu2) <= r.mu2_err + 4e-15 * mu2, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3) <= r.mu3_err + 4e-15 * mu3, (r.x, r.mu3, mu3)
+        assert r.residual <= 1e-9 and _bar_on_m(r) <= 1e-9
+
+
 def test_far_negative_small_y_level_stays_on_the_grid(monkeypatch):
-    # the level t = -2,510 of the y = 1e-4 curve: its grid is longer than one
-    # work block, which used to send it to the adaptive route
+    # the level t = -2,510 of the y = 1e-4 curve: its Gauss-Kronrod grid was
+    # longer than one work block, which used to send it to the adaptive route;
+    # it takes one pass on its rung's trapezoidal grid
     problem = TailBoundProblem(1.0, 1e-4, 0.5)
-    calls = _count_refinements(monkeypatch)
+    calls = _count_engine_calls(monkeypatch)
     ev = _eta_moments(problem, [-2510.0], 5e-11)
-    assert calls == [] and ev.failure == [None]
+    assert calls == [1] and ev.failure == [None]
     mix = mixture_ppm23(0.5, problem.lam, problem.y, 2510.0)
     for p in (2, 3):
         assert abs(ev.mu[p - 1, 0] - mix[p - 2]) <= ev.err[p - 1, 0], (p, ev.mu[:, 0], mix)
@@ -419,38 +424,44 @@ def test_m_of_t_runs_the_solver_engine(monkeypatch):
         t = pin(problem, x).t_x
         want = t + naive_series_ppm(problem, t, 3).value / naive_series_ppm(problem, t, 2).value
         assert abs(m_of_t(problem, t, 5e-11) - want) <= 1e-8, x
-    # at y = 1e-4 (lam = 5e7, past the series oracle's guard) the level
-    # stays on the first grid, and its m agrees with the mixture sums within
-    # its bar on m
+    # at y = 1e-4 (lam = 5e7, past the series oracle's guard) one pass
+    # gives m, which agrees with the mixture sums within its bar on m
     small_y = TailBoundProblem(1.0, 1e-4, 0.5)
-    calls = _count_refinements(monkeypatch)
+    calls = _count_engine_calls(monkeypatch)
     m = m_of_t(small_y, 0.5, 5e-11)
     ev = _eta_moments(small_y, [0.5], 5e-11)
-    assert calls == []
+    assert calls == [1, 1]
     mu2, mu3 = mixture_ppm23(0.5, small_y.lam, small_y.y, -0.5)
     bar = (ev.err[2, 0] + (m - 0.5) * ev.err[1, 0]) / ev.mu[1, 0]
     assert m == ev.m[0]
     assert abs(m - (0.5 + mu3 / mu2)) <= bar + 1e-13 * m
-    # the refined level of P_WIDE agrees with the series oracle
+    # the level of P_WIDE that Gauss-Kronrod grids had to refine agrees with
+    # the series oracle
     t = 1.4592682828722885
     want = t + naive_series_ppm(P_WIDE, t, 3).value / naive_series_ppm(P_WIDE, t, 2).value
-    assert abs(m_of_t(P_WIDE, t, 5e-11) - want) <= 1e-10 and calls == [1]
+    assert abs(m_of_t(P_WIDE, t, 5e-11) - want) <= 1e-10 and calls == [1, 1, 1]
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-3])
 def test_small_y_curve_stays_on_the_grid(y, monkeypatch):
-    # lam = 5e7 and 5e5: freq_scale bounds the Poisson phase rate by
-    # y ln 1e18, so each level meets its budget on its first grid and none is
-    # refined
+    # lam = 5e7 and 5e5: each engine pass is one trapezoidal grid pass, and
+    # every row is within its bars of the mixture sums.  Their float closed forms
+    # cancel in the right tail: at x = 5 they are 2.7e-13 off 22-digit
+    # mpmath sums (mixture_ppm23_mp), which every row meets within 0.23 of
+    # its bars at y = 1e-3
     problem = TailBoundProblem(1.0, y, 0.5)
-    calls = _count_refinements(monkeypatch)
+    calls = _count_engine_calls(monkeypatch)
+    passes = []
+    engine = tailbound._eta_moments
+    monkeypatch.setattr(tailbound, "_eta_moments",
+                        lambda problem, ts, *a: passes.append(1) or engine(problem, ts, *a))
     rows = pin_curve(problem, 0.0, 5.0, 11, rel_tol=1e-7, tol_x=1e-9)
-    assert calls == []
+    assert len(calls) == len(passes)
     assert not any(r.is_failure() for r in rows)
     for r in rows[1:]:    # x = 0 takes the far-left closed form
         mu2, mu3 = mixture_ppm23(0.5, problem.lam, y, -r.t_x)
-        assert abs(r.mu2 - mu2) <= r.mu2_err + 1e-13 * mu2, (r.x, r.mu2, mu2)
-        assert abs(r.mu3 - mu3) <= r.mu3_err + 1e-13 * mu3, (r.x, r.mu3, mu3)
+        assert abs(r.mu2 - mu2) <= r.mu2_err + 5e-13 * mu2, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3) <= r.mu3_err + 5e-13 * mu3, (r.x, r.mu3, mu3)
 
 
 def test_right_tail_moments_regression():
@@ -550,40 +561,48 @@ def test_far_right_pin_matches_series_oracle():
 def test_a8_curve_engine_rows(monkeypatch):
     # the levels of a curve step through one table of samples of m: the A8
     # curve takes at most 330 engine rows (497 with a Newton step per level).
-    # Per-level phases, shared rungs and 4/freq flat panels hold its
-    # transform of eta to at most 15,000 nodes (32,940 with 2/freq panels,
-    # a line per level below -6/s* and a phase per cell)
-    rows, nodes, blocks = [], [], []
-    engine, transform, reduce = tailbound._eta_moments, tailbound._fl_vec, tailbound.gk15_reduce
+    # Shared rungs hold its transform of eta to at most 15,000 nodes, and its
+    # (level, node) cells to the 153,480 of the Gauss-Kronrod grids the
+    # trapezoidal rule replaced, in blocks of at most 8,192 cells.  Every
+    # row is within its bars of the mixture sums
+    rows, nodes, cells = [], [], []
+    engine, transform, cos = tailbound._eta_moments, tailbound._log_fl_vec, np.cos
 
     def counted(problem, ts, *args):
         rows.append(np.size(ts))
         return engine(problem, ts, *args)
 
     def counted_nodes(spec, z):
-        nodes.append(np.size(z))
+        if np.iscomplexobj(z):      # nodes on the line, not the real kappa(s)
+            nodes.append(np.size(z))
         return transform(spec, z)
 
-    def counted_cells(y, half):
-        blocks.append(y.size)
-        return reduce(y, half)
+    def counted_cells(phase):
+        cells.append(np.size(phase))
+        return cos(phase)
 
     monkeypatch.setattr(tailbound, "_eta_moments", counted)
-    monkeypatch.setattr(tailbound, "_fl_vec", counted_nodes)
-    monkeypatch.setattr(tailbound, "gk15_reduce", counted_cells)
+    monkeypatch.setattr(tailbound, "_log_fl_vec", counted_nodes)
+    monkeypatch.setattr(tailbound.np, "cos", counted_cells)
     curve = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    monkeypatch.undo()
     assert all(not r.is_failure() for r in curve)
     assert sum(rows) <= 330, rows
     assert sum(nodes) <= 15_000, sum(nodes)
-    # the engine's blocks hold about 8,192 (level, node) cells, so their
-    # arrays (three orders per cell) stay cache-sized and are not mapped afresh
-    assert max(blocks) <= 3 * 8192, max(blocks)
+    assert sum(cells) <= 153_480 and max(cells) <= 8192, (sum(cells), max(cells))
+    for r in curve[1:]:
+        mu2, mu3 = mixture_ppm23(0.5, P_UNIT.lam, P_UNIT.y, -r.t_x)
+        assert abs(r.mu2 - mu2) <= r.mu2_err + 4e-15 * mu2, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3) <= r.mu3_err + 4e-15 * mu3, (r.x, r.mu3, mu3)
 
 
 def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
-    # past x ~ 9.5 on P_UNIT no grid end brings the bar on m at the root
-    # within tol_x (mu2 is near 1e-9 at t = 9): the level ends with
-    # UnmetBudget after a few passes, not at the pass cap
+    # on (1, 100, 0.01) at tol_x = 1e-12 the rounding term of the rule's
+    # sums keeps the bar on m at the root above tol_x (8.0e-11 at x = 5): the
+    # level ends with UnmetBudget after a few passes, not at the pass cap.
+    # (pin(P_UNIT, 10.0), the input here while Gauss-Kronrod grids stopped
+    # at QUADPACK's rounding floor, now meets tol_x)
+    problem = TailBoundProblem(1.0, 100.0, 0.01)
     passes = []
     engine = tailbound._eta_moments
 
@@ -593,7 +612,8 @@ def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
 
     monkeypatch.setattr(tailbound, "_eta_moments", counted)
     with pytest.raises(UnmetBudget, match="error bar of m"):
-        pin(P_UNIT, 10.0)
+        pin(problem, 5.0, tol_x=1e-12)
     assert len(passes) <= 20
-    row = pin_curve(P_UNIT, 9.0, 10.0, 2)[1]
+    row = pin_curve(problem, 4.0, 5.0, 2, tol_x=1e-12)[1]
     assert row.is_failure() and "error bar of m" in row.error
+    assert pin(P_UNIT, 10.0).residual <= 1e-9
