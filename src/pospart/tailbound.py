@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -84,7 +83,7 @@ _PREF = np.array([gamma_p1(p) / math.pi for p in _ORDERS])[:, None]
 # (level, node) cells per block: a block's arrays stay cache-sized and reuse
 # freed memory, where larger ones are mapped afresh
 _CELLS = 1 << 13
-# transform nodes one level may take: pin at eps = 1 - 1.8e-9 takes 1.8e6 a
+# transform nodes one rung may take: pin at eps = 1 - 1.8e-9 takes 1.8e6 a
 # pass, and eps = 1 - 3e-10 is about the last that fits
 _MAX_NODES = 5_000_000
 _ROUNDING = 16.0          # eps per term for the sums and z^-(p+1)
@@ -148,9 +147,8 @@ class TailBoundResult:
         return self.error is not None
 
 
-@lru_cache(maxsize=256)
 def _eta(problem: TailBoundProblem) -> DistributionSpec:
-    """eta itself, unshifted, as a catalog spec (immutable, so built once)."""
+    """eta itself, unshifted, as a catalog spec."""
     return IndependentSum(
         Normal(0.0, (1.0 - problem.eps) * problem.sigma**2),
         CenteredScaledPoisson(problem.lam, problem.y),
@@ -342,10 +340,10 @@ def _moments23(problem: TailBoundProblem, t: np.ndarray, cut: np.ndarray):
     largest N h of their levels.  A level's bar is those bounds at the rung's
     h and N plus rounding: eps times the terms' sizes weighted by _ROUNDING,
     |log E e^{z eta}| + |log E e^{s eta}| + |st| for the exponentials and
-    u |t| for the phase.  A level whose own N would pass _MAX_NODES is NaN.
+    u |t| for the phase.  A level whose own N, or its rung's, would pass
+    _MAX_NODES is NaN.
     """
-    eta = _eta(problem)
-    a = gaussian_var(eta)
+    a = gaussian_var(_eta(problem))
     p = np.array(_ORDERS)[:, None]
     s = _line(problem, t)
     log_k = _log_transform_at(problem, t, s)
@@ -386,15 +384,19 @@ def _moments23(problem: TailBoundProblem, t: np.ndarray, cut: np.ndarray):
         t_slow = (K / (p * target)) ** (1.0 / p)
         end = np.minimum(v / math.sqrt(a), t_slow).max(axis=0)
         ok = np.flatnonzero(np.ceil(end / h) <= _MAX_NODES)
-    mu, err = np.full((2, 3, t.size), np.nan)
-    if not ok.size:
-        return mu, err
     lines, rung = np.unique(s[ok], return_inverse=True)
     step = np.full(lines.size, np.inf)
     np.minimum.at(step, rung, h[ok])
     last = np.zeros(lines.size)
     np.maximum.at(last, rung, end[ok])
     last = np.ceil(last / step)
+    # a rung runs its smallest step to its largest end: past the cap, its levels are NaN
+    fits = last <= _MAX_NODES
+    ok, rung = ok[fits[rung]], (np.cumsum(fits) - 1)[rung[fits[rung]]]
+    lines, step, last = lines[fits], step[fits], last[fits]
+    mu, err = np.full((2, 3, t.size), np.nan)
+    if not ok.size:
+        return mu, err
     tl = t[ok]
     total, absolute, moment, plain = _trapezoid(problem, tl, lines, rung, step, last)
     st, sl = step[rung], lines[rung]
@@ -420,8 +422,8 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
     moment's allowance 0.125 rel_tol (1 + max(sigma,|t|)^p), or tail[p-1]
     where tail, a (3, n) array, gives a smaller one (NaN entries give none);
     the solver sizes tail from a level's own moments when its bar on m
-    missed.  A level whose rule would pass _MAX_NODES nodes fails with
-    BudgetExceeded, one whose mu2 is not above its own error bar with
+    missed.  A level whose rule or rung would pass _MAX_NODES nodes fails
+    with BudgetExceeded, one whose mu2 is not above its own error bar with
     DegenerateMoment.  m = t + mu3 / mu2.
     """
     ts = np.asarray(ts, dtype=float)
@@ -568,7 +570,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         mu1, mu2, mu3 = ev.mu
         with np.errstate(invalid="ignore", divide="ignore"):
             bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2
-            slope = 2.0 * (mu1 / mu2) * (mu3 / mu2) - 2.0
+            slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
         sound = bar <= tol_x                # False on failed rows, whose bars are NaN
         keep = sound & (slope > 0.0)
         table = np.concatenate(

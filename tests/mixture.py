@@ -49,11 +49,29 @@ def mixture_ppm(var, lam, y, c, ps):
     return {p: math.fsum(wu * 2.0 * u ** (2.0 * p + 1.0) * dens) for p in ps}
 
 
+def _left_tail_j23(x):
+    """(E (Z - x)_+^2, E (Z - x)_+^3) for x >= 1 without cancellation: they
+    are 2 Hh_2(x) and 6 Hh_3(x), and the ratios r_n = Hh_n / Hh_(n-1), with
+    Hh_(-1) = phi, satisfy r_n = 1 / (x + (n + 1) r_(n+1)), run backward from
+    n = 400 (the continued fraction of the Mills ratio and its successors).
+    Against 40-digit mpmath they are within 4e-16 relative from x = 1 on."""
+    r = np.zeros_like(x)
+    ratios = [None] * 4
+    for n in range(399, -1, -1):
+        r = 1.0 / (x + (n + 1.0) * r)
+        if n < 4:
+            ratios[n] = r
+    h2 = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ratios[0] * ratios[1] * ratios[2]
+    return 2.0 * h2, 6.0 * h2 * ratios[3]
+
+
 def mixture_ppm23(var, lam, y, c):
     """(E X_+^2, E X_+^3) as the Poisson-weighted sums of the Gaussian
     moments in closed form, with a = m / s:
     E (m + s Z)_+^2 = (m^2 + s^2) Phi(a) + m s phi(a) and
-    E (m + s Z)_+^3 = (m^3 + 3 m s^2) Phi(a) + s (m^2 + 2 s^2) phi(a)."""
+    E (m + s Z)_+^3 = (m^3 + 3 m s^2) Phi(a) + s (m^2 + 2 s^2) phi(a).
+    Those forms cancel in a component's left tail, by about a^4 at a << 0,
+    so components with a < -1 take s^p E (Z + a)_+^p from _left_tail_j23."""
     ns, w = poisson_weights(lam)
     s = math.sqrt(var)
     m = y * (ns - lam) + c
@@ -61,13 +79,15 @@ def mixture_ppm23(var, lam, y, c):
     cdf, pdf = ndtr(a), np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
     mu2 = (m * m + var) * cdf + m * s * pdf
     mu3 = (m * m + 3.0 * var) * m * cdf + s * (m * m + 2.0 * var) * pdf
+    tail = a < -1.0
+    j2, j3 = _left_tail_j23(-a[tail])
+    mu2[tail], mu3[tail] = var * j2, var * s * j3
     return math.fsum(w * mu2), math.fsum(w * mu3)
 
 
 def mixture_ppm23_mp(var, lam, y, c, dps=30):
-    """mixture_ppm23 in mpmath at dps digits.  Far in the left tail of a
-    Gaussian component (a << 0) the closed forms cancel, and the float sums
-    lose about a^4 eps / 2 relative: 1.7e-11 at a = -9."""
+    """mixture_ppm23 in mpmath at dps digits, for arguments far enough in
+    the tail that the float weights or moments underflow."""
     import mpmath as mp
 
     with mp.workdps(dps):

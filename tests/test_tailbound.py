@@ -6,7 +6,13 @@ import pytest
 from mixture import mixture_ppm23, mixture_ppm23_mp
 from pospart import moments, tailbound
 from pospart.distributions import raw_moment
-from pospart.errors import BracketFailure, DegenerateMoment, PreconditionError, UnmetBudget
+from pospart.errors import (
+    BracketFailure,
+    BudgetExceeded,
+    DegenerateMoment,
+    PreconditionError,
+    UnmetBudget,
+)
 from pospart.moments import ppm_cf, ppm_laplace
 from pospart.oracles import density_ppm, naive_series_ppm
 from pospart.tailbound import (
@@ -227,6 +233,28 @@ def test_engine_blocks_keep_values(monkeypatch):
         assert np.allclose(got_bar, bar, rtol=1e-6, atol=0.0), cells
 
 
+def test_node_cap_holds_for_a_shared_rung(monkeypatch):
+    # t = -1.25 and -1.0 share a rung, which runs the smaller step of one to
+    # the farther end of the other: more nodes than either level alone.
+    # With the cap between the two counts, each level alone fits and the
+    # pair ends in BudgetExceeded
+    ts = [-1.25, -1.0]
+    nodes, real = [], tailbound._trapezoid
+    monkeypatch.setattr(tailbound, "_trapezoid",
+                        lambda *a: nodes.append(a[5].tolist()) or real(*a))
+    for t in ts:
+        _eta_moments(P_UNIT, [t], 1e-9)
+    _eta_moments(P_UNIT, ts, 1e-9)
+    (one,), (two,), (both,) = nodes
+    assert both > max(one, two)
+    monkeypatch.setattr(tailbound, "_MAX_NODES", max(one, two))
+    for t in ts:
+        assert _eta_moments(P_UNIT, [t], 1e-9).failure == [None]
+    ev = _eta_moments(P_UNIT, ts, 1e-9)
+    assert all(isinstance(f, BudgetExceeded) for f in ev.failure)
+    assert np.isnan(ev.mu).all()
+
+
 def test_log_transform_on_the_line_stays_small():
     # the bound in _line (about 8.9) is why the line route needs no guard
     # against an overflowing transform
@@ -445,10 +473,7 @@ def test_m_of_t_runs_the_solver_engine(monkeypatch):
 @pytest.mark.parametrize("y", [1e-4, 1e-3])
 def test_small_y_curve_stays_on_the_grid(y, monkeypatch):
     # lam = 5e7 and 5e5: each engine pass is one trapezoidal grid pass, and
-    # every row is within its bars of the mixture sums.  Their float closed forms
-    # cancel in the right tail: at x = 5 they are 2.7e-13 off 22-digit
-    # mpmath sums (mixture_ppm23_mp), which every row meets within 0.23 of
-    # its bars at y = 1e-3
+    # every row is within its bars of the mixture sums
     problem = TailBoundProblem(1.0, y, 0.5)
     calls = _count_engine_calls(monkeypatch)
     passes = []
@@ -460,8 +485,8 @@ def test_small_y_curve_stays_on_the_grid(y, monkeypatch):
     assert not any(r.is_failure() for r in rows)
     for r in rows[1:]:    # x = 0 takes the far-left closed form
         mu2, mu3 = mixture_ppm23(0.5, problem.lam, y, -r.t_x)
-        assert abs(r.mu2 - mu2) <= r.mu2_err + 5e-13 * mu2, (r.x, r.mu2, mu2)
-        assert abs(r.mu3 - mu3) <= r.mu3_err + 5e-13 * mu3, (r.x, r.mu3, mu3)
+        assert abs(r.mu2 - mu2) <= r.mu2_err + 1e-13 * mu2, (r.x, r.mu2, mu2)
+        assert abs(r.mu3 - mu3) <= r.mu3_err + 1e-13 * mu3, (r.x, r.mu3, mu3)
 
 
 def test_right_tail_moments_regression():
