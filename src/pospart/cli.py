@@ -192,10 +192,14 @@ def main(argv=None) -> int:
     except (SpecParseError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (PositivePartError, ArithmeticError) as exc:
-        # the package's own failures, and float overflow or division by
-        # zero from extreme inputs
+    except PositivePartError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        # float overflow or division by zero from extreme inputs; an
+        # OverflowError from ** carries (errno, text) as its arguments
+        text = exc.args[-1] if exc.args else ""
+        print(f"numerical failure: {type(exc).__name__}: {text}", file=sys.stderr)
         return _EXIT_NUMERICAL
 
 

@@ -93,15 +93,16 @@ class BracketFailure(PositivePartError):
 
 
 class UnmetBudget(PositivePartError):
-    """An error bar stays above its budget where more work cannot shrink it."""
+    """An error bar ends above its budget; ``partial`` holds the integral's
+    result when the bar is one."""
 
-    def __init__(self, what: str, bar: float, budget: float, t: float):
+    def __init__(self, what: str, bar: float, budget: float, partial=None):
         super().__init__(
-            f"the error bar of {what} at t = {t!r} is {bar:.3g}, above its budget {budget:.3g}"
+            f"the error bar of {what} is {bar:.3g}, above its budget {budget:.3g}"
         )
         self.bar = bar
         self.budget = budget
-        self.t = t
+        self.partial = partial
 
 
 class SeriesGuard(PreconditionError):

@@ -17,10 +17,11 @@ optional analytic pieces so slowly decaying integrands stay affordable:
     what is left, which shrinks the truncation point by orders of magnitude.
 
 Reported total error is always err_est + tail_bound, and the contract is
-|value - true| <= err_est + tail_bound.
-
-The error budget is split half to panel adaptivity, a quarter to truncation,
-and a quarter held in reserve, so the accounting stays auditable.
+|value - true| <= err_est + tail_bound.  The budget max(rel_tol |value|,
+abs_tol) is split half to the panels, a quarter to truncation and an eighth
+to the stub below a graded chain.  Each phase stops at its own cap, and one
+check at the end decides: a result within the budget, or UnmetBudget
+carrying the partial result.
 
 Everything here is pure and deterministic: identical inputs give bit-identical
 results.  Every panel sum is math.fsum's correctly rounded value of the exact
@@ -39,11 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    NonFiniteIntegrand,
-    PreconditionError,
-)
+from .errors import BudgetExceeded, NonFiniteIntegrand, PreconditionError, UnmetBudget
 
 __all__ = [
     "QuadratureResult",
@@ -85,9 +82,9 @@ class QuadratureResult:
 
     ``err_est`` sums the panel Gauss-vs-Kronrod discrepancies; ``tail_bound``
     covers everything handled analytically (truncation envelope, head-rule
-    remainder, sub-grading leftovers).  The reported total error is their sum.
-    ``refine_capped`` is set when refinement stopped at its round cap with
-    ``err_est`` still above its half of the budget.
+    remainder, sub-grading leftovers).  The reported total error is their sum;
+    a returned result has it within the budget, and a partial result carried
+    by an exception may not.
     """
 
     value: float
@@ -96,7 +93,6 @@ class QuadratureResult:
     panels_used: int
     evaluations: int
     truncation_T: float
-    refine_capped: bool = False
 
     @property
     def total_error(self) -> float:
@@ -188,7 +184,8 @@ class _State:
         n = len(a)
         if self.evaluations + 15 * n > self.max_evals:
             raise _CapHit()
-        pts, half = gk15_nodes(a, b)
+        half = 0.5 * (b - a)
+        pts = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
         y = np.asarray(self.f(pts.ravel()), dtype=float).reshape(n, 15)
         self.evaluations += 15 * n
         if not np.all(np.isfinite(y)):
@@ -205,30 +202,19 @@ class _State:
         return fresh
 
 
-def gk15_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 15 Kronrod nodes of each panel (a_i, b_i), shape (n, 15), and the
-    panels' half-widths."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return mid[:, None] + half[:, None] * _NODES[None, :], half
-
-
 def gk15_reduce(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and error estimates of panels from their node values.
 
-    y has shape (..., n, 15), one row per panel, half the n half-widths,
-    shared by the leading axes.  The error starts from the Gauss/Kronrod gap
-    and is scaled in the QUADPACK way, resasc * min(1, (200 gap / resasc)^1.5),
-    with a floor of 50 eps resabs for rounding.  |y| and |y - mean| share one
-    scratch array of y's size, so a call allocates no other array that large.
+    y has shape (n, 15), one row per panel, and half holds the n
+    half-widths.  The error starts from the Gauss/Kronrod gap and is scaled
+    in the QUADPACK way, resasc * min(1, (200 gap / resasc)^1.5), with a
+    floor of 50 eps resabs for rounding.
     """
     k = half * (y @ _WEIGHTS_K)
     g = half * (y @ _WEIGHTS_G)
-    scratch = np.abs(y)
-    resabs = half * (scratch @ _WEIGHTS_K)
+    resabs = half * (np.abs(y) @ _WEIGHTS_K)
     mean = k / (2.0 * half)
-    np.subtract(y, mean[..., None], out=scratch)
-    resasc = half * (np.abs(scratch, out=scratch) @ _WEIGHTS_K)
+    resasc = half * (np.abs(y - mean[:, None]) @ _WEIGHTS_K)
     raw = np.abs(k - g)
     # scaled estimate in the Kronrod tradition: the raw Gauss/Kronrod gap
     # measures the 7-point error, which the 15-point rule beats by a wide
@@ -290,12 +276,8 @@ def _grow(
             running = head_value + body + (tail_cf(T) if tail_cf else 0.0)
             budget = max(rel_tol * abs(running), abs_tol)
             env = profile.tail_envelope(T)
-            if not math.isfinite(env):
-                env = math.inf
-            if env <= 0.25 * budget or env <= 1e-305:
+            if env <= 0.25 * budget or env <= 1e-305 or T >= 8e307:
                 return T
-            if T >= 8e307:
-                return T  # envelope never satisfied; tail_bound stays honest
             edges = [T]
             for _ in range(chunk):
                 edges.append(edges[-1] + min(width, cap))
@@ -427,32 +409,25 @@ def _refine(
     rel_tol: float,
     abs_tol: float,
     base_value: float,
-) -> bool:
-    """Bisect worst panels until their summed error fits half the budget.
+) -> None:
+    """Bisect worst panels until their summed error fits half the budget,
+    the round cap is reached or no panel above the error floor is wide
+    enough to split (relative to its end).
 
     The value and error totals are fsum over all panels, kept as exact
-    running sums so a round costs O(split panels) in the interpreter.
-    Returns True when the round cap ends it with the error still above half
-    the budget."""
+    running sums so a round costs O(split panels) in the interpreter."""
     vals = _exact_parts(panels.val.tolist())
     errs = _exact_parts(panels.err.tolist())
-    for rounds in range(_MAX_REFINE_ROUNDS + 1):
-        total = vals[0] + base_value
-        budget = max(rel_tol * abs(total), abs_tol)
-        target = 0.5 * budget
+    for _ in range(_MAX_REFINE_ROUNDS):
+        target = 0.5 * max(rel_tol * abs(vals[0] + base_value), abs_tol)
         if errs[0] <= target:
-            return False
-        if rounds == _MAX_REFINE_ROUNDS:
-            return True
+            return
         a, b, err = panels.a, panels.b, panels.err
+        # the largest error is above the mean, so above the floor
         floor = target / (2.0 * len(panels))
-        wide = (b - a) > 1e-15 * (np.abs(a) + 1.0)
-        order = _worst(err, np.flatnonzero((err > floor) & wide))
+        order = _worst(err, np.flatnonzero((err > floor) & ((b - a) > 1e-15 * b)))
         if not len(order):
-            worst = int(np.argmax(err))
-            if not wide[worst]:
-                return False  # nothing splittable left; report the error honestly
-            order = np.array([worst])
+            return
         # children left, right per parent, parents in selection order
         mid = 0.5 * (a[order] + b[order])
         children = state.panels(np.stack([a[order], mid], axis=1).ravel(),
@@ -467,6 +442,16 @@ def _refine(
             spliced = np.repeat(getattr(panels, name), counts)
             spliced[slots] = getattr(children, name)
             setattr(panels, name, spliced)
+
+
+def _within_budget(result: QuadratureResult, rel_tol: float, abs_tol: float) -> QuadratureResult:
+    """The result when its total error fits max(rel_tol |value|, abs_tol),
+    else UnmetBudget carrying it."""
+    budget = max(rel_tol * abs(result.value), abs_tol)
+    if not result.total_error <= budget:
+        raise UnmetBudget(f"an integral ({result.evaluations} evaluations)",
+                          result.total_error, budget, result)
+    return result
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -486,16 +471,18 @@ def integrate_halfline(
     """Integrate f over (start, inf) within the profile's error contract.
 
     The integrand must be vectorised: it receives an ndarray of strictly
-    positive points and returns an ndarray of values.  Raises
-    NonFiniteIntegrand for non-finite values at interior nodes and
-    BudgetExceeded (carrying the best partial result) at the evaluation cap.
+    positive points and returns an ndarray of values.  Returns a result
+    whose total error fits max(rel_tol |value|, abs_tol).  Raises
+    NonFiniteIntegrand for non-finite values at interior nodes,
+    BudgetExceeded at the evaluation cap, and UnmetBudget when the other
+    phases end with the error above the budget; both carry the partial
+    result.
     """
     check_rel_tol(rel_tol)
     if abs_tol < 0.0 or start < 0.0:
         raise PreconditionError("abs_tol and start must be nonnegative")
 
-    head_value = 0.0
-    head_bound = 0.0
+    head_value = head_bound = stub_bound = 0.0
     if start == 0.0 and profile.head is not None:
         head_value = profile.head.value
         head_bound = profile.head.bound
@@ -504,34 +491,30 @@ def integrate_halfline(
     state = _State(f, max_evals)
     panels = _Panels(edges[:-1], edges[1:])
 
-    def _partial(T, capped=False):
+    def _partial():
+        T = float(panels.b[-1])
         cf = profile.tail_closed_form(T) if profile.tail_closed_form else 0.0
         env = profile.tail_envelope(T)
         return QuadratureResult(
             value=head_value + panels.value() + cf,
             err_est=panels.error(),
-            tail_bound=(env if math.isfinite(env) else math.inf) + head_bound,
+            tail_bound=(env if math.isfinite(env) else math.inf) + head_bound + stub_bound,
             panels_used=len(panels),
             evaluations=state.evaluations,
             truncation_T=T,
-            refine_capped=capped,
         )
 
     try:
         panels.val, panels.err = state.eval(panels.a, panels.b, keep_first=sub_grading)
         _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
-        stub_bound = 0.0
         if sub_grading and state.first_panel_peak is not None:
             stub_bound = _deepen(state, profile, panels, rel_tol, abs_tol, head_value)
         T = _trim(state, profile, panels, rel_tol, abs_tol, head_value)
         base = head_value + (profile.tail_closed_form(T) if profile.tail_closed_form else 0.0)
-        capped = _refine(state, panels, rel_tol, abs_tol, base)
+        _refine(state, panels, rel_tol, abs_tol, base)
     except _CapHit:
-        raise BudgetExceeded(_partial(float(panels.b[-1])), max_evals) from None
-
-    result = _partial(float(panels.b[-1]), capped)
-    result.tail_bound += stub_bound
-    return result
+        raise BudgetExceeded(_partial(), max_evals) from None
+    return _within_budget(_partial(), rel_tol, abs_tol)
 
 
 def partial_integrals(
@@ -547,7 +530,10 @@ def partial_integrals(
     The sequence must be strictly decreasing and stay above
     1e-9 * oscillation_scale.  The largest v is integrated directly; smaller
     ones are reached by adding finite slices, so for a constant-sign
-    integrand the convergents are automatically monotone.
+    integrand the convergents are automatically monotone.  Each slice's
+    panel error must fit the budget of the convergent it completes, as the
+    direct integral's total error fits its own; else UnmetBudget carries the
+    slice.
     """
     vs = [float(v) for v in v_sequence]
     if len(vs) == 0:
@@ -561,7 +547,6 @@ def partial_integrals(
     out = [(vs[0], base.value)]
     state = _State(f, max_evals - base.evaluations)
     acc = base.value
-    capped = base.refine_capped
     cap = profile.max_panel_width or math.inf
     for hi, lo in zip(vs, vs[1:]):
         edges = [lo]
@@ -572,13 +557,16 @@ def partial_integrals(
         panels = _Panels(edges[:-1], edges[1:])
         try:
             panels.val, panels.err = state.eval(panels.a, panels.b)
-            capped = _refine(state, panels, rel_tol, max(abs_tol, 0.0), acc) or capped
+            _refine(state, panels, rel_tol, abs_tol, acc)
         except _CapHit:
             raise BudgetExceeded(
-                QuadratureResult(acc, math.inf, math.inf, len(panels),
-                                 state.evaluations, hi, capped),
+                QuadratureResult(acc, math.inf, math.inf, len(panels), state.evaluations, hi),
                 max_evals,
             ) from None
         acc = acc + panels.value()
+        # the slice (lo, hi) against the budget of the convergent it completes
+        _within_budget(QuadratureResult(panels.value(), panels.error(), 0.0, len(panels),
+                                        state.evaluations, hi),
+                       rel_tol, max(abs_tol, rel_tol * abs(acc)))
         out.append((lo, acc))
     return out

@@ -596,7 +596,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
                     out[idx[j]] = best_row(j)
                     continue
             else:
-                missed[j] = UnmetBudget("m(t)", float(bar[k]), tol_x, float(t[j]))
+                missed[j] = UnmetBudget(f"m(t) at t = {float(t[j])!r}", float(bar[k]), tol_x)
                 if not abs(g) > bar[k] and sized_at[j] == t[j]:
                     out[idx[j]] = missed[j]
                     continue

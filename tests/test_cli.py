@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -255,7 +256,7 @@ def test_unknown_flag_exits_two(capsys):
     ["curve", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x-min", "-1e-05", "--x-max", "1",
      "--steps", "2"],
     ["pin", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x", "-1e-12"],
-    ["moment", "--dist", "normal(0,1)", "--p", "2", "--method", "negative", "--s", "-1e-3"],
+    ["moment", "--dist", "normal(0,1)", "--p", "2", "--method", "negative", "--s", "-1e-1"],
 ])
 def test_negative_values_in_exponent_notation(capsys, argv):
     # argparse took "-1e-05" for an option and exited 2 with "expected one
@@ -402,6 +403,31 @@ def test_float_overflow_exits_three(capsys, dist, p):
     assert out == ""
     assert "numerical failure" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["moment", "--dist", "point(1e-100)", "--p", "1"],
+     "OverflowError: Numerical result out of range"),
+    (["pin", "--sigma", "1e120", "--y", "1e120", "--eps", "0.5", "--x", "2e120"],
+     "OverflowError: Numerical result out of range"),
+    (["pin", "--sigma", "1e-150", "--y", "1e-150", "--eps", "0.5", "--x", "2e-150"],
+     "ZeroDivisionError: float division by zero"),
+])
+def test_float_exception_message_names_its_type(capsys, argv, reason):
+    # an OverflowError from ** carries (errno, text): the message is the
+    # type and the text, not the tuple
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"numerical failure: {reason}\n")
+
+
+def test_missed_tolerance_exits_three(capsys):
+    # on the line s = -1e-3 the panels cannot reach the budget: the bar
+    # was 67,555 times the budget after 938,610 evaluations, printed with exit 0
+    code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
+                             "--method", "negative", "--s", "-1e-3")
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"numerical failure: the error bar of an integral \(\d+ evaluations\) "
+                        r"is \S+, above its budget \S+\n", err), err
 
 
 @pytest.mark.parametrize("argv", [
