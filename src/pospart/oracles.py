@@ -11,9 +11,10 @@ numerics):
     (slow and fragile for small y, so tests keep it to moderate scales),
   * mc_ppm / mc_tail: seeded Monte Carlo with five-sigma error bars.
 
-scipy (quad, the normal and Poisson distributions) is imported inside the
-oracle functions that use it, so importing this module, and with it the
-package and the CLI, loads numpy only.
+scipy (quad, the normal tail and the Poisson distribution) is imported
+inside the oracle functions that use it, so importing this module, and with
+it the package and the CLI, loads numpy only; the Gaussian terms of the
+naive series take Phi and phi from math.erfc and math.exp.
 """
 
 from __future__ import annotations
@@ -88,11 +89,9 @@ def density_ppm(spec: DistributionSpec, p: float, rel_tol: float = 1e-11) -> Ora
 def _normal_pos_moment(mu: float, sd: float, p: int) -> float:
     # closed recursion: I_p = mu I_{p-1} + (p-1) sd^2 I_{p-2},
     # I_0 = Phi(mu/sd), I_1 = mu Phi(mu/sd) + sd phi(mu/sd)
-    from scipy import stats as _scistats
-
     z = mu / sd
-    cdf = float(_scistats.norm.cdf(z))
-    pdf = float(_scistats.norm.pdf(z))
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     i_prev, i_cur = cdf, mu * cdf + sd * pdf
     if p == 0:
         return i_prev

@@ -27,9 +27,11 @@ m'(t) = 2 mu1 mu3 / mu2^2 - 2 from the same pass (_eta_moments); m_of_t runs
 the same engine on one level.
 
 All levels of a curve sample the same increasing m, so the solver (_solve)
-steps them together through one table of samples of m, and the budget that
+steps them together through one table of samples of m, each level from its
+root under the Gaussian limit of eta (_gaussian_start), and the budget that
 counts is the bar on m itself.  Each result row carries the error bars of
-mu2, mu3 and Pin; they are NaN only on a level that failed.
+mu2, mu3 and Pin, NaN only on a level that failed, and the number of engine
+passes that evaluated it.
 
 _eta, the unshifted spec that eta_spec shifts, is the one description of the
 surrogate here: the line transform, its Gaussian variance and the raw
@@ -130,7 +132,9 @@ class TailBoundResult:
     """One level of the bound.  mu2_err and mu3_err bound the moments'
     integration error, and pin_err = pin (3 mu2_err/mu2 + 2 mu3_err/mu3)
     carries them to Pin to first order.  They are 0 at the far left, where
-    closed forms apply, and NaN only on a level that failed."""
+    closed forms apply, and NaN only on a level that failed.  probes counts
+    the engine passes that evaluated the level: 0 at the far left and on a
+    level that failed."""
 
     x: float
     t_x: float
@@ -142,6 +146,7 @@ class TailBoundResult:
     mu2_err: float = math.nan
     mu3_err: float = math.nan
     pin_err: float = math.nan
+    probes: int = 0
 
     def is_failure(self) -> bool:
         return self.error is not None
@@ -229,6 +234,40 @@ def _far_left(problem: TailBoundProblem, t):
     m3 = raw_moment(_eta(problem), 3)
     mu2 = t * t + var
     return -t, mu2, m3 - 3.0 * var * t - t**3, (m3 - 2.0 * var * t) / mu2
+
+
+def _gaussian_start(sigma: float, edge: float, x) -> np.ndarray:
+    """Each level's first probe: sigma a, where a is the root of the Gaussian
+    limit m_N(a) = x / sigma, put into [edge, x].
+
+    As eps -> 0, eta tends to Normal(0, sigma^2), its variance at every eps,
+    whose m is sigma m_N(t / sigma).  With g_p = E(Z - a)_+^p for a standard
+    normal Z, Q = P(Z > a) and phi its density, g1 = phi - a Q and
+    g2 = (1 + a^2) Q - a phi, and Stein's identity g3 + a g2 = 2 g1 gives
+    m_N = a + g3 / g2 = 2 g1 / g2 and the engine's slope
+    2 g1 g3 / g2^2 - 2 = m_N (m_N - a) - 2 = m_N^2 - 2 Q / g2.  For a > 0 the
+    g_p are taken in units of phi (Q / phi is the Mills ratio, finite while
+    a <= 35) and the first slope form is used; for a <= 0 the second, which
+    does not cancel as a -> -inf (m_N ~ -2 / a).  m_N is increasing and
+    convex, so Newton steps from a point right of the root stay right of it:
+    x / sigma, or below 1 the outer root of -2a / (1 + a^2), which lies
+    below m_N.  a stays within [-1e150, 35], where a^2 is finite."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        z = x / sigma
+    below = np.clip(z, 2e-150, 1.0)
+    a = np.clip(np.where(z < 1.0, -(1.0 + np.sqrt(1.0 - below * below)) / below, z), -1e150, 35.0)
+    for _ in range(8):
+        q = 0.5 * np.array([math.erfc(v) for v in (a / math.sqrt(2.0)).tolist()])
+        phi = np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+        right = a > 0.0
+        unit = np.where(right, phi, 1.0)
+        q, phi = q / unit, phi / unit
+        g2 = (1.0 + a * a) * q - a * phi
+        m = 2.0 * (phi - a * q) / g2
+        slope = np.where(right, m * (m - a) - 2.0, m * m - 2.0 * q / g2)
+        a = np.clip(a - (m - z) / slope, -1e150, 35.0)
+    return np.clip(sigma * a, edge, x)
 
 
 def m_of_t(problem: TailBoundProblem, t: float, rel_tol: float = 1e-9) -> float:
@@ -456,9 +495,10 @@ def _eta_moments(problem: TailBoundProblem, ts, rel_tol: float, tail=None) -> _E
 
 
 def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
-         m: float, mu2_err: float, mu3_err: float) -> TailBoundResult:
-    """The result at root t.  Pin = mu2^3 / mu3^2, except at the far left,
-    where |t| can reach 1e9 sigma and that ratio rounds above 1: there it is
+         m: float, mu2_err: float, mu3_err: float, probes: int = 0) -> TailBoundResult:
+    """The result at root t, found after probes engine passes.  Pin =
+    mu2^3 / mu3^2, except at the far left, where |t| can reach 1e9 sigma and
+    that ratio rounds above 1: there it is
     exp(3 log1p(sigma^2/t^2) - 2 log1p(3 sigma^2/t^2 - m3/t^3))."""
     if t > _far_left_edge(problem):
         value = mu2**3 / mu3**2
@@ -468,7 +508,8 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
                          - 2.0 * math.log1p(3.0 * r - raw_moment(_eta(problem), 3) / t**3))
     return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x),
                            mu2_err=mu2_err, mu3_err=mu3_err,
-                           pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3))
+                           pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3),
+                           probes=probes)
 
 
 def _hermite_inverse(x, ta, ma, da, tb, mb, db):
@@ -490,8 +531,11 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     Levels at or below m(edge), the far-left edge, solve the closed-form
     quadratic x t^2 + 2 sigma^2 t + x sigma^2 - m3 = 0; levels x <= tol_x/2
     take the root at tol_x/2, since m never reaches 0.  Every other root lies
-    in [edge, x] because m(x) > x.  From t = x each pass evaluates all open
-    levels together, with m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
+    in [edge, x] because m(x) > x.  Each level is first probed at its root
+    under the Gaussian limit of eta (_gaussian_start), put into [edge, x];
+    that start only picks the first probe, and the steps below settle the
+    level.  Each pass evaluates all open levels together, with
+    m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
 
     A probe's bar on m is (mu3_err + (m - t) mu2_err) / mu2.  A probe is
     sound when that bar is within tol_x: only a sound probe settles a level,
@@ -539,7 +583,8 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     x = xs[idx]
     lo = np.full(idx.size, edge)
     hi = x.copy()
-    t = x.copy()
+    t = _gaussian_start(problem.sigma, edge, x)
+    probes = np.zeros(idx.size, dtype=int)  # engine passes that evaluated the level
     newton = np.full(idx.size, np.nan)  # the Newton step from the level's last probe
     tail = np.full((3, idx.size), np.nan)  # truncation allowances sized from its moments
     sized_at = np.full(idx.size, np.nan)   # the level t those moments came from
@@ -552,7 +597,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     table = np.array([[edge], [m_edge], [2.0 * mu1_e * mu3_e / (mu2_e * mu2_e) - 2.0], [0.0]])
 
     def best_row(j):
-        return _row(problem, float(x[j]), *best[j][1:])
+        return _row(problem, float(x[j]), *best[j][1:], int(probes[j]))
 
     def settle(j):
         # no probe met tol_x: a root past a degenerate probe is unusable,
@@ -566,6 +611,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         if not open_:
             break
         probe = t[open_]
+        probes[open_] += 1
         ev = _eta_moments(problem, probe, tol, tail[:, open_])
         mu1, mu2, mu3 = ev.mu
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -584,8 +584,9 @@ def test_far_right_pin_matches_series_oracle():
 
 
 def test_a8_curve_engine_rows(monkeypatch):
-    # the levels of a curve step through one table of samples of m: the A8
-    # curve takes at most 330 engine rows (497 with a Newton step per level).
+    # the levels of a curve step through one table of samples of m from their
+    # Gaussian roots: the A8 curve takes at most 280 engine rows (291 from
+    # t = x, 497 with a Newton step per level from there).
     # Shared rungs hold its transform of eta to at most 15,000 nodes, and its
     # (level, node) cells to the 153,480 of the Gauss-Kronrod grids the
     # trapezoidal rule replaced, in blocks of at most 8,192 cells.  Every
@@ -612,13 +613,71 @@ def test_a8_curve_engine_rows(monkeypatch):
     curve = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
     monkeypatch.undo()
     assert all(not r.is_failure() for r in curve)
-    assert sum(rows) <= 330, rows
+    assert sum(rows) <= 280, rows
     assert sum(nodes) <= 15_000, sum(nodes)
     assert sum(cells) <= 153_480 and max(cells) <= 8192, (sum(cells), max(cells))
     for r in curve[1:]:
         mu2, mu3 = mixture_ppm23(0.5, P_UNIT.lam, P_UNIT.y, -r.t_x)
         assert abs(r.mu2 - mu2) <= r.mu2_err + 4e-15 * mu2, (r.x, r.mu2, mu2)
         assert abs(r.mu3 - mu3) <= r.mu3_err + 4e-15 * mu3, (r.x, r.mu3, mu3)
+
+
+def test_a8_curve_takes_three_passes(monkeypatch):
+    # each level's first probe is its root under the Gaussian limit of eta,
+    # so the A8 curve takes 3 passes (5 from t = x), and each row counts the
+    # passes that evaluated it: none at the far left (x = 0 and 0.05)
+    passes = _count_engine_calls(monkeypatch)
+    rows = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    assert len(passes) <= 3, passes
+    far = [r.t_x <= tailbound._far_left_edge(P_UNIT) for r in rows]
+    assert far == [True, True] + [False] * 99
+    assert all((r.probes == 0) == f and r.probes <= len(passes) for r, f in zip(rows, far))
+    assert max(r.probes for r in rows) == len(passes)
+    assert sum(r.probes for r in rows) == sum(passes)
+
+
+@pytest.mark.parametrize("y", [1e-4, 1e-3])
+def test_small_y_101_point_curve_takes_few_passes(y, monkeypatch):
+    # lam = 5e7 and 5e5: from t = x the levels below m(edge) of the unit
+    # problem crawled through 12 and 9 passes
+    passes = _count_engine_calls(monkeypatch)
+    rows = pin_curve(TailBoundProblem(1.0, y, 0.5), 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    assert len(passes) <= 4, passes
+    assert all(not r.is_failure() and r.residual <= 1e-9 for r in rows)
+
+
+@pytest.mark.parametrize("y", [0.05, 0.3, 2.0, 10.0])
+@pytest.mark.parametrize("eps", [0.05, 0.5, 0.95])
+def test_curve_takes_few_passes_across_the_curve_ranges(y, eps, monkeypatch):
+    # y / sigma and eps over the benchmark's curve ranges: 4 to 6 passes from
+    # t = x; every row meets tol_x in its residual and in its bar on m
+    passes = _count_engine_calls(monkeypatch)
+    rows = pin_curve(TailBoundProblem(1.0, y, eps), 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    assert len(passes) <= 4, passes
+    for r in rows:
+        assert not r.is_failure(), (r.x, r.error)
+        assert r.residual <= 1e-9, (r.x, r.residual)
+        assert r.probes == 0 or _bar_on_m(r) <= 1e-9, (r.x, _bar_on_m(r))
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1.0, 1e120])
+def test_gaussian_start_is_finite_and_in_the_bracket(sigma):
+    # x / sigma from 0 to past the float range: no warning (pytest.ini makes
+    # RuntimeWarning an error), a finite start within [edge, x].  m(edge) is
+    # sigma times the unit problem's, whose raw moments do not overflow
+    problem = TailBoundProblem(sigma, sigma, 0.5)
+    edge = tailbound._far_left_edge(problem)
+    m_edge = sigma * tailbound._far_left(P_UNIT, tailbound._far_left_edge(P_UNIT))[3]
+    xs = [x for x in (0.0, 0.5e-9, m_edge, 5.0 * sigma, 40.0 * sigma, 1e300 * sigma, 1e300)
+          if math.isfinite(x)]
+    for x in xs:
+        t = tailbound._gaussian_start(sigma, edge, np.array([x]))[0]
+        assert math.isfinite(t) and edge <= t <= x, (x, t)
+    # near the Gaussian limit the start is the root itself
+    small = TailBoundProblem(1.0, 1.0, 1e-9)
+    starts = tailbound._gaussian_start(1.0, tailbound._far_left_edge(small), np.array([0.5, 2.0, 4.5]))
+    for x, t in zip((0.5, 2.0, 4.5), starts):
+        assert abs(m_of_t(small, float(t)) - x) <= 1e-6, (x, t)
 
 
 def test_unmet_budget_on_m_ends_with_a_report(monkeypatch):
