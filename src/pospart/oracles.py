@@ -9,7 +9,8 @@ numerics):
   * naive_series_ppm: the Poisson-mixture sum of Gaussian positive-part
     moments, the straightforward approach the transform route replaces
     (slow and fragile for small y, so tests keep it to moderate scales),
-  * mc_ppm / mc_tail: seeded Monte Carlo with five-sigma error bars.
+  * mc_ppm / mc_tail: seeded Monte Carlo with five-sigma error bars;
+    mc_tail takes a sequence of levels on one sample.
 
 scipy (quad, the normal tail and the Poisson distribution) is imported
 inside the oracle functions that use it, so importing this module, and with
@@ -146,12 +147,20 @@ def mc_ppm(spec: DistributionSpec, p: float, n: int, seed: int) -> OracleEstimat
     return OracleEstimate(value, half, "monte-carlo")
 
 
-def mc_tail(spec: DistributionSpec, x: float, n: int, seed: int) -> OracleEstimate:
-    """Empirical P(X >= x) with a five-sigma half width."""
+def mc_tail(spec: DistributionSpec, x, n: int, seed: int):
+    """Empirical P(X >= x) with a five-sigma half width.
+
+    x may also be a sequence of levels, which share one sample of n draws
+    and give a list of estimates.  With k of the n draws at or above a
+    level, the value k / n is the mean of the 0/1 payload, bit for bit, and
+    sqrt(p (1 - p) n / (n - 1)), p = k / n, is its std(ddof=1) in closed
+    form."""
     if n < 1000:
         raise PreconditionError("need at least 1e3 draws")
     draws = sample(spec, seed, n)
-    payload = (draws >= x).astype(float)
-    value = float(payload.mean())
-    half = 5.0 * float(payload.std(ddof=1)) / math.sqrt(n)
-    return OracleEstimate(value, half, "monte-carlo")
+    out = []
+    for level in np.atleast_1d(x):
+        p = int(np.count_nonzero(draws >= level)) / n
+        half = 5.0 * math.sqrt(p * (1.0 - p) * n / (n - 1)) / math.sqrt(n)
+        out.append(OracleEstimate(p, half, "monte-carlo"))
+    return out[0] if np.ndim(x) == 0 else out

@@ -545,8 +545,13 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     tightest the table certifies, a sample counting below x when m + bar < x
     and above when m - bar > x.  Its next probe is the cubic Hermite inverse
     interpolant of t(m) between the nearest samples on either side of x when
-    that lies strictly inside the bracket, else the Newton step from its own
-    probe when that does, else the bracket's midpoint.
+    that cubic is monotone, as t(m) is, by Fritsch and Carlson's (1980)
+    sufficient condition: its end slopes over the secant's, alpha and beta,
+    have alpha^2 + beta^2 <= 9.  Otherwise, as across the far-left span from
+    the edge, where m' is near 0 and the cubic bends so far that it lands
+    just past the level's own probe on every pass, the Newton step from that
+    probe comes first.  The first of the two that lies strictly inside the
+    bracket is taken, else the bracket's midpoint.
 
     A probe that is not sound sizes the level's later allowances from its
     own moments, so that aliasing and truncation take at most a quarter of
@@ -675,7 +680,11 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
             hi[js] = np.minimum(hi[js], t_b)
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 guess = _hermite_inverse(x[js], tt[a], mm[a], dm[a], t_b, mm[b], dm[b])
-            guess = np.where((lo[js] < guess) & (guess < hi[js]), guess, newton[js])
+                secant = (mm[b] - mm[a]) / (t_b - tt[a])
+                monotone = secant * secant * (1.0 / dm[a] ** 2 + 1.0 / dm[b] ** 2) <= 9.0
+            first = np.where(monotone, guess, newton[js])
+            second = np.where(monotone, newton[js], guess)
+            guess = np.where((lo[js] < first) & (first < hi[js]), first, second)
             t[js] = np.where((lo[js] < guess) & (guess < hi[js]), guess, 0.5 * (lo[js] + hi[js]))
             narrow = hi[js] - lo[js] <= 1e-14 * (1.0 + np.abs(hi[js]))
             for j in js[narrow]:
@@ -685,6 +694,16 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     for j in open_:
         out[idx[j]] = settle(j)
     return out
+
+
+def _rows(problem: TailBoundProblem, x, tol_x: float, rel_tol: float) -> list:
+    """The rows of _solve for one level or a sequence of levels, raising
+    the first level's failure."""
+    rows = _solve(problem, np.atleast_1d(x), tol_x, rel_tol)
+    for row in rows:
+        if isinstance(row, PositivePartError):
+            raise row
+    return rows
 
 
 def solve_tx(
@@ -697,25 +716,22 @@ def solve_tx(
     which are solved together (see _solve).  Moments are computed to
     max(min(0.05 tol_x, rel_tol), 1e-13), and tighter where the bar on
     m(t_x) needs it to stay within tol_x."""
-    roots = []
-    for row in _solve(problem, np.atleast_1d(x), tol_x, rel_tol):
-        if isinstance(row, PositivePartError):
-            raise row
-        roots.append(row.t_x)
+    roots = [row.t_x for row in _rows(problem, x, tol_x, rel_tol)]
     return roots[0] if np.ndim(x) == 0 else np.array(roots)
 
 
 def pin(
     problem: TailBoundProblem,
-    x: float,
+    x,
     rel_tol: float = 1e-9,
     tol_x: float = 1e-9,
-) -> TailBoundResult:
-    """The bound at a single level x, with the solved root and both moments."""
-    row = _solve(problem, [x], tol_x, rel_tol)[0]
-    if isinstance(row, PositivePartError):
-        raise row
-    return row
+):
+    """The bound at a level x, with the solved root and both moments.  x
+    may also be a sequence of levels, which are solved together (see
+    _solve) and give a list of rows; as in solve_tx, the first level that
+    fails raises its error."""
+    rows = _rows(problem, x, tol_x, rel_tol)
+    return rows[0] if np.ndim(x) == 0 else rows
 
 
 def pin_curve(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pospart.distributions import FiniteDiscrete, Normal, PointMass, Shift
+from pospart.distributions import FiniteDiscrete, Normal, PointMass, Shift, sample
 from pospart.errors import PreconditionError, SeriesGuard
 from pospart.oracles import density_ppm, mc_ppm, mc_tail, naive_series_ppm
 from pospart.tailbound import TailBoundProblem, eta_spec
@@ -100,3 +100,30 @@ def test_eta_tail_band_is_below_pin():
     row = pin(problem, 2.0)
     est = mc_tail(eta_spec(problem, 0.0), 2.0, 10**5, 11)
     assert est.value <= row.pin + est.half_width
+
+
+def test_mc_tail_on_a_sequence_shares_one_sample():
+    spec = eta_spec(TailBoundProblem(1.0, 1.0, 0.5), 0.0)
+    levels = [-1.0, 0.5, 2.0, 40.0]
+    n = 10**4
+    ests = mc_tail(spec, levels, n, 3)
+    assert len(ests) == len(levels)
+    draws = sample(spec, 3, n)
+    for x, est in zip(levels, ests):
+        assert est.value == mc_tail(spec, x, n, 3).value
+        payload = (draws >= x).astype(float)
+        assert est.value == float(payload.mean())
+        want = 5.0 * float(payload.std(ddof=1)) / math.sqrt(n)
+        assert abs(est.half_width - want) <= 1e-12 * want, (x, est.half_width, want)
+
+
+def test_pin_check_draws_once_and_solves_once(monkeypatch):
+    from pospart import oracles, tailbound, validate
+
+    draws, solves = [], []
+    real_sample, real_solve = oracles.sample, tailbound._solve
+    monkeypatch.setattr(oracles, "sample", lambda *a: draws.append(1) or real_sample(*a))
+    monkeypatch.setattr(tailbound, "_solve", lambda *a: solves.append(1) or real_solve(*a))
+    check = validate._check_pin(False, 5)
+    assert check.passed, check.detail
+    assert len(draws) == 1 and len(solves) == 1, (draws, solves)

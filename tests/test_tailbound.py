@@ -322,6 +322,18 @@ def test_curve_shapes_and_failure_isolation():
         pin(P_UNIT, -1e-3)
 
 
+def test_pin_on_a_sequence_of_levels():
+    # the levels are solved together, one row each, and the first failing
+    # level raises, as in solve_tx
+    rows = pin(P_UNIT, [1.0, 2.0, 3.0])
+    assert [r.x for r in rows] == [1.0, 2.0, 3.0]
+    for r in rows:
+        assert not r.is_failure() and r.residual <= 1e-9, (r.x, r.residual)
+        assert r.t_x == pytest.approx(pin(P_UNIT, r.x).t_x, abs=1e-8)
+    with pytest.raises(BracketFailure):
+        pin(P_UNIT, [1.0, -1e-3, 2.0])
+
+
 def _assert_rows_match_series(problem, rows, rtol):
     # each moment must also lie within its own error bar, and pin_err must
     # carry both bars to Pin; a NaN bar fails both checks
@@ -634,6 +646,18 @@ def test_a8_curve_takes_three_passes(monkeypatch):
     assert all((r.probes == 0) == f and r.probes <= len(passes) for r, f in zip(rows, far))
     assert max(r.probes for r in rows) == len(passes)
     assert sum(r.probes for r in rows) == sum(passes)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.0, 4.5, (1.0, 2.0, 3.0)])
+def test_lone_levels_take_few_passes(x, monkeypatch):
+    # a lone level whose probes stay above x has the far-left edge as its
+    # sample below; the cubic through it (m' ~ 0.004 there) is not monotone
+    # and landed just past the last probe on every pass: x = 1 took 9
+    # passes, x = 3 took 8 and the three levels together 9
+    passes = _count_engine_calls(monkeypatch)
+    rows = pin(P_UNIT, x)
+    assert len(passes) <= 5, passes
+    assert all(r.residual <= 1e-9 for r in np.atleast_1d(rows))
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-3])
