@@ -65,14 +65,17 @@ def _cmd_moment(args) -> int:
     spec = parse_spec(args.dist)
     if args.other is not None and args.method != "diff":
         raise PreconditionError(f"--other applies to --method diff only, not {args.method}")
-    if args.method == "cf":
+    line = args.method in ("laplace", "negative")
+    for flag in ("s", "j"):
+        if getattr(args, flag) is not None and not line:
+            raise PreconditionError(f"--{flag} applies to --method laplace and negative only, "
+                                    f"not {args.method}")
+    if line:
+        route, s = (ppm_laplace, 1.0) if args.method == "laplace" else (ppm_negative_s, -1.0)
+        result = route(spec, args.p, s if args.s is None else args.s,
+                       -1 if args.j is None else args.j, args.rel_tol)
+    elif args.method == "cf":
         result = ppm_cf(spec, args.p, args.rel_tol)
-    elif args.method == "laplace":
-        s = 1.0 if args.s is None else args.s
-        result = ppm_laplace(spec, args.p, s, args.j, args.rel_tol)
-    elif args.method == "negative":
-        s = -1.0 if args.s is None else args.s
-        result = ppm_negative_s(spec, args.p, s, args.j, args.rel_tol)
     else:
         other = parse_spec(args.other) if args.other else match_discrete(spec, args.p)
         result = ppm_diff(spec, other, args.p, args.rel_tol)
@@ -148,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="cf")
     mom.add_argument("--s", type=float, default=None,
                      help="line offset for laplace/negative (default 1.0 / -1.0)")
-    mom.add_argument("--j", type=int, default=-1, help="remainder order")
+    mom.add_argument("--j", type=int, default=None,
+                     help="remainder order for laplace/negative (default -1)")
     mom.add_argument("--other", default=None,
                      help="companion spec for --method diff (default: moment-matched atoms)")
     mom.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-9)

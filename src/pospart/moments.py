@@ -24,8 +24,10 @@ Each route factors its integrand as
 
 and hands the quadrature an exact closed form for the algebraic-plus-harmonic
 tail beyond the truncation point (powers integrate in closed form; harmonics
-by repeated integration by parts with a rigorous remainder bound), leaving
-only a fast-shrinking residual for the truncation envelope.  Without this
+by repeated integration by parts with a rigorous remainder bound, both
+``remainders.harmonic_tail``), leaving only a fast-shrinking residual for
+the truncation envelope (``remainders.decay_bound``: Gaussian-Mills where
+the law has a Gaussian factor, algebraic where it has none).  Without this
 split the oscillatory t^(ell-p-1) tails would need truncation points beyond
 1e16 to reach the advertised tolerances.
 
@@ -48,7 +50,6 @@ joins the reported error.  The improper convergents keep the unfolded path.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,7 +80,8 @@ from .errors import (
     PreconditionError,
 )
 from .quadrature import HeadRule, IntegrandProfile, QuadratureResult, integrate_halfline, partial_integrals
-from .remainders import LatticeKernel, MomentOrder, inv_power
+from .remainders import (LatticeKernel, MomentOrder, by_parts_coefs, by_parts_powers,
+                         by_parts_remainder, by_parts_sum, decay_bound, inv_power, power_tail)
 from .specparse import render
 
 __all__ = [
@@ -137,66 +139,14 @@ class MomentResult:
 # ---------------------------------------------------------------------------
 
 
-def _by_parts_coefs(x: float, q: float, k: int) -> list:
-    """a_0 .. a_k of the by-parts series below: a_0 = 1, a_{n+1} = a_n (q+n)/x."""
-    a = [1.0]
-    for n in range(k):
-        a.append(a[-1] * (q + n) / x)
-    return a
-
-
-def _by_parts_powers(s: float, T: float, q: float, k: int) -> list:
-    """(s+iT)^(-q-n) for n < k."""
-    zT = s + 1j * T
-    zpow = inv_power(s, T, q)
-    out = [zpow]
-    for _ in range(k - 1):
-        zpow = zpow / zT
-        out.append(zpow)
-    return out
-
-
-def _by_parts_remainder(a_k: float, decay: float, q: float, k: int) -> float:
-    """|a_k| T^(1-q-k) / (q+k-1), given decay = T^(1-q-k)."""
-    return abs(a_k) * decay / (q + k - 1.0)
-
-
-def _by_parts_sum(x: float, T: float, a: list, zpows: list) -> complex:
-    eiTx = cmath.exp(1j * T * x)
-    val = 0.0 + 0.0j
-    for an, zpow in zip(a, zpows):
-        val += an * (-(zpow * eiTx) / (1j * x))
-    return val
-
-
-def _by_parts(x: float, s: float, q: float, T: float, k: int):
-    """Closed tail of a single harmonic: int_T^inf e^{itx} (s+it)^{-q} dt.
-
-    Repeated integration by parts gives
-
-        sum_{n<k} a_n * (-(s+iT)^{-q-n} e^{iTx} / (ix)),
-        a_0 = 1, a_{n+1} = a_n (q+n)/x,
-
-    with remainder bounded by |a_k| T^{1-q-k}/(q+k-1).  Exact for any T > 0,
-    not merely asymptotic, so the bound is rigorous wherever the solver puts T.
-    """
-    a = _by_parts_coefs(x, q, k)
-    val = _by_parts_sum(x, T, a, _by_parts_powers(s, T, q, k))
-    return val, _by_parts_remainder(a[k], T ** (1.0 - q - k), q, k)
-
-
-def _power_tail(coef: float, r: float, p: float, s: float, T: float) -> float:
-    # int_T^inf coef * Re[(s+it)^(r-p-1)] dt  =  -coef * Im[(s+iT)^(r-p)]/(r-p)
-    zT = s + 1j * T
-    return -coef * (zT ** (r - p)).imag / (r - p)
-
-
 @dataclass
 class _TailModel:
     """Closed form and envelope of the integrand's tail beyond T.
 
-    Each harmonic is summed by ``_by_parts``; the powers of (s+iT) are shared
-    by all harmonics of a call and the coefficients a_n are fixed per model.
+    Each harmonic is summed as in ``remainders.harmonic_tail``; the powers
+    of (s+iT) are shared by all harmonics of a call and the coefficients a_n
+    are fixed per model.  Each moment-polynomial term is a power tail, and
+    each residual factor takes ``remainders.decay_bound``.
     """
 
     p: float
@@ -204,45 +154,36 @@ class _TailModel:
     s: float
     harmonics: list          # (x, gamma) with x != 0, gamma real
     poly: list               # (coef, r): coef * Re[(s+it)^(r-p-1)] in f
-    gauss: list              # (K, vg) residual factors K e^{-vg t^2 / 2}
-    fallback_K: float        # residual with no decay beyond |z|^-q
+    decay: list              # (K, a): residual below K e^{-a t^2 / 2} |z|^-q, a = 0 for none
     start: float = 0.0       # the model holds for T >= start only
     k: int = _BYPARTS_TERMS
 
     def __post_init__(self):
-        self._coefs = [_by_parts_coefs(x, self.q, self.k) for x, _ in self.harmonics]
+        self._coefs = [by_parts_coefs(x, self.q, self.k) for x, _ in self.harmonics]
 
     def closed(self, T: float) -> float:
         acc = []
         if self.harmonics:
-            zpows = _by_parts_powers(self.s, T, self.q, self.k)
+            zpows = by_parts_powers(self.s, T, self.q, self.k)
             acc = [
-                (gamma * _by_parts_sum(x, T, a, zpows)).real
+                (gamma * by_parts_sum(x, T, a, zpows)).real
                 for (x, gamma), a in zip(self.harmonics, self._coefs)
             ]
-        acc += [_power_tail(coef, r, self.p, self.s, T) for coef, r in self.poly]
+        acc += [power_tail(self.s, self.p - r, T, coef).real for coef, r in self.poly]
         return math.fsum(acc)
 
     def envelope(self, T: float) -> float:
         if T < self.start:
             return math.inf
         acc = 0.0
-        slow = T ** (1.0 - self.q) / (self.q - 1.0)
         if self.harmonics:
             q, k = self.q, self.k
-            decay = T ** (1.0 - q - k)
+            fall = T ** (1.0 - q - k)
             for (_, gamma), a in zip(self.harmonics, self._coefs):
-                acc += abs(gamma) * _by_parts_remainder(a[k], decay, q, k)
-        for K, vg in self.gauss:
-            mills = math.exp(-0.5 * vg * T * T) / (vg * T) if vg * T * T < 1400 else 0.0
-            acc += K * min(T ** (-self.q) * mills, slow)
-        if self.fallback_K:
-            acc += self.fallback_K * slow
+                acc += abs(gamma) * by_parts_remainder(a[k], fall, q, k)
+        for K, a in self.decay:
+            acc += decay_bound(K, a, T, self.q)
         return acc
-
-    @property
-    def has_closed(self) -> bool:
-        return bool(self.harmonics or self.poly)
 
 
 def _transform_at(spec, s: float) -> float:
@@ -259,25 +200,26 @@ def _transform_at(spec, s: float) -> float:
 def _structure(spec, s: float):
     """Split the transform part of an integrand for tail purposes.
 
-    Returns (harmonics, gauss list, fallback_K, zero_weight): harmonics are
-    the nonzero atoms as (x, w e^{sx}); specs with a Gaussian component are
-    covered by |E e^{(s+it)X}| <= E e^{sX} * exp(-vg t^2/2) instead; anything
-    left over (an unexpanded compound-Poisson factor, dropped atom mass)
-    falls back to the decay-free bound.  Raises PreconditionError when
-    E e^{sX} is not finite in floating point: no tail bound can scale by it.
+    Returns (harmonics, decay, zero_weight): harmonics are the nonzero atoms
+    as (x, w e^{sx}); a spec with a Gaussian component is covered by
+    |E e^{(s+it)X}| <= E e^{sX} * exp(-vg t^2/2) instead, the decay entry
+    (E e^{sX}, vg); anything left over (an unexpanded compound-Poisson
+    factor, dropped atom mass) is a decay-free entry (K, 0).  Raises
+    PreconditionError when E e^{sX} is not finite in floating point: no tail
+    bound can scale by it.
     """
     phis = _transform_at(spec, s)
     vg = gaussian_var(spec)
     if vg > 0.0:
-        return [], [(phis, vg)], 0.0, 0.0
+        return [], [(phis, vg)], 0.0
     at = atoms(spec, csp_max_lambda=_CSP_EXPAND_LAMBDA)
-    if at is not None:
-        lst, _dropped = at
-        harmonics = [(x, w * math.exp(s * x)) for x, w in lst if x != 0.0]
-        zero_w = math.fsum(w for x, w in lst if x == 0.0)
-        covered = math.fsum(g for _, g in harmonics) + zero_w
-        return harmonics, [], max(phis - covered, 0.0), zero_w
-    return [], [], phis, 0.0
+    if at is None:
+        return [], [(phis, 0.0)], 0.0
+    lst, _dropped = at
+    harmonics = [(x, w * math.exp(s * x)) for x, w in lst if x != 0.0]
+    zero_w = math.fsum(w for x, w in lst if x == 0.0)
+    rest = phis - (math.fsum(g for _, g in harmonics) + zero_w)
+    return harmonics, [(rest, 0.0)] if rest > 0.0 else [], zero_w
 
 
 def _merge_poly(entries):
@@ -345,21 +287,20 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
     (``parts`` pairs each sign with its spec) plus the algebraic
     ``moment_terms`` the route subtracts from it.  With fixed ``edges`` the
     tail model holds from the last edge on."""
-    harmonics, gauss, fallback, zero_w = [], [], 0.0, 0.0
+    harmonics, decay, zero_w = [], [], 0.0
     for sign, spec in parts:
-        h, g, fb, zw = _structure(spec, s)
+        h, d, zw = _structure(spec, s)
         harmonics += [(x, sign * w) for x, w in h]
-        gauss += g
-        fallback += fb
+        decay += d
         zero_w += sign * zw
     poly = _merge_poly(moment_terms + ([(zero_w, 0)] if zero_w else []))
     tail = _TailModel(p=p, q=p + 1.0, s=s, harmonics=harmonics, poly=poly,
-                      gauss=gauss, fallback_K=fallback, start=edges[-1] if edges else 0.0)
+                      decay=decay, start=edges[-1] if edges else 0.0)
     return IntegrandProfile(
         alpha=alpha,
         tail_envelope=tail.envelope,
         oscillation_scale=1.0 / freq,
-        tail_closed_form=tail.closed if tail.has_closed else None,
+        tail_closed_form=tail.closed if harmonics or poly else None,
         head=head,
         max_panel_width=4.0 * math.pi / freq,
         edges=edges,

@@ -264,7 +264,8 @@ def _grow(
     abs_tol: float,
     head_value: float = 0.0,
 ) -> float:
-    """Extend panels until the tail envelope fits a quarter of the budget."""
+    """Extend panels until the tail envelope fits a quarter of the budget;
+    returns the width that growth would continue with."""
     cap = profile.max_panel_width or math.inf
     tail_cf = profile.tail_closed_form
     chunk = 8
@@ -277,7 +278,7 @@ def _grow(
             budget = max(rel_tol * abs(running), abs_tol)
             env = profile.tail_envelope(T)
             if env <= 0.25 * budget or env <= 1e-305 or T >= 8e307:
-                return T
+                return width
             edges = [T]
             for _ in range(chunk):
                 edges.append(edges[-1] + min(width, cap))
@@ -506,15 +507,23 @@ def integrate_halfline(
 
     try:
         panels.val, panels.err = state.eval(panels.a, panels.b, keep_first=sub_grading)
-        _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
+        width = _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
         if sub_grading and state.first_panel_peak is not None:
             stub_bound = _deepen(state, profile, panels, rel_tol, abs_tol, head_value)
-        T = _trim(state, profile, panels, rel_tol, abs_tol, head_value)
-        base = head_value + (profile.tail_closed_form(T) if profile.tail_closed_form else 0.0)
-        _refine(state, panels, rel_tol, abs_tol, base)
+        for last in (False, True):
+            T = _trim(state, profile, panels, rel_tol, abs_tol, head_value)
+            base = head_value + (profile.tail_closed_form(T) if profile.tail_closed_form else 0.0)
+            _refine(state, panels, rel_tol, abs_tol, base)
+            # the truncation share was sized before refinement: a refined
+            # value whose budget the envelope misses takes one more pass
+            result = _partial()
+            budget = max(rel_tol * abs(result.value), abs_tol)
+            if last or result.total_error <= budget or profile.tail_envelope(T) <= 0.25 * budget:
+                break
+            _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
     except _CapHit:
         raise BudgetExceeded(_partial(), max_evals) from None
-    return _within_budget(_partial(), rel_tol, abs_tol)
+    return _within_budget(result, rel_tol, abs_tol)
 
 
 def partial_integrals(

@@ -13,10 +13,16 @@ and above it by the direct subtraction.
 inv_power(s, t, q) = (s + it)^(-q) on the principal branch.  Every complex
 power used by the integral representations routes through it, so the branch
 convention is fixed, and testable, in exactly one place.
+
+The closed tails past a truncation point T, shared by the moment routes,
+the lattice kernel and the Pin engine: harmonic_tail, by repeated
+integration by parts (Olver, Asymptotics and Special Functions, 1974), and
+decay_bound, the Gaussian-Mills or algebraic bound.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,24 +144,113 @@ def exp_remainder(z, m: int):
     return complex(out[()]) if scalar else out
 
 
-def inv_power(s: float, t, q: float):
+def inv_power(s, t, q: float):
     """(s + it)^(-q) on the principal branch (argument in (-pi, pi]).
 
     For s = 0, t > 0 this equals t^(-q) * exp(-i pi q / 2).  At s = 0 and
     integer q that phase is the exact unit (-i)^q (its conjugate for t < 0),
-    so a part that vanishes is exactly 0.  Raises at the branch point
-    s = t = 0.
+    so a part that vanishes is exactly 0.  s may be an array that broadcasts
+    against t.  Raises at the branch point s = t = 0 when s is 0 throughout.
     """
     tt, scalar = _as_array(t, float)
-    if s == 0.0 and np.any(tt == 0.0):
+    if isinstance(s, float):
+        axis = s == 0.0
+    else:                                   # an offset per point
+        s = np.asarray(s, dtype=float)
+        scalar, axis = scalar and s.ndim == 0, not np.any(s)
+    if axis and np.any(tt == 0.0):
         raise DomainError("inv_power is undefined at z = 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if s == 0.0 and q == math.floor(q):
+        if axis and q == math.floor(q):
             unit = (1.0, -1j, -1.0, 1j)[int(q) % 4]
             out = np.abs(tt) ** -q * np.where(tt > 0.0, unit, np.conj(unit))
         else:
             out = np.exp(-q * np.log(s + 1j * tt))
     return complex(out[()]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# Closed tails
+# ---------------------------------------------------------------------------
+
+
+def by_parts_coefs(x: float, q: float, k: int) -> list:
+    """a_0 .. a_k of the by-parts series (harmonic_tail): a_0 = 1, a_{n+1} = a_n (q+n)/x."""
+    a = [1.0]
+    for n in range(k):
+        a.append(a[-1] * (q + n) / x)
+    return a
+
+
+def by_parts_powers(s, T, q: float, k: int) -> list:
+    """(s+iT)^(-q-n) for n < k."""
+    zT = s + 1j * T
+    zpow = inv_power(s, T, q)
+    out = [zpow]
+    for _ in range(k - 1):
+        zpow = zpow / zT
+        out.append(zpow)
+    return out
+
+
+def by_parts_remainder(a_k: float, fall, q: float, k: int):
+    """|a_k| T^(1-q-k) / (q+k-1), given fall = T^(1-q-k)."""
+    return abs(a_k) * fall / (q + k - 1.0)
+
+
+def by_parts_sum(x: float, T, a: list, zpows: list):
+    """The by-parts series of harmonic_tail from its coefficients and powers."""
+    eiTx = cmath.exp(1j * T * x) if isinstance(T, float) else np.exp(1j * T * x)
+    val = 0.0 + 0.0j
+    for an, zpow in zip(a, zpows):
+        val += an * (-(zpow * eiTx) / (1j * x))
+    return val
+
+
+def power_tail(s, p: float, T, weight: float = 1.0):
+    """weight * int_T^inf (s+it)^-(p+1) dt = weight (s+iT)^-p / (ip) for p > 0:
+    harmonic_tail at x = 0."""
+    return weight * (s + 1j * T) ** -p / (1j * p)
+
+
+def harmonic_tail(x: float, s, p: float, T, k: int, weight: float = 1.0):
+    """weight * int_T^inf e^{itx} (s+it)^-q dt (q = p + 1 > 1, T > 0), a bound
+    on its truncation error and the sum of its terms' sizes (its rounding).
+
+    At x = 0 it is the power tail weight (s+iT)^-p / (ip).  Else k
+    integrations by parts give sum_{n<k} a_n (-(s+iT)^{-q-n} e^{iTx} / (ix)),
+    a_0 = 1, a_{n+1} = a_n (q+n)/x, with remainder at most
+    |weight a_k| T^(1-q-k) / (q+k-1) for any T > 0, not merely
+    asymptotically.  Harmonics at one T can share by_parts_powers.  A float
+    T takes Python complex arithmetic, an array T the same code in numpy.
+    """
+    if x == 0.0:
+        val = power_tail(s, p, T, weight)
+        return val, 0.0, abs(val)
+    q = p + 1.0
+    a = by_parts_coefs(x, q, k)
+    zpows = by_parts_powers(s, T, q, k)
+    val = weight * by_parts_sum(x, T, a, zpows)
+    size = abs(weight / x) * sum(abs(an * zpow) for an, zpow in zip(a, zpows))
+    return val, abs(weight) * by_parts_remainder(a[k], T ** (1.0 - q - k), q, k), size
+
+
+def decay_bound(K, a, T, q):
+    """K min(T^-q e^{-a T^2/2} / (a T), T^(1-q) / (q-1)), in log form: a bound
+    on int_T^inf of an integrand below K e^{-a t^2/2} t^-q, q > 1, from the
+    Gaussian-Mills bound and the algebraic one; a = 0 leaves the algebraic
+    bound.  A float T takes math, an array T numpy, with K, a and q
+    broadcasting against it."""
+    if isinstance(T, float):
+        log_t = math.log(T)
+        bound = (1.0 - q) * log_t - math.log(q - 1.0) if q > 1.0 else math.inf
+        if a > 0.0:
+            bound = min(-q * log_t - 0.5 * a * T * T - math.log(a * T), bound)
+        return K * math.exp(bound)
+    log_t = np.log(T)
+    with np.errstate(divide="ignore"):
+        mills = -q * log_t - 0.5 * a * T * T - np.log(a * T)
+    return K * np.exp(np.minimum(mills, (1.0 - q) * log_t - np.log(q - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +302,23 @@ def _pole_pair(q: float, n0: int, theta: float, w):
     return (1j * theta) ** n0 / math.factorial(n0) * D
 
 
-def _integral_term(q: float, theta: float, N: int, b, mode: str):
+def _integral_term(q: float, theta: float, N: int, b, series: bool):
     """int_N^inf e^{i theta x} (x + b)^-q dx and a bound on its error.
 
-    'exact' (theta = 0): (N + b)^(1-q) / (q - 1).  'parts': integration by
-    parts, the tail of the one harmonic at theta, with the remainder bound
-    (q)_K |theta|^-K (N + Re b)^(1-q-K) / (q+K-1).  'series': the incomplete
-    gamma function, e^{-i theta b} Gamma(1-q, -i theta w) (-i theta)^(q-1)
-    with w = N + b, from Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k))
-    (DLMF 8.2.4, 8.7.3) and its limit at integer q (DLMF 8.4.15), for
-    |theta w| of order 1."""
+    harmonic_tail's, exact at theta = 0 and by _BP_TERMS integrations by
+    parts otherwise, through (x + b)^-q = i^q (s' + it')^-q with
+    t' = x + Re b and s' = -Im b, times e^{-i theta Re b}.  With ``series``:
+    the incomplete gamma function, e^{-i theta b} Gamma(1-q, -i theta w)
+    (-i theta)^(q-1) with w = N + b, from
+    Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)) (DLMF 8.2.4,
+    8.7.3) and its limit at integer q (DLMF 8.4.15), for |theta w| of order 1."""
     w = N + b
-    beta = float(np.min(w.real))
+    log_w = math.log(float(np.max(np.abs(w))))
+    if not series:
+        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, N + b.real, _BP_TERMS)
+        rnd = (8.0 if theta else 4.0) * _EPS * (1.0 + q * log_w) * size
+        return np.exp(1j * (0.5 * math.pi * q - theta * b.real)) * val, trunc + rnd
     w1q = np.exp((1.0 - q) * np.log(w))
-    if mode == "exact":
-        val = w1q / (q - 1.0)
-        return val, 4.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) * np.abs(val)
-    if mode == "parts":
-        acc = np.zeros_like(w)
-        term = np.ones_like(w)
-        absum = np.zeros(w.shape)
-        for n in range(_BP_TERMS):
-            acc = acc + term
-            absum = absum + np.abs(term)
-            term = term * (q + n) / (1j * theta * w)
-        val = -np.exp(1j * theta * N) / (1j * theta) * (w1q / w) * acc
-        poch = math.exp(math.lgamma(q + _BP_TERMS) - math.lgamma(q))
-        trunc = poch * abs(theta) ** -_BP_TERMS * beta ** (1.0 - q - _BP_TERMS) / (q + _BP_TERMS - 1.0)
-        rnd = 8.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) \
-            * np.abs(w1q / w) / abs(theta) * absum
-        return val, trunc + rnd
     z = 1j * theta * w
     n0 = int(round(q - 1.0))
     pair = abs(q - 1.0 - n0) <= 0.1
@@ -262,8 +344,7 @@ def _integral_term(q: float, theta: float, N: int, b, mode: str):
     val = np.exp(-1j * theta * b) * J
     scale = np.abs(np.exp(-1j * theta * b))
     trunc = 2.0 * zmax ** (kmax + 1) / math.factorial(kmax + 1) * np.abs(w1q)
-    rnd = 32.0 * _EPS * (1.0 + q * math.log(float(np.max(np.abs(w))))) \
-        * (np.abs(head) + np.abs(w1q) * absum)
+    rnd = 32.0 * _EPS * (1.0 + q * log_w) * (np.abs(head) + np.abs(w1q) * absum)
     return val, scale * (trunc + rnd)
 
 
@@ -289,13 +370,9 @@ def _lerch_sum(q: float, theta: float, b):
         # Euler-Maclaurin needs (|theta| + (q + 2M)/(N + beta)) / (2 pi) <= 0.52
         N = max(1, math.ceil((q + 2 * M) / (1.04 * math.pi - at) - beta))
         xbp = 4.0 * (q + _BP_TERMS)
-        if at == 0.0:
-            mode = "exact"
-        elif at * _DIRECT_CAP >= xbp:
-            mode = "parts"
+        series = 0.0 < at * _DIRECT_CAP < xbp
+        if at and not series:
             N = max(N, math.ceil(xbp / at - beta))
-        else:
-            mode = "series"
     ns = np.arange(N, dtype=float)[:, None]
     terms = np.exp(1j * theta * ns - q * np.log(ns + b[None, :]))
     val = terms.sum(axis=0)
@@ -320,7 +397,7 @@ def _lerch_sum(q: float, theta: float, b):
                      for j in range(M)])
     corr = coef @ deriv
     absum = np.abs(coef) @ np.abs(deriv)
-    integral, integral_err = _integral_term(q, theta, N, b, mode)
+    integral, integral_err = _integral_term(q, theta, N, b, series)
     val = val + integral + eN * wq * (0.5 - corr)
     # the remainder bound, through (x + beta)^(-q-i) <= |x + b|^(-q-i)
     bound = 0.0

@@ -67,6 +67,7 @@ from .errors import (
 )
 from .moments import gamma_p1
 from .quadrature import check_rel_tol
+from .remainders import decay_bound
 
 __all__ = [
     "TailBoundProblem",
@@ -208,15 +209,6 @@ def _line(problem: TailBoundProblem, t):
     The line only moves the contour, not the value; far left s ~ 3/|t|, so
     -s t stays near 3.  t may be an array."""
     return np.exp2(np.floor(np.log2(_saddle(problem, t, 3.0))))
-
-
-def _envelope(a: float, K, T, q):
-    """Bound on the line integrand's tail beyond T for the order q = p + 1,
-    on arrays: K = e^{log transform} times the smaller of the Gaussian-Mills
-    bound T^-q e^{-a T^2/2} / (a T) and the algebraic bound T^(1-q) / (q-1)."""
-    log_t = np.log(T)
-    return K * np.exp(np.minimum(-q * log_t - 0.5 * a * T * T - np.log(a * T),
-                                 (1.0 - q) * log_t - np.log(q - 1.0)))
 
 
 def _far_left_edge(problem: TailBoundProblem) -> float:
@@ -373,8 +365,10 @@ def _moments23(problem: TailBoundProblem, t: np.ndarray, cut: np.ndarray):
     sum_k e^{skL} G_p(t + kL), L = 2 pi / h, G_p(t) = E(eta - t)_+^p (Abate and
     Whitt 1992).  Each level takes h and the node count N a priori: its left
     aliases (_left_alias), right aliases (_right_alias, at the r that
-    minimises B(r) e^{-rL}) and truncation beyond N h (_envelope) each get a
-    third of _AIM times the allowance cut[p-1] (in units of the moment).
+    minimises B(r) e^{-rL}) and truncation beyond N h (the Gaussian-Mills
+    bound of remainders.decay_bound, which the moment routes' tail model
+    shares) each get a third of _AIM times the allowance cut[p-1] (in units
+    of the moment).
     Levels on one rung share its nodes (_trapezoid): the smallest h and the
     largest N h of their levels.  A level's bar is those bounds at the rung's
     h and N plus rounding: eps times the terms' sizes weighted by _ROUNDING,
@@ -447,7 +441,7 @@ def _moments23(problem: TailBoundProblem, t: np.ndarray, cut: np.ndarray):
         alias = (np.exp(_left_alias(p, a_t[ok], sl, span))
                  + np.exp(log_b[:, ok] - np.log(np.expm1((r[:, ok] - sl) * span))))
     mu[:, ok] = scale * total
-    err[:, ok] = alias + _PREF * _envelope(a, K[ok], last[rung] * st, p + 1.0) + rounding
+    err[:, ok] = alias + _PREF * decay_bound(K[ok], a, last[rung] * st, p + 1.0) + rounding
     return mu, err
 
 

@@ -22,7 +22,7 @@ from .quadrature import IntegrandProfile, integrate_halfline
 from .remainders import MomentOrder
 from .tailbound import TailBoundProblem, eta_spec, pin, pin_curve
 
-__all__ = ["ValidationCheck", "run_suite", "SUITES"]
+__all__ = ["ValidationCheck", "run_suite", "SUITES", "QUADRATURE_CASES"]
 
 
 @dataclass
@@ -162,25 +162,26 @@ def _check_curve(quick: bool, seed: int) -> ValidationCheck:
     )
 
 
+# closed-form half-line integrals (name, integrand, profile, exact value);
+# the test corpus builds its entries of these names from this table
+QUADRATURE_CASES = (
+    ("exp", lambda t: np.exp(-t), IntegrandProfile(0.0, lambda T: math.exp(-T)), 1.0),
+    ("rsqrt_box", lambda t: np.where(t <= 1.0, 1.0 / np.sqrt(np.maximum(t, 1e-300)), 0.0),
+     IntegrandProfile(-0.5, lambda T: 0.0 if T >= 1.0 else 2.0 * (1.0 - math.sqrt(T))), 2.0),
+    ("lorentz", lambda t: 1.0 / (1.0 + t * t), IntegrandProfile(0.0, lambda T: 1.0 / T),
+     math.pi / 2.0),
+    ("gauss", lambda t: np.exp(-0.5 * t * t),
+     IntegrandProfile(0.0, lambda T: math.sqrt(math.pi / 2) if T < 1.0
+                      else math.exp(-0.5 * T * T) / T),
+     math.sqrt(math.pi / 2.0)),
+)
+
+
 def _check_quadrature(quick: bool, seed: int) -> ValidationCheck:
-    # small built-in slice of the validation corpus: every value inside the
-    # reported error envelope
-    cases = [
-        (lambda t: np.exp(-t),
-         IntegrandProfile(0.0, lambda T: math.exp(-T)), 1.0),
-        (lambda t: np.where(t <= 1.0, 1.0 / np.sqrt(np.maximum(t, 1e-300)), 0.0),
-         IntegrandProfile(-0.5, lambda T: 0.0 if T >= 1.0 else 2.0 * (1.0 - math.sqrt(T))),
-         2.0),
-        (lambda t: 1.0 / (1.0 + t * t),
-         IntegrandProfile(0.0, lambda T: 1.0 / T), math.pi / 2.0),
-        (lambda t: np.exp(-0.5 * t * t),
-         IntegrandProfile(0.0, lambda T: math.sqrt(math.pi / 2) if T < 1.0
-                          else math.exp(-0.5 * T * T) / T),
-         math.sqrt(math.pi / 2.0)),
-    ]
+    # every value of the closed-form table inside the reported error envelope
     ok = True
     worst = 0.0
-    for f, profile, exact in cases:
+    for _, f, profile, exact in QUADRATURE_CASES:
         r = integrate_halfline(f, profile, 1e-9)
         achieved = abs(r.value - exact)
         ok = ok and achieved <= r.total_error

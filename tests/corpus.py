@@ -4,7 +4,9 @@ Spans endpoint exponents in (-0.9, 0], algebraic tails t^-q with q in
 (1.3, 4), exponential and Gaussian decay, and oscillation (with by-parts
 closed-form tails where the decay alone would put the truncation point out
 of reach).  Each entry carries the exact value, an integrand, a profile
-factory, and the rel_tol it is meant to run at.
+factory, and the rel_tol it is meant to run at.  The exp, gauss, rsqrt_box
+and lorentz entries are the closed-form table of ``validate``'s quadrature
+check, each at its own rel_tol here.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from scipy.special import beta as beta_fn, exp1
 
 from pospart.quadrature import IntegrandProfile
+from pospart.validate import QUADRATURE_CASES
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,34 +31,27 @@ class CorpusEntry:
     rel_tol: float
 
 
-def _mills(T):
-    if T < 1.0:
-        return math.sqrt(math.pi / 2.0)
-    return math.exp(-0.5 * T * T) / T
+_CLOSED = {name: (f, profile, exact) for name, f, profile, exact in QUADRATURE_CASES}
+
+
+def _closed(name: str, rel_tol: float) -> CorpusEntry:
+    """The entry of validate's closed-form table, at its own rel_tol."""
+    return CorpusEntry(name, *_CLOSED[name], rel_tol)
 
 
 def build_corpus() -> list[CorpusEntry]:
     entries = []
 
-    entries.append(CorpusEntry(
-        "exp", lambda t: np.exp(-t),
-        IntegrandProfile(0.0, lambda T: math.exp(-T)),
-        1.0, 1e-10))
+    entries.append(_closed("exp", 1e-10))
 
     entries.append(CorpusEntry(
         "t_exp", lambda t: t * np.exp(-t),
         IntegrandProfile(0.0, lambda T: (T + 1.0) * math.exp(-T)),
         1.0, 1e-10))
 
-    entries.append(CorpusEntry(
-        "gauss", lambda t: np.exp(-0.5 * t * t),
-        IntegrandProfile(0.0, _mills),
-        math.sqrt(math.pi / 2.0), 1e-10))
+    entries.append(_closed("gauss", 1e-10))
 
-    entries.append(CorpusEntry(
-        "rsqrt_box", lambda t: np.where(t <= 1.0, 1.0 / np.sqrt(np.maximum(t, 1e-300)), 0.0),
-        IntegrandProfile(-0.5, lambda T: 0.0 if T >= 1.0 else 2.0 * (1.0 - math.sqrt(T))),
-        2.0, 1e-9))
+    entries.append(_closed("rsqrt_box", 1e-9))
 
     entries.append(CorpusEntry(
         "steep_box", lambda t: np.where(t <= 1.0, np.maximum(t, 1e-300) ** -0.9, 0.0),
@@ -90,10 +86,7 @@ def build_corpus() -> list[CorpusEntry]:
         IntegrandProfile(0.0, lambda T: 1.0 / T),
         math.pi / 4.0, 1e-9))
 
-    entries.append(CorpusEntry(
-        "lorentz", lambda t: 1.0 / (1.0 + t * t),
-        IntegrandProfile(0.0, lambda T: 1.0 / T),
-        math.pi / 2.0, 1e-9))
+    entries.append(_closed("lorentz", 1e-9))
 
     entries.append(CorpusEntry(
         "quartic_tail", lambda t: (1.0 + t) ** -4.0,

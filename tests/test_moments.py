@@ -22,8 +22,6 @@ from pospart.errors import MomentMismatch, PositivePartError, PreconditionError,
 from pospart.moments import (
     MomentOrder,
     _TailModel,
-    _by_parts,
-    _power_tail,
     _transform_kernel,
     gamma_p1,
     i_p,
@@ -36,6 +34,7 @@ from pospart.moments import (
     ppm_negative_s,
 )
 from pospart.quadrature import integrate_halfline
+from pospart.remainders import decay_bound, harmonic_tail
 from pospart.specparse import parse_spec
 from pospart.tailbound import TailBoundProblem, eta_spec
 
@@ -68,7 +67,8 @@ def test_power_tail_matches_quadrature():
                     continue
                 f = lambda t: np.real((s + 1j * t) ** (r - p - 1.0))
                 window = _brute_window(f, 5.0, 600.0)
-                closed = _power_tail(1.0, r, p, s, 5.0) - _power_tail(1.0, r, p, s, 600.0)
+                closed = (harmonic_tail(0.0, s, p - r, 5.0, 0)[0]
+                          - harmonic_tail(0.0, s, p - r, 600.0, 0)[0]).real
                 assert closed == pytest.approx(window, rel=1e-7, abs=1e-9)
 
 
@@ -79,14 +79,14 @@ def test_by_parts_matches_quadrature():
                 f = lambda t: np.exp(1j * t * x) * (s + 1j * t) ** (-q)
                 grid = np.linspace(9.0, 2000.0, 2_000_001)
                 window = np.trapezoid(f(grid), grid)
-                hi, bound_hi = _by_parts(x, s, q, 2000.0, 6)
-                lo, bound_lo = _by_parts(x, s, q, 9.0, 6)
+                hi, bound_hi, _ = harmonic_tail(x, s, q - 1.0, 2000.0, 6)
+                lo, bound_lo, _ = harmonic_tail(x, s, q - 1.0, 9.0, 6)
                 assert abs((lo - hi) - window) <= 1e-6 + bound_hi + bound_lo
 
 
 def test_tail_model_equals_per_harmonic_by_parts():
     # the model shares the (s+iT) powers across harmonics and fixes the a_n
-    # per model; its sums must stay bit-identical to one _by_parts per harmonic
+    # per model; its sums must stay bit-identical to one harmonic_tail per harmonic
     rng = np.random.default_rng(11)
     for s in (0.0, 0.5, -0.5):
         for p in (0.5, 1.0, 2.5, 4.0):
@@ -95,23 +95,19 @@ def test_tail_model_equals_per_harmonic_by_parts():
             xs = 10.0 ** rng.uniform(-3.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
             harmonics = [(float(x), float(g)) for x, g in zip(xs, rng.normal(0.0, 1.0, n))]
             poly = [(0.3, 0)]  # r < p, as the routes build them
-            gauss = [(0.8, 2.0)]
-            model = _TailModel(p=p, q=q, s=s, harmonics=harmonics, poly=poly,
-                               gauss=gauss, fallback_K=0.25)
+            decay = [(0.8, 2.0), (0.25, 0.0)]
+            model = _TailModel(p=p, q=q, s=s, harmonics=harmonics, poly=poly, decay=decay)
             k = model.k
             for T in 10.0 ** rng.uniform(-2.0, 6.0, 12):
                 T = float(T)
                 closed = math.fsum(
-                    [(g * _by_parts(x, s, q, T, k)[0]).real for x, g in harmonics]
-                    + [_power_tail(c, r, p, s, T) for c, r in poly])
+                    [harmonic_tail(x, s, p, T, k, g)[0].real for x, g in harmonics]
+                    + [harmonic_tail(0.0, s, p - r, T, 0, c)[0].real for c, r in poly])
                 env = 0.0
-                slow = T ** (1.0 - q) / (q - 1.0)
                 for x, g in harmonics:
-                    env += abs(g) * _by_parts(x, s, q, T, k)[1]
-                for K, vg in gauss:
-                    mills = math.exp(-0.5 * vg * T * T) / (vg * T) if vg * T * T < 1400 else 0.0
-                    env += K * min(T ** (-q) * mills, slow)
-                env += 0.25 * slow
+                    env += harmonic_tail(x, s, p, T, k, g)[1]
+                for K, a in decay:
+                    env += decay_bound(K, a, T, q)
                 assert model.closed(T) == closed
                 assert model.envelope(T) == env
 
@@ -440,6 +436,11 @@ def test_missed_budget_raises(route, spec, p, s):
     # apart, with bars 1.56e6 and 210 times their budgets
     run = {"cf": lambda: ppm_cf(spec, p), "laplace": lambda: ppm_laplace(spec, p, s),
            "negative": lambda: ppm_negative_s(spec, p, s)}[route]
+    if route == "laplace" and s == 0.01:
+        # the second pass from the refined value meets the budget here
+        result = run()
+        assert abs(result.value - 0.5) <= result.reported_error
+        return
     with pytest.raises(UnmetBudget, match="error bar of an integral") as err:
         run()
     assert err.value.partial.total_error == err.value.bar > err.value.budget

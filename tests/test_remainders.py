@@ -8,7 +8,9 @@ from pospart.errors import DomainError, PreconditionError
 from pospart.remainders import (
     LatticeKernel,
     MomentOrder,
+    decay_bound,
     exp_remainder,
+    harmonic_tail,
     inv_power,
     switch_radius,
 )
@@ -82,7 +84,7 @@ def test_relative_accuracy_against_high_precision(m):
     u=st.floats(min_value=-8.0, max_value=3.0),
     m=st.integers(min_value=0, max_value=6),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_imaginary_axis_bound(u, m):
     # explicit-constant envelope: |e_m(iu)| <= min(2|u|^m/m!, |u|^(m+1)/(m+1)!)
     u = math.copysign(10.0**u, u)
@@ -102,7 +104,7 @@ def test_imaginary_axis_bound_log_grid():
     im=st.floats(min_value=-20, max_value=20),
     m=st.integers(min_value=0, max_value=8),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_telescoping(re, im, m):
     z = complex(re, im)
     lhs = exp_remainder(z, m) - exp_remainder(z, m - 1)
@@ -230,3 +232,32 @@ def test_lattice_kernel_against_lerchphi(q, theta, s):
     err = np.abs(got - np.array(want))
     assert np.all(err <= kernel.bound), (err, kernel.bound)
     assert kernel.bound <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.8, -2.5])
+@pytest.mark.parametrize("s", [0.0, 0.2])
+def test_harmonic_tail_on_arrays_matches_floats(x, s):
+    # the lattice kernel calls it on arrays of T and s, the tail model on
+    # floats: the same value, bound and sizes within a few ulps
+    T = np.array([3.0, 17.5, 240.0])
+    val, bound, size = harmonic_tail(x, np.full(3, s), 1.7, T, 6, -0.3)
+    bound = np.broadcast_to(bound, T.shape)   # exact at x = 0: a plain 0
+    for i, t in enumerate(T.tolist()):
+        v, b, z = harmonic_tail(x, s, 1.7, t, 6, -0.3)
+        assert abs(val[i] - v) <= 1e-14 * abs(v)
+        assert bound[i] == pytest.approx(b, rel=1e-14, abs=0.0)
+        assert size[i] == pytest.approx(z, rel=1e-14)
+        assert abs(v) <= z
+
+
+def test_decay_bound_forms():
+    # floats (the tail model) and arrays (the Pin engine) give one bound:
+    # the smaller of the Gaussian-Mills and the algebraic one, and a = 0 the
+    # algebraic one alone, without a warning
+    T, q = np.array([0.5, 3.0, 40.0]), 3.5
+    slow = 2.0 * T ** (1.0 - q) / (q - 1.0)
+    mills = 2.0 * T ** -q * np.exp(-0.35 * T * T) / (0.7 * T)
+    for a, want in ((0.0, slow), (0.7, np.minimum(mills, slow))):
+        got = decay_bound(2.0, a, T, q)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert [decay_bound(2.0, a, t, q) for t in T.tolist()] == pytest.approx(got, rel=1e-14)

@@ -103,7 +103,7 @@ _specs = st.recursive(
 
 
 @given(spec=_specs)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_render_roundtrip(spec):
     assert parse_spec(render(spec)) == spec
 
