@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import PreconditionError
-from .remainders import exp_remainder
+from .remainders import binomial_row, exp_remainder
 
 __all__ = [
     "PointMass",
@@ -226,7 +226,9 @@ def _moments(spec, r: int) -> list:
 
     Each node keeps one list and extends it from where it stopped, reading
     each child's list once, so a request costs time linear in the tree's
-    depth and an order asked for again is a lookup."""
+    depth and an order asked for again is a lookup.  A composite node builds
+    each order's terms as one row, C(n, i) (a float, binomial_row) times
+    the two other factors in that order, summed by math.fsum (_row_sum)."""
     mom = _moment_list(spec)
     n0 = len(mom)
     if n0 > r:
@@ -243,30 +245,56 @@ def _moments(spec, r: int) -> list:
             mom.append(spec.mu)
         for n in range(len(mom), r + 1):
             mom.append(spec.mu * mom[n - 1] + (n - 1) * spec.var * mom[n - 2])
-    elif isinstance(spec, CenteredScaledPoisson):
-        # cumulants: kappa_1 = 0, kappa_n = lam * y^n for n >= 2; moments by
-        # the standard cumulant-to-moment recursion
-        kappa = [0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)]
-        for n in range(n0, r + 1):
-            mom.append(math.fsum(
-                math.comb(n - 1, i - 1) * kappa[i] * mom[n - i]
-                for i in range(1, n + 1)
-            ))
-    elif isinstance(spec, Shift):
-        inner = _moments(spec.inner, r)
-        for n in range(n0, r + 1):
-            mom.append(math.fsum(
-                math.comb(n, i) * spec.c ** (n - i) * inner[i] for i in range(n + 1)
-            ))
-    elif isinstance(spec, IndependentSum):
-        left, right = _moments(spec.left, r), _moments(spec.right, r)
-        for n in range(n0, r + 1):
-            mom.append(math.fsum(
-                math.comb(n, i) * left[i] * right[n - i] for i in range(n + 1)
-            ))
+    elif isinstance(spec, (CenteredScaledPoisson, Shift, IndependentSum)):
+        # a numpy product past the float range is inf, as a float product
+        # is, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(spec, CenteredScaledPoisson):
+                # cumulants: kappa_1 = 0, kappa_n = lam * y^n for n >= 2;
+                # moments by the standard cumulant-to-moment recursion,
+                # m_n = sum_{i=1..n} C(n-1, i-1) kappa_i m_(n-i)
+                kappa = np.array([0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)])
+                own = np.array(mom + [0.0] * (r + 1 - n0))
+                for n in range(n0, r + 1):
+                    own[n] = _row_sum(binomial_row(n - 1), kappa[1:n + 1], own[n - 1::-1])
+                    mom.append(float(own[n]))
+            elif isinstance(spec, Shift):
+                # m_n = sum_i C(n, i) c^(n-i) E inner^i
+                inner = np.array(_moments(spec.inner, r)[:r + 1])
+                powers = np.array([spec.c**n for n in range(n0)] + [0.0] * (r + 1 - n0))
+                for n in range(n0, r + 1):
+                    powers[n] = spec.c**n
+                    mom.append(_row_sum(binomial_row(n), powers[n::-1], inner[:n + 1]))
+            else:
+                # m_n = sum_i C(n, i) E left^i E right^(n-i)
+                left = np.array(_moments(spec.left, r)[:r + 1])
+                right = np.array(_moments(spec.right, r)[:r + 1])
+                for n in range(n0, r + 1):
+                    mom.append(_row_sum(binomial_row(n), left[:n + 1], right[n::-1]))
     else:
         raise PreconditionError(f"unknown spec {spec!r}")
     return mom
+
+
+def _row_sum(binomials, first, second) -> float:
+    """math.fsum of binomials * first * second, each product rounded in that
+    order as a float times a float is."""
+    return math.fsum((binomials * first * second).tolist())
+
+
+def _moments_through(specs, top: int) -> list:
+    """The moment lists of specs through order top, each asked for once.
+
+    If that fails, the orders are asked for again one at a time, spec by
+    spec, so that the failure raised is the one an order-by-order reading
+    meets first (one node may fail at a lower order than another)."""
+    try:
+        return [_moments(spec, top) for spec in specs]
+    except (ArithmeticError, ValueError):
+        for r in range(top + 1):
+            for spec in specs:
+                _moments(spec, r)
+        raise
 
 
 def raw_moment(spec: DistributionSpec, r: int) -> float:
@@ -453,8 +481,10 @@ _EPS = float(np.finfo(float).eps)
 
 @lru_cache(maxsize=1024)
 def _series_coefs(spec, n: int) -> tuple:
-    """The moment-series coefficients m_r / r! of E e^{zX} for r = 0 .. n."""
-    return tuple(raw_moment(spec, r) / _factorial(r) for r in range(n + 1))
+    """The moment-series coefficients m_r / r! of E e^{zX} for r = 0 .. n;
+    past r = 170 the first r! refuses, after its moment."""
+    mom = _moments_through([spec], min(n, _MAX_FACTORIAL + 1))[0]
+    return tuple(mom[r] / _factorial(r) for r in range(n + 1))
 
 
 def _remainder_vec(spec, z, j: int):

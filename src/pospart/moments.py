@@ -69,7 +69,10 @@ from .distributions import (
     _factorial,
     _fl_vec,
     _log_fl_vec,
+    _MAX_FACTORIAL,
     _moment_poly,
+    _moments,
+    _moments_through,
     _remainder_vec,
     _series_coefs,
     _WEIGHT_FLOOR,
@@ -79,7 +82,8 @@ from .errors import (
     NumericalDegeneracy,
     PreconditionError,
 )
-from .quadrature import HeadRule, IntegrandProfile, QuadratureResult, integrate_halfline, partial_integrals
+from .quadrature import (HeadRule, IntegrandProfile, QuadratureResult, check_rel_tol,
+                         integrate_halfline, partial_integrals)
 from .remainders import (LatticeKernel, MomentOrder, by_parts_coefs, by_parts_powers,
                          by_parts_remainder, by_parts_sum, decay_bound, inv_power, power_tail)
 from .specparse import render
@@ -246,9 +250,16 @@ def _head_rule(parts, mo: MomentOrder, cutoff: float) -> HeadRule:
     """
     p = mo.p
     R = mo.ell + 1 + _HEAD_TERMS
+    specs = [spec for _, spec in parts]
+    # the moments through R at once, but past 171 order by order: 171! is
+    # out of the float range, and the loop refuses there unless the term vanishes
+    top = min(R, _MAX_FACTORIAL + 1)
+    moms = _moments_through(specs, top)
     terms = []
     for r in range(mo.ell + 1, R + 1):
-        mr = sum(sign * raw_moment(spec, r) for sign, spec in parts)
+        if r > top:
+            moms = [_moments(spec, r) for spec in specs]
+        mr = sum(sign * mom[r] for (sign, _), mom in zip(parts, moms))
         c = _cos_phase(r, mo)
         if mr != 0.0 and c != 0.0:
             terms.append(mr / _factorial(r) * c * cutoff ** (r - p) / (r - p))
@@ -293,6 +304,12 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
         harmonics += [(x, sign * w) for x, w in h]
         decay += d
         zero_w += sign * zw
+    if p + 1.0 <= 1.0 and any(a == 0.0 for _, a in decay):
+        # the algebraic bound T^(1-q) / (q-1) on a decay-free residual is
+        # infinite, so no truncation point would fit the budget
+        raise PreconditionError(
+            f"moment order p = {p!r} too small for this law: p + 1 rounds to 1, and "
+            f"its transform has no Gaussian factor to bound the tail")
     poly = _merge_poly(moment_terms + ([(zero_w, 0)] if zero_w else []))
     tail = _TailModel(p=p, q=p + 1.0, s=s, harmonics=harmonics, poly=poly,
                       decay=decay, start=edges[-1] if edges else 0.0)
@@ -465,13 +482,31 @@ def _run(kernel: _Kernel, spec, p: float, rel_tol: float) -> MomentResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_line(p: float, s: float, rel_tol: float) -> None:
+    """Refuse a finite line s != 0 on which the power factor |s|^-(p+1) of
+    the integrand near t = 0 leaves the float range: above 2^1023 it
+    overflows, and below 2^(-1022 + 53) / rel_tol the integrand has fewer
+    than 53 bits left at the budget's scale (subnormal values, or none at
+    all).  On the line at infinity the factor is exactly 0, and a transform
+    finite there (a law at or on one side of 0) makes the integral exactly 0."""
+    check_rel_tol(rel_tol)
+    log2_power = -(p + 1.0) * math.log2(abs(s))
+    if math.isfinite(s) and not -1022.0 + 53.0 + math.log2(1.0 / rel_tol) <= log2_power <= 1023.0:
+        raise PreconditionError(
+            f"|s|^-(p+1) = 2^{log2_power:.6g} leaves the float range at p = {p!r}, "
+            f"s = {s!r}; take a line with |s| nearer 1")
+
+
 def ppm_laplace(spec: DistributionSpec, p: float, s: float, j: int = -1,
                 rel_tol: float = 1e-9) -> MomentResult:
     """E X_+^p from the vertical-line transform at s > 0.  Every catalog
-    transform is entire; _structure refuses an s with E e^{sX} not finite."""
+    transform is entire; _structure refuses an s with E e^{sX} not finite,
+    and _check_line one whose power factor |s|^-(p+1) leaves the float
+    range."""
     mo = MomentOrder.from_p(p)
     if not s > 0.0:
         raise PreconditionError(f"s = {s!r} outside (0, inf]")
+    _check_line(mo.p, s, rel_tol)
     kernel = _transform_kernel(spec, mo, s, j, f"laplace(s={s}, j={j})")
     return _run(kernel, spec, p, rel_tol)
 
@@ -485,6 +520,7 @@ def ppm_negative_s(spec: DistributionSpec, p: float, s: float, j: int = -1,
         raise PreconditionError("the negative-strip form needs integer p")
     if not s < 0.0:
         raise PreconditionError(f"s = {s!r} outside [-inf, 0)")
+    _check_line(mo.p, s, rel_tol)
     kernel = _transform_kernel(spec, mo, s, j, f"negative(s={s}, j={j})")
     return _run(kernel, spec, p, rel_tol)
 
@@ -547,7 +583,7 @@ def match_discrete(spec: DistributionSpec, p: float) -> DistributionSpec:
     at = atoms(spec)
     if at is not None and at[1] == 0.0 and len(at[0]) <= n:
         return spec
-    mom = [raw_moment(spec, r) for r in range(2 * n + 1)]
+    mom = _moments_through([spec], 2 * n)[0][: 2 * n + 1]
     hankel = np.array([[mom[i + j] for j in range(n + 1)] for i in range(n + 1)])
     for n in range(n, mo.k // 2, -1):
         try:

@@ -267,13 +267,60 @@ _NODE_TARGET = 2.0**-62   # error aimed at in each node's b^q S(b)
 _EULER_GAMMA = 0.5772156649015329
 
 
+# Riemann zeta(k) for the orders the lattice kernel reads (k = 2 .. 24 and
+# the even k to 60): the doubles of 999 terms plus the Euler-Maclaurin tail
+# through B_2, whose first omitted term is below 3e-17 (the formula is kept
+# in the tests, which check every entry bit for bit).
+_ZETA = {
+    2: 1.6449340668482264, 3: 1.2020569031595945, 4: 1.0823232337111384,
+    5: 1.03692775514337, 6: 1.0173430619844492, 7: 1.008349277381923,
+    8: 1.0040773561979444, 9: 1.0020083928260821, 10: 1.000994575127818,
+    11: 1.0004941886041194, 12: 1.000246086553308, 13: 1.0001227133475785,
+    14: 1.0000612481350588, 15: 1.000030588236307, 16: 1.0000152822594086,
+    17: 1.0000076371976379, 18: 1.000003817293265, 19: 1.0000019082127165,
+    20: 1.0000009539620338, 21: 1.0000004769329869, 22: 1.0000002384505027,
+    23: 1.000000119219926, 24: 1.000000059608189, 26: 1.0000000149015549,
+    28: 1.000000003725334, 30: 1.0000000009313275, 32: 1.000000000232831,
+    34: 1.0000000000582077, 36: 1.000000000014552, 38: 1.000000000003638,
+    40: 1.0000000000009095, 42: 1.0000000000002274, 44: 1.0000000000000568,
+    46: 1.0000000000000142, 48: 1.0000000000000036, 50: 1.0000000000000009,
+    52: 1.0000000000000002, 54: 1.0, 56: 1.0, 58: 1.0, 60: 1.0,
+}
+
+
 @lru_cache(maxsize=None)
-def _zeta(k: int) -> float:
-    """Riemann zeta(k) for k >= 2: 999 terms plus the Euler-Maclaurin tail
-    through B_2, whose first omitted term is below 3e-17."""
-    n = 1000
-    head = math.fsum(j ** -k for j in range(1, n))
-    return head + n ** (1 - k) / (k - 1) + 0.5 * n ** -k + k * n ** (-k - 1) / 12.0
+def binomial_row(n: int) -> np.ndarray:
+    """C(n, 0 .. n) as floats, each the exact integer rounded once (as an
+    int times a float rounds it); one read-only row per n, made on first use."""
+    row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    row.setflags(write=False)
+    return row
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, marked read-only: a cached table is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _em_tables(M: int):
+    """The fixed parts of an Euler-Maclaurin closure with M corrections, made
+    on first use: for the odd orders m = 2j + 1, j < M, the complex C(m, i)
+    (0 past i = m) and the index m - i of (i theta)^(m-i) in the powers
+    (index 2M, a zero, past i = m); the coefficients
+    (-1)^j 2 zeta(2j+2) / (2 pi)^(2j+2); and the remainder's factor
+    2 zeta(2M) / (2 pi)^(2M)."""
+    comb = np.zeros((M, 2 * M), dtype=complex)
+    index = np.full((M, 2 * M), 2 * M)
+    for j in range(M):
+        m = 2 * j + 1
+        comb[j, : m + 1] = binomial_row(m)
+        index[j, : m + 1] = np.arange(m, -1, -1)
+    coef = np.array([(-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
+                     for j in range(M)])
+    return (*_read_only(comb, index, coef), 2.0 * _ZETA[2 * M] / (2.0 * math.pi) ** (2 * M))
 
 
 def _phi1(x):
@@ -294,7 +341,7 @@ def _pole_pair(q: float, n0: int, theta: float, w):
     is Q.  log Gamma(1-e) / e = gamma + sum_k zeta(k) e^(k-1) / k (DLMF 5.7.3).
     """
     e = q - 1.0 - n0
-    lg = _EULER_GAMMA + math.fsum(_zeta(k) * e ** (k - 1) / k for k in range(2, 24))
+    lg = _EULER_GAMMA + math.fsum(_ZETA[k] * e ** (k - 1) / k for k in range(2, 24))
     lg -= math.fsum((math.log1p(e / j) / (e / j) if e else 1.0) / j for j in range(1, n0 + 1))
     big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
     Q = -np.log(w) - big_l - lg
@@ -315,8 +362,10 @@ def _integral_term(q: float, theta: float, N: int, b, series: bool):
     w = N + b
     log_w = math.log(float(np.max(np.abs(w))))
     if not series:
-        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, N + b.real, _BP_TERMS)
-        rnd = (8.0 if theta else 4.0) * _EPS * (1.0 + q * log_w) * size
+        T = N + b.real
+        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, T, _BP_TERMS)
+        # the phase theta T of e^{i theta T} is rounded twice (T, then theta T)
+        rnd = ((8.0 if theta else 4.0) * (1.0 + q * log_w) + 2.0 * abs(theta) * T) * _EPS * size
         return np.exp(1j * (0.5 * math.pi * q - theta * b.real)) * val, trunc + rnd
     w1q = np.exp((1.0 - q) * np.log(w))
     z = 1j * theta * w
@@ -387,14 +436,9 @@ def _lerch_sum(q: float, theta: float, b):
     u = [np.ones_like(w)]
     for i in range(2 * M - 1):
         u.append(-u[-1] * (q + i) / w)
-    v = [(1j * theta) ** k for k in range(2 * M)]
-    rows = np.zeros((M, 2 * M), dtype=complex)
-    for j in range(M):
-        m = 2 * j + 1
-        rows[j, : m + 1] = [math.comb(m, i) * v[m - i] for i in range(m + 1)]
-    deriv = rows @ np.array(u)
-    coef = np.array([(-1) ** j * 2.0 * _zeta(2 * j + 2) / (2.0 * math.pi) ** (2 * j + 2)
-                     for j in range(M)])
+    comb, index, coef, em_factor = _em_tables(M)
+    v = np.array([(1j * theta) ** k for k in range(2 * M)] + [0j])
+    deriv = (comb * v[index]) @ np.array(u)
     corr = coef @ deriv
     absum = np.abs(coef) @ np.abs(deriv)
     integral, integral_err = _integral_term(q, theta, N, b, series)
@@ -402,11 +446,10 @@ def _lerch_sum(q: float, theta: float, b):
     # the remainder bound, through (x + beta)^(-q-i) <= |x + b|^(-q-i)
     bound = 0.0
     poch = 1.0
-    for i in range(2 * M + 1):
-        bound += math.comb(2 * M, i) * at ** (2 * M - i) * poch \
-            * (N + beta) ** (1.0 - q - i) / (q + i - 1.0)
+    for i, c in enumerate(binomial_row(2 * M)):
+        bound += c * at ** (2 * M - i) * poch * (N + beta) ** (1.0 - q - i) / (q + i - 1.0)
         poch *= q + i
-    em = 2.0 * _zeta(2 * M) / (2.0 * math.pi) ** (2 * M) * bound
+    em = em_factor * bound
     err = err + em + integral_err + 8.0 * _EPS * np.abs(wq) * (0.5 + absum)
     return val, err
 
@@ -418,6 +461,20 @@ def _clenshaw(coefs, x):
     for a in coefs[:0:-1]:
         b1, b2 = a + 2.0 * x * b1 - b2, b1
     return coefs[0] + x * b1 - b2
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(n: int):
+    """The lattice kernel's fixed arrays for degree n, made on first use: the
+    Chebyshev points of the second kind, the end-point halves and the
+    cosine matrix times 2 / n that take values to coefficients, and
+    k^2 and 2k for the terms k = 1 .. 9999 of the bound on |H|."""
+    x = np.cos(math.pi * np.arange(n + 1) / n)
+    half = np.ones(n + 1)
+    half[0] = half[-1] = 0.5
+    weights = (2.0 / n) * np.cos(math.pi * np.outer(np.arange(n + 1), np.arange(n + 1)) / n)
+    ks = np.arange(1.0, 1e4)
+    return _read_only(x, half, weights, ks * ks, 2.0 * ks)
 
 
 class LatticeKernel:
@@ -443,17 +500,14 @@ class LatticeKernel:
             raise DomainError("lattice kernel needs q > 1, P > 0, c >= 0, |theta| <= pi")
         self.q, self.s, self.P, self.c = q, s, P, c
         n = _CHEB_N
-        x = np.cos(math.pi * np.arange(n + 1) / n)
+        x, half, weights, ks2, ks_twice = _kernel_tables(n)
         b = self._b(c + 0.5 * P * (1.0 + x))
         S, S_err = _lerch_sum(q, theta, b)
         bq = np.exp(q * np.log(b))
         H = bq * S
         H_err = np.abs(bq) * S_err + 8.0 * _EPS * (1.0 + q * np.abs(np.log(b))) * np.abs(H)
         # Chebyshev coefficients of the interpolant in the points of the second kind
-        half = np.ones(n + 1)
-        half[0] = half[-1] = 0.5
-        cosines = np.cos(math.pi * np.outer(np.arange(n + 1), np.arange(n + 1)) / n)
-        coefs = (2.0 / n) * cosines @ (half * H)
+        coefs = weights @ (half * H)
         coefs[0] *= 0.5
         coefs[-1] *= 0.5
         self._coefs = coefs
@@ -464,9 +518,8 @@ class LatticeKernel:
         centre = complex(1.5 + c / P, -s / P)
         r_min = centre.real - reach
         B = abs(centre) + reach
-        ks = np.arange(1.0, 1e4)
         # a float sum of positive terms, rounded up by far more than its error
-        M = (1.0 + 1e-9) * (1.0 + float(np.sum((B * B / (ks * ks + 2.0 * ks * r_min + B * B))
+        M = (1.0 + 1e-9) * (1.0 + float(np.sum((B * B / (ks2 + ks_twice * r_min + B * B))
                                                 ** (0.5 * q)))
                            + B ** q * 1e4 ** (1.0 - q) / (q - 1.0))
         lebesgue = 2.0 / math.pi * math.log(n + 1.0) + 1.0

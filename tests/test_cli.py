@@ -481,6 +481,28 @@ def test_transform_overflow_at_s_exits_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dist", "discrete(-1:0.5,2:0.5)", "--p", "169", "--method", "laplace", "--s", "85"],
+    ["--dist", "point(1)", "--p", "169", "--method", "laplace", "--s", "170"],
+    ["--dist", "point(1)", "--p", "169", "--method", "laplace", "--s", "60"],
+])
+def test_line_whose_power_factor_leaves_the_float_range_exits_two(capsys, argv):
+    # |s|^-170 is below 2^(-1022 + 53) / rel_tol on these lines: they
+    # printed 0,0,0,390 (the moment is 3.74e50), 1.0000000031483238 with a
+    # bar of 1.1e-14, and exit 3 after 955,950 evaluations
+    code, out, err = run_cli(capsys, "moment", *argv)
+    assert code == 2 and out == ""
+    assert f"p = 169.0, s = {float(argv[-1])!r}" in err and err.startswith("error: ")
+
+
+def test_order_whose_p_plus_one_rounds_to_one_exits_two(capsys):
+    # p + 1 = 1: no tail bound on the decay-free transform, refused at once
+    code, out, err = run_cli(capsys, "moment", "--dist", "sum(cpoisson(100,1),cpoisson(60,0.37))",
+                             "--p", "1e-300")
+    assert code == 2 and out == ""
+    assert "p + 1 rounds to 1" in err
+
+
 def test_high_integer_order_writes_no_warning():
     # at p = 145 the integrand's powers of t reach the edge of the float
     # range, and on the line s = inf the transform of a law below 0 is 0;

@@ -144,6 +144,81 @@ def test_poisson_moments_extend_one_sequence_bit_for_bit():
             assert raw_moment(summed, r) == want, (lam, y, r)
 
 
+def _generator_moments(spec, r, lists):
+    """The moment recursion as a generator over math.comb summed by
+    math.fsum, one list per node in ``lists`` extended in place: the
+    reference that distributions._moments' numpy rows must match."""
+    mom = lists.setdefault(spec, [1.0])
+    n0 = len(mom)
+    if n0 > r:
+        return mom
+    if isinstance(spec, PointMass):
+        mom += [float(spec.x**n) for n in range(n0, r + 1)]
+    elif isinstance(spec, FiniteDiscrete):
+        mom += [math.fsum(w * x**n for x, w in spec.atoms) for n in range(n0, r + 1)]
+    elif isinstance(spec, Normal):
+        if n0 == 1:
+            mom.append(spec.mu)
+        for n in range(len(mom), r + 1):
+            mom.append(spec.mu * mom[n - 1] + (n - 1) * spec.var * mom[n - 2])
+    elif isinstance(spec, CenteredScaledPoisson):
+        kappa = [0.0, 0.0] + [spec.lam * spec.y**n for n in range(2, r + 1)]
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(math.comb(n - 1, i - 1) * kappa[i] * mom[n - i]
+                                 for i in range(1, n + 1)))
+    elif isinstance(spec, Shift):
+        inner = _generator_moments(spec.inner, r, lists)
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(math.comb(n, i) * spec.c ** (n - i) * inner[i]
+                                 for i in range(n + 1)))
+    else:
+        left = _generator_moments(spec.left, r, lists)
+        right = _generator_moments(spec.right, r, lists)
+        for n in range(n0, r + 1):
+            mom.append(math.fsum(math.comb(n, i) * left[i] * right[n - i]
+                                 for i in range(n + 1)))
+    return mom
+
+
+_MOMENT_TREES = [
+    PointMass(-1.7),
+    FiniteDiscrete(((-0.7, 0.3), (0.4, 0.45), (2.2, 0.25))),
+    Normal(0.4, 2.3),
+    CenteredScaledPoisson(3.0, 0.5),
+    CenteredScaledPoisson(1e-5, 1.0),
+    CenteredScaledPoisson(100.0, 1.0),
+    Shift(CenteredScaledPoisson(2.0, 1.5), -0.7),
+    IndependentSum(Normal(-0.2, 0.3), FiniteDiscrete(((-1.0, 0.5), (2.0, 0.5)))),
+    IndependentSum(CenteredScaledPoisson(40.0, 0.2), CenteredScaledPoisson(0.7, 1.0)),
+    ETA,
+    Shift(IndependentSum(Normal(0.0, 0.6), CenteredScaledPoisson(4.4, 0.3)), -0.5),
+]
+
+
+@pytest.mark.parametrize("spec", _MOMENT_TREES)
+@pytest.mark.parametrize("first", [0, 13, 70])
+def test_moments_match_the_generator_recursion_bit_for_bit(spec, first):
+    # each order's terms are one numpy row with the generator's two products
+    # in its order, still summed by math.fsum: the same doubles through
+    # order 70, whether a list is filled at once or extended from order 13
+    from pospart.distributions import _moment_list
+    _moment_list.cache_clear()
+    want = [m.hex() for m in _generator_moments(spec, 70, {})]
+    raw_moment(spec, first)
+    assert [raw_moment(spec, r).hex() for r in range(71)] == want
+
+
+def test_moments_asked_at_once_fail_as_order_by_order():
+    # X + Y with atoms at 9e153: the sum's order 2 overflows in math.fsum
+    # before the atoms' order 3 leaves the float range; asking for order 5
+    # at once reports the failure that reading order by order meets first
+    from pospart.distributions import _moment_list, _series_coefs
+    _moment_list.cache_clear()
+    spec = IndependentSum(PointMass(9e153), PointMass(9e153))
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        _series_coefs(spec, 5)
+
+
 def test_normal_moments_match_gaussian_table():
     # E X^4 = mu^4 + 6 mu^2 var + 3 var^2
     mu, var = 0.7, 1.3

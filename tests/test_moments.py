@@ -182,6 +182,54 @@ def test_line_where_the_transform_overflows_is_refused():
         ppm_laplace(Normal(0.0, 1.0), 2, 40.0)
 
 
+@pytest.mark.parametrize("spec, p, s", [
+    (FiniteDiscrete(((-1.0, 0.5), (2.0, 0.5))), 169, 85.0),   # printed 0, true 3.74e50
+    (PointMass(1.0), 169, 170.0),    # printed 1 + 3.1e-9 with a bar of 1.1e-14
+    (PointMass(1.0), 169, 60.0),     # ran 955,950 evaluations, then failed
+    (PointMass(1.0), 2, 1e-300),     # |s|^-3 overflows
+    (PointMass(-1.0), 4, -1e-250),   # on the negative line
+])
+def test_line_where_the_power_factor_leaves_the_float_range_is_refused(spec, p, s, monkeypatch):
+    # -(p+1) log2|s| above 1023 or below -1022 + 53 + log2(1/rel_tol):
+    # refused before any integrand evaluation, naming p and s
+    import pospart.moments as moments
+    monkeypatch.setattr(moments, "integrate_halfline", None)
+    route = ppm_laplace if s > 0.0 else ppm_negative_s
+    with pytest.raises(PreconditionError, match=f"p = {float(p)!r}, s = {s!r}"):
+        route(spec, p, s)
+
+
+def test_power_factor_floor_moves_with_rel_tol(monkeypatch):
+    # at p = 169 the floor -1022 + 53 + log2(1/rel_tol) puts the last line
+    # kept at s = 46.0 for rel_tol 1e-9 and at s = 50.6 for 1e-2
+    import pospart.moments as moments
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(moments, "integrate_halfline", reached)
+    for s, rel_tol in ((45.9, 1e-9), (50.5, 1e-2)):
+        with pytest.raises(Reached):
+            ppm_laplace(PointMass(1.0), 169, s, rel_tol=rel_tol)
+    for s, rel_tol in ((46.1, 1e-9), (50.7, 1e-2)):
+        with pytest.raises(PreconditionError, match="leaves the float range"):
+            ppm_laplace(PointMass(1.0), 169, s, rel_tol=rel_tol)
+
+
+def test_order_whose_p_plus_one_rounds_to_one_is_refused(monkeypatch):
+    # q = p + 1 = 1 leaves the decay-free residual's algebraic tail bound
+    # infinite: refused before any integrand evaluation, where it ran out
+    # of its 2,000,000 evaluations
+    import pospart.moments as moments
+    monkeypatch.setattr(moments, "integrate_halfline", None)
+    spec = IndependentSum(CenteredScaledPoisson(100.0, 1.0), CenteredScaledPoisson(60.0, 0.37))
+    with pytest.raises(PreconditionError, match=r"p = 1e-300 .*p \+ 1 rounds to 1"):
+        ppm_cf(spec, 1e-300)
+
+
 def test_negative_strip_examples():
     r = ppm_negative_s(PointMass(-1.0), 2, -0.5, -1)
     assert abs(r.value) <= 1e-10

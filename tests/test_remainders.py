@@ -261,3 +261,60 @@ def test_decay_bound_forms():
         got = decay_bound(2.0, a, T, q)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert [decay_bound(2.0, a, t, q) for t in T.tolist()] == pytest.approx(got, rel=1e-14)
+
+
+def _zeta_euler_maclaurin(k):
+    # 999 terms plus the Euler-Maclaurin tail through B_2
+    n = 1000
+    head = math.fsum(j ** -k for j in range(1, n))
+    return head + n ** (1 - k) / (k - 1) + 0.5 * n ** -k + k * n ** (-k - 1) / 12.0
+
+
+def test_zeta_table_is_the_euler_maclaurin_formula_bit_for_bit():
+    # the 41 orders the lattice kernel reads: 2 .. 24 for the pole pair and
+    # the even ones to 60 for its Euler-Maclaurin closure
+    from pospart.remainders import _ZETA
+    orders = list(range(2, 25)) + list(range(26, 61, 2))
+    assert sorted(_ZETA) == orders
+    assert [_ZETA[k].hex() for k in orders] == [_zeta_euler_maclaurin(k).hex() for k in orders]
+
+
+@pytest.mark.parametrize("q, theta, N, s", [
+    (1.5, -2.1, 200, 0.0),     # where the bar without the phase term was 1.84 times short
+    (1.5, -2.1, 200, 0.3),
+    (2.0, -3.1, 150, 0.0),
+    (1.2, 0.7, 300, -0.2),
+    (1.01, 2.9, 4000, 0.1),
+    (3.0, -1.0, 1000, 0.0),
+])
+def test_integral_term_by_parts_within_its_bar(q, theta, N, s):
+    # int_N^inf e^{i theta x} (x + b)^-q dx = e^{-i theta b} (-i theta)^(q-1)
+    # Gamma(1-q, -i theta (N + b)) (DLMF 8.2.2): the by-parts branch, whose
+    # bar charges the rounding of the phase theta (N + Re b)
+    mpmath = pytest.importorskip("mpmath")
+    from pospart.remainders import _integral_term
+    b = 1.0 + np.linspace(0.0, 1.0, 7) - 1j * s
+    val, err = _integral_term(q, theta, N, b, False)
+    with mpmath.workdps(40):
+        for k, bk in enumerate(b.tolist()):
+            w = N + mpmath.mpc(bk)
+            want = (mpmath.exp(-1j * theta * mpmath.mpc(bk)) * mpmath.power(-1j * theta, q - 1)
+                    * mpmath.gammainc(1 - q, -1j * theta * w))
+            assert abs(val[k] - complex(want)) <= err[k], (k, abs(val[k] - complex(want)), err[k])
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, -0.7, 2.5, -math.pi])
+def test_euler_maclaurin_rows_match_the_list_comprehension_bit_for_bit(theta):
+    # the binomial-phase matrix C(m, i) (i theta)^(m-i), m = 2j + 1, built
+    # from the cached tables equals the rows built one list at a time
+    from pospart.remainders import _em_tables
+    M = 30
+    v = [(1j * theta) ** k for k in range(2 * M)]
+    rows = np.zeros((M, 2 * M), dtype=complex)
+    for j in range(M):
+        m = 2 * j + 1
+        rows[j, : m + 1] = [math.comb(m, i) * v[m - i] for i in range(m + 1)]
+    comb, index, *_ = _em_tables(M)
+    got = comb * np.array(v + [0j])[index]
+    assert [z.hex() for z in got.view(float).ravel().tolist()] == \
+        [z.hex() for z in rows.view(float).ravel().tolist()]
