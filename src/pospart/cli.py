@@ -127,13 +127,15 @@ def _cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reads "-0.5" as a value but "-1e-05" as an option, which
-    left "--x-min -1e-05" without its argument; no option here starts with a
-    digit, so every token that does after "-" is a number."""
+    """argparse reads "-0.5" as a value but "-1e-05" or "-inf" as an option,
+    which left "--x-min -1e-05" and "--s -inf" without their argument.  No
+    option here starts with a digit or is named inf, so a token is a number
+    when "-" is followed by a digit, by "." and a digit, or by all of "inf"
+    or "infinity" in any case."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

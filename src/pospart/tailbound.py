@@ -29,9 +29,10 @@ the same engine on one level.
 All levels of a curve sample the same increasing m, so the solver (_solve)
 steps them together through one table of samples of m, each level from its
 root under the Gaussian limit of eta (_gaussian_start), and the budget that
-counts is the bar on m itself.  Each result row carries the error bars of
-mu2, mu3 and Pin, NaN only on a level that failed, and the number of engine
-passes that evaluated it.
+counts is the bar on m itself.  A probe that misses its level by little
+settles it by an exact Taylor step in t (_carry) instead of another pass.
+Each result row carries the error bars of mu2, mu3 and Pin, NaN only on a
+level that failed, and the number of engine passes that evaluated it.
 
 _eta, the unshifted spec that eta_spec shifts, is the one description of the
 surrogate here: the line transform, its Gaussian variance and the raw
@@ -135,7 +136,8 @@ class TailBoundResult:
     carries them to Pin to first order.  They are 0 at the far left, where
     closed forms apply, and NaN only on a level that failed.  probes counts
     the engine passes that evaluated the level: 0 at the far left and on a
-    level that failed."""
+    level that failed.  t_x is the level's last probe or one Taylor step past
+    it (_carry), where mu2, mu3 and their bars are the Taylor model's."""
 
     x: float
     t_x: float
@@ -506,6 +508,47 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
                            probes=probes)
 
 
+def _carry(problem: TailBoundProblem, t, mu, err, d):
+    """mu1..mu3 of eta - t carried by Taylor's theorem from a level t, where
+    they are mu (3, n) with bars err, to t + d, with their bars; no transform
+    is evaluated.  d is an array of n steps.
+
+    G_p(t) = E(eta - t)_+^p has G_p' = -p G_(p-1), so with G_0 = P(eta > t)
+
+        G_1(t + d) = mu1 - G_0 d
+        G_2(t + d) = mu2 - 2 mu1 d + G_0 d^2
+        G_3(t + d) = mu3 - 3 mu2 d + 3 mu1 d^2 - G_0 d^3,
+
+    each G_0 a value P(eta > xi) at some xi between t and t + d.  All of them
+    lie in [g, 1], g the larger of two lower bounds on G_0(t + d_+).
+    Cauchy-Schwarz gives G_0 >= G_1^2 / G_2, where G_1 is at least
+    mu1 - e1 - d_+ (G_1' = -G_0 >= -1) and G_2 at most mu2 + e2.  And left of
+    0, P(eta <= u) <= e^{-u^2 / (2 sigma^2)}: log E e^{-r eta} is
+    (1 - eps) sigma^2 r^2 / 2 + lam (e^{-ry} - 1 + ry), at most
+    sigma^2 r^2 / 2, and Chernoff's bound at r = -u / sigma^2 is that
+    Gaussian tail.  Across the far-left span that bound is the tight one;
+    Cauchy-Schwarz leaves about sigma^2 / t^2 there.  The model takes the
+    middle of [g, 1]; each bar is the probe's bars carried through (e1,
+    e2 + 2|d| e1, e3 + 3|d| e2 + 3 d^2 e1), plus half of [g, 1] times |d|^p,
+    plus _ROUNDING eps per unit of the terms' sizes for the arithmetic, g
+    and d."""
+    mu1, mu2, mu3 = mu
+    e1, e2, e3 = err
+    a = np.abs(d)
+    up = np.maximum(d, 0.0)
+    z = np.minimum(t + up, 0.0) / problem.sigma
+    g = np.maximum(np.maximum(mu1 - e1 - up, 0.0) ** 2 / (mu2 + e2), -np.expm1(-0.5 * z * z))
+    mid, half = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
+    sq = d * d
+    value = np.stack([mu1 - mid * d, mu2 - 2.0 * mu1 * d + mid * sq,
+                      mu3 - 3.0 * mu2 * d + 3.0 * mu1 * sq - mid * sq * d])
+    size = np.stack([mu1 + a, mu2 + 2.0 * mu1 * a + sq,
+                     mu3 + 3.0 * mu2 * a + 3.0 * mu1 * sq + sq * a])
+    bar = np.stack([e1 + half * a, e2 + 2.0 * a * e1 + half * sq,
+                    e3 + 3.0 * a * e2 + 3.0 * sq * e1 + half * sq * a])
+    return value, bar + _ROUNDING * _EPS * size
+
+
 def _hermite_inverse(x, ta, ma, da, tb, mb, db):
     """The cubic Hermite interpolant of t(m) through (ma, ta) and (mb, tb)
     with slopes dt/dm = 1/da and 1/db, at m = x; arrays broadcast."""
@@ -531,17 +574,26 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     level.  Each pass evaluates all open levels together, with
     m' = 2 mu1 mu3/mu2^2 - 2 from the same pass.
 
+    After each pass, a level whose sound probe (below) has m' > 0 and misses
+    x takes a Taylor step: _carry carries its moments to t + d, and Newton
+    on that model, whose slope obeys the same identity, gives the root d of
+    m(t + d) = x.  If t + d lies between the far-left edge and the right
+    guard, and both |m - x| and the model's bar on m (its moments' bars,
+    remainders and rounding included) are within tol_x, the level settles
+    there with the probes it took; otherwise it steps and is probed again.
+
     A probe's bar on m is (mu3_err + (m - t) mu2_err) / mu2.  A probe is
     sound when that bar is within tol_x: only a sound probe settles a level,
-    which it does once |m - x| <= tol_x, and only sound probes enter the
-    table of samples (t, m, m', bar) of the one increasing m that all levels
-    share, seeded with the exact far-left edge.  A level's bracket is the
-    tightest the table certifies, a sample counting below x when m + bar < x
-    and above when m - bar > x.  Its next probe is the cubic Hermite inverse
-    interpolant of t(m) between the nearest samples on either side of x when
-    that cubic is monotone, as t(m) is, by Fritsch and Carlson's (1980)
-    sufficient condition: its end slopes over the secant's, alpha and beta,
-    have alpha^2 + beta^2 <= 9.  Otherwise, as across the far-left span from
+    which it does once |m - x| <= tol_x or by its Taylor step, and only
+    sound probes enter the table of samples (t, m, m', bar) of the one
+    increasing m that all levels share, seeded with the exact far-left edge.
+    A level's bracket is the tightest the table certifies, a sample counting
+    below x when m + bar < x and above when m - bar > x.  Its next probe is
+    the cubic Hermite inverse interpolant of t(m) between the nearest
+    samples on either side of x when that cubic is monotone, as t(m) is, by
+    Fritsch and Carlson's (1980) sufficient condition: its end slopes over
+    the secant's, alpha and beta, have alpha^2 + beta^2 <= 9.  Otherwise, as
+    across the far-left span from
     the edge, where m' is near 0 and the cubic bends so far that it lands
     just past the level's own probe on every pass, the Newton step from that
     probe comes first.  The first of the two that lies strictly inside the
@@ -620,6 +672,19 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         keep = sound & (slope > 0.0)
         table = np.concatenate(
             [table, np.stack([probe[keep], ev.m[keep], slope[keep], bar[keep]])], axis=1)
+        # each probe's Taylor step: Newton on the model m(t + d) = x (_carry),
+        # whose slope obeys the same identity; the last model evaluated is the
+        # level's row if its residual and its bar on m meet tol_x
+        goal = x[open_]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            d = (goal - ev.m) / slope
+            for _ in range(4):
+                near = probe + d
+                (c1, c2, c3), (_, b2, b3) = _carry(problem, probe, ev.mu, ev.err, near - probe)
+                m_near = near + c3 / c2
+                d = near - probe - (m_near - goal) / (2.0 * c1 * c3 / (c2 * c2) - 2.0)
+            taylor = (keep & (edge < near) & (near < _RIGHT_GUARD_SIGMAS * problem.sigma)
+                      & (np.abs(m_near - goal) <= tol_x) & ((b3 + c3 / c2 * b2) / c2 <= tol_x))
         step, again = [], []
         for k, j in enumerate(open_):
             exc = ev.failure[k]
@@ -639,6 +704,11 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
                                float(ev.m[k]), float(ev.err[1, k]), float(ev.err[2, k]))
                 if abs(g) <= tol_x:
                     out[idx[j]] = best_row(j)
+                    continue
+                if taylor[k]:
+                    out[idx[j]] = _row(problem, float(x[j]), float(near[k]), float(c2[k]),
+                                       float(c3[k]), float(m_near[k]), float(b2[k]),
+                                       float(b3[k]), int(probes[j]))
                     continue
             else:
                 missed[j] = UnmetBudget(f"m(t) at t = {float(t[j])!r}", float(bar[k]), tol_x)

@@ -1,7 +1,7 @@
 """Acceptance gate: the criteria A1..A9, each a check of the full suite in
 `pospart.validate` (which holds every grid and tolerance) run within a
-wall-clock budget.  `pytest tests/test_acceptance.py -v -s` prints one line
-per criterion.
+wall-clock budget; test_a8_curve_probes states A8's budget in counts as
+well.  `pytest tests/test_acceptance.py -v -s` prints one line per criterion.
 """
 
 import time
@@ -50,6 +50,16 @@ def test_a7_pin_bound_sanity():
 def test_a8_curve_performance():
     pin_curve(TailBoundProblem(1.0, 1.0, 0.5), 0.0, 5.0, 11, rel_tol=1e-7)  # warm the route caches
     _gate("A8", validate._check_curve, 1)
+
+
+def test_a8_curve_probes():
+    # A8's budget in counts, which do not depend on the host: each level off
+    # the far-left edge settles by its second engine pass, at a probe or one
+    # Taylor step past it, and the curve evaluates at most 200 levels
+    rows = pin_curve(TailBoundProblem(1.0, 1.0, 0.5), 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    assert not any(r.is_failure() for r in rows)
+    assert max(r.probes for r in rows) <= 2, [r.probes for r in rows]
+    assert sum(r.probes for r in rows) <= 200, sum(r.probes for r in rows)
 
 
 def test_a9_quadrature_closed_forms():

@@ -288,6 +288,20 @@ def test_negative_values_in_exponent_notation(capsys, argv):
     assert run_cli(capsys, *joined) == (code, out, err)
 
 
+@pytest.mark.parametrize("token", ["-inf", "-Infinity", "-INF"])
+def test_negative_infinity_is_a_value(capsys, token):
+    # argparse took "-inf" for an option and exited 2 with "expected one
+    # argument" while "--s=-inf" reached the route; both forms now give the
+    # same exit and bytes, and a law whose E e^(sX) is infinite there still
+    # exits 2 with that message
+    for dist, want in (("point(1)", 0), ("point(-1)", 2)):
+        argv = ["moment", "--dist", dist, "--p", "2", "--method", "negative"]
+        code, out, err = run_cli(capsys, *argv, "--s", token)
+        assert code == want, err
+        assert run_cli(capsys, *argv, f"--s={token}") == (code, out, err)
+    assert out == "" and "E e^(sX) is not finite" in err
+
+
 def test_numerical_failure_exits_three(capsys, recwarn):
     # a large-rate compound Poisson plus atoms off its lattice has no usable
     # decay structure for the residual envelope, so the evaluation cap is honest

@@ -449,14 +449,21 @@ def test_far_negative_small_y_level_stays_on_the_grid(monkeypatch):
         assert abs(ev.mu[p - 1, 0] - mix[p - 2]) <= ev.err[p - 1, 0], (p, ev.mu[:, 0], mix)
 
 
+def _engine_bar_on_m(ev, t):
+    # a one-level pass's bar on m at t, as the solver forms it
+    return (ev.err[2, 0] + (ev.m[0] - t) * ev.err[1, 0]) / ev.mu[1, 0]
+
+
 def test_m_of_t_runs_the_solver_engine(monkeypatch):
-    # m_of_t and a one-level pin probe do the same arithmetic, so m_of_t at
-    # the root reproduces the row's residual; the adaptive route alone used
-    # to give 5.8e-12 and 6.5e-11 here against residuals of 3.9e-14 and
-    # 6.9e-11
+    # m_of_t runs the engine the solver runs, so at a row's root it lies
+    # within the row's residual, its bar on m and the engine's own bar of x,
+    # whether the row settled at a probe or one Taylor step past it; the
+    # adaptive route alone used to give 5.8e-12 and 6.5e-11 here against
+    # residuals of 3.9e-14 and 6.9e-11
     for x in (1.0, 2.0):
         row = pin(P_UNIT, x)
-        assert abs(m_of_t(P_UNIT, row.t_x, 5e-11) - x) == row.residual, x
+        engine = _engine_bar_on_m(_eta_moments(P_UNIT, [row.t_x], 5e-11), row.t_x)
+        assert abs(m_of_t(P_UNIT, row.t_x, 5e-11) - x) <= row.residual + _bar_on_m(row) + engine, x
     # at right-tail roots the adaptive route's absolute budget floor left
     # m 2.4e-8, 7.0e-7 and 4.0e-7 off the series oracle
     problem = TailBoundProblem(1.0, 1.001074356060161, 0.08100531266023471)
@@ -472,7 +479,7 @@ def test_m_of_t_runs_the_solver_engine(monkeypatch):
     ev = _eta_moments(small_y, [0.5], 5e-11)
     assert calls == [1, 1]
     mu2, mu3 = mixture_ppm23(0.5, small_y.lam, small_y.y, -0.5)
-    bar = (ev.err[2, 0] + (m - 0.5) * ev.err[1, 0]) / ev.mu[1, 0]
+    bar = _engine_bar_on_m(ev, 0.5)
     assert m == ev.m[0]
     assert abs(m - (0.5 + mu3 / mu2)) <= bar + 1e-13 * m
     # the level of P_WIDE that Gauss-Kronrod grids had to refine agrees with
@@ -540,6 +547,53 @@ def test_engine_moments_slope_and_error_bars():
                 ref = naive_series_ppm(problem, float(t), p)
                 assert abs(ev.mu[p - 1, i] - ref.value) <= ev.err[p - 1, i] + ref.half_width, \
                     (problem, t, p)
+
+
+@pytest.mark.parametrize("problem, xs", [
+    (P_UNIT, (0.1, 0.25, 0.5)),
+    (TailBoundProblem(1.0, 0.0936, 0.457), (4.35, 4.7, 5.0)),
+])
+def test_taylor_step_within_its_bars(problem, xs):
+    # moments carried from the engine's pass at the roots t to t + d (_carry)
+    # lie within their bars, plus the other side's, of the engine and of the
+    # series oracle at t + d: on the far-left span of P_UNIT, where
+    # P(eta > t) sits at the top of the bracket [g, 1], and in the right tail
+    # of (1, 0.0936, 0.457), where it is near 0 and the bracket is loose.
+    # There the remainder is charged at its size: mu1 at |d| = 1e-3 misses
+    # by more than 0.9 of its bar
+    ts = solve_tx(problem, list(xs))
+    ev = _eta_moments(problem, ts, 5e-11)
+    tight = 0.0
+    for d in (1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+        near = ts + d
+        got, bar = tailbound._carry(problem, ts, ev.mu, ev.err, near - ts)
+        at = _eta_moments(problem, near, 5e-11)
+        miss = np.abs(got - at.mu)
+        assert np.all(miss <= bar + at.err), (d, miss, bar, at.err)
+        tight = max(tight, float(np.max(miss / (bar + at.err))))
+        for i, t in enumerate(near):
+            for p in (1, 2, 3):
+                ref = naive_series_ppm(problem, float(t), p)
+                assert abs(got[p - 1, i] - ref.value) <= bar[p - 1, i] + ref.half_width, (d, t, p)
+    assert tight > 0.9, tight
+
+
+def test_level_whose_taylor_bar_misses_is_probed_again(monkeypatch):
+    # x = 1 settles one Taylor step past its fourth probe.  With every Taylor
+    # bar past tol_x it is probed a fifth time and settles there, so m_of_t,
+    # which does a one-level probe's arithmetic, reproduces its residual bit
+    # for bit
+    calls = _count_engine_calls(monkeypatch)
+    row = pin(P_UNIT, 1.0)
+    assert len(calls) == row.probes == 4
+    assert row.residual == 0.0 and m_of_t(P_UNIT, row.t_x, 5e-11) != 1.0
+    carry = tailbound._carry
+    monkeypatch.setattr(tailbound, "_carry",
+                        lambda *a: (carry(*a)[0], carry(*a)[1] + 1.0))
+    calls.clear()
+    row = pin(P_UNIT, 1.0)
+    assert len(calls) == row.probes == 5
+    assert abs(m_of_t(P_UNIT, row.t_x, 5e-11) - 1.0) == row.residual <= 1e-9
 
 
 def test_curve_validation():
