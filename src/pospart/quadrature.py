@@ -1,10 +1,13 @@
 """Adaptive Gauss-Kronrod integration over (0, inf).
 
 Strategy: geometric panel grading from t0 = 1e-6 * oscillation_scale handles
-an algebraic endpoint at 0; panels double in width (capped for oscillatory
-integrands) until a truncation point T where the caller-supplied envelope
-certifies the remaining tail; each panel carries a 15/7-point Gauss-Kronrod
-pair and is bisected until its error estimate fits the budget.
+an algebraic endpoint at 0; past the first panels, a ladder of panels that
+double in width (capped for oscillatory integrands) runs to a truncation
+point T where the caller-supplied envelope certifies the remaining tail.  T
+is placed on the ladder from the tail model before the panels up to it are
+evaluated, so one batch of integrand calls covers them.  Each panel carries
+a 15/7-point Gauss-Kronrod pair and is bisected until its error estimate
+fits the budget.
 
 Tail handling is truncation with an analytic bound.  A profile may attach two
 optional analytic pieces so slowly decaying integrands stay affordable:
@@ -74,6 +77,7 @@ _WEIGHTS_G[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])  # gauss at odd idx
 
 _MAX_REFINE_ROUNDS = 500
 _SPLIT_BATCH = 64
+_SHORT_LADDER = 1024
 
 
 @dataclass
@@ -179,13 +183,13 @@ class _State:
         self.evaluations = 0
         self.first_panel_peak = None  # max |f| / t^alpha estimate support
 
-    def eval(self, a: np.ndarray, b: np.ndarray, keep_first: bool = False):
-        """Kronrod values and error estimates of the panels (a_i, b_i)."""
-        n = len(a)
+    def panels(self, a, b, keep_first: bool = False) -> _Panels:
+        """The panels (a_i, b_i) with their Kronrod values and error estimates."""
+        fresh = _Panels(a, b)
+        n, half = len(fresh), 0.5 * (fresh.b - fresh.a)
         if self.evaluations + 15 * n > self.max_evals:
             raise _CapHit()
-        half = 0.5 * (b - a)
-        pts = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
+        pts = (0.5 * (fresh.a + fresh.b))[:, None] + half[:, None] * _NODES[None, :]
         y = np.asarray(self.f(pts.ravel()), dtype=float).reshape(n, 15)
         self.evaluations += 15 * n
         if not np.all(np.isfinite(y)):
@@ -193,12 +197,7 @@ class _State:
             raise NonFiniteIntegrand(float(pts[bad[0], bad[1]]))
         if keep_first:
             self.first_panel_peak = (pts[0], np.abs(y[0]))
-        return gk15_reduce(y, half)
-
-    def panels(self, a, b, keep_first: bool = False) -> _Panels:
-        """The panels (a_i, b_i), evaluated."""
-        fresh = _Panels(a, b)
-        fresh.val, fresh.err = self.eval(fresh.a, fresh.b, keep_first)
+        fresh.val, fresh.err = gk15_reduce(y, half)
         return fresh
 
 
@@ -255,6 +254,56 @@ def _initial_edges(profile: IntegrandProfile, start: float) -> tuple[list[float]
     return chain + [chain[-1] + width], min(2.0 * width, cap), False
 
 
+def _place(profile: IntegrandProfile, T: float, width: float, room: int,
+           share: Callable[[float], float], last: float = 8e307) -> tuple[list[float], float, bool]:
+    """Place the truncation point on the ladder of panel edges from T, which
+    steps by min(width, cap), doubles the width up to the cap, holds at most
+    ``room`` panels and ends at its first edge past ``last``.
+
+    The first ladder end where the envelope fits ``share`` of it is found by
+    an exponential search, then a binary search (on a ladder of at most
+    _SHORT_LADDER panels, by one binary search over all of it); inside the
+    crossing panel, bisection on the monotone envelope against that end's
+    share moves the end to where the share is used rather than overshot.
+    Returns the edges from T to the placed point (all of them when none
+    fits), the width growth would continue with, and whether it fits."""
+    cap = profile.max_panel_width or math.inf
+    ends, widths, shares = [T], [width], {}
+
+    def end(k: int) -> int:
+        """Ladder index k, or the last one when the ladder ends sooner."""
+        while len(ends) <= min(k, room) and ends[-1] < last:
+            ends.append(ends[-1] + min(widths[-1], cap))
+            widths.append(min(2.0 * widths[-1], cap))
+        return min(k, len(ends) - 1)
+
+    def fits(t: float, share: float) -> bool:
+        env = profile.tail_envelope(t)
+        return math.isfinite(env) and (env <= share or env <= 1e-305)
+
+    def fits_end(k: int) -> bool:
+        shares[k] = share(ends[k])
+        return fits(ends[k], shares[k])
+
+    lo, hi = -1, end(room) if room <= _SHORT_LADDER else 0
+    while not fits_end(hi):
+        lo, hi = hi, end(2 * hi + 1)
+        if hi == lo:
+            return ends, widths[-1], False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits_end(mid) else (mid, hi)
+    if hi > 0:
+        a, b = ends[hi - 1], ends[hi]
+        lo_T, hi_T = a, b
+        for _ in range(24):
+            mid = 0.5 * (lo_T + hi_T)
+            lo_T, hi_T = (lo_T, mid) if fits(mid, shares[hi]) else (mid, hi_T)
+        if a * (1.0 + 1e-12) < hi_T < b - 1e-12 * (abs(b) + 1.0):
+            ends[hi] = hi_T
+    return ends[:hi + 1], widths[hi], True
+
+
 def _grow(
     state: _State,
     profile: IntegrandProfile,
@@ -263,90 +312,41 @@ def _grow(
     rel_tol: float,
     abs_tol: float,
     head_value: float = 0.0,
+    fresh: int = 0,
+    settled: bool = False,
 ) -> float:
-    """Extend panels until the tail envelope fits a quarter of the budget;
-    returns the width that growth would continue with."""
-    cap = profile.max_panel_width or math.inf
+    """Extend panels to a truncation point T where the tail envelope fits a
+    quarter of the budget; returns the width that growth would continue with.
+
+    T is placed (_place) before the panels up to it are evaluated, in one
+    batch with the last ``fresh`` panels, which are not evaluated yet.  The
+    running value at T' is taken as the head value, plus the evaluated
+    panels, plus tail_closed_form(T').  With no abs_tol floor and no panel
+    evaluated, that value can be far too small, so the first batch then
+    stops at the oscillation scale.  When T was placed but the actual running
+    value misses the envelope there (or with ``settled``), T is placed again
+    against a lower bound on the running value: past T, its size is at least
+    its size at T less twice the envelope at T."""
     tail_cf = profile.tail_closed_form
-    chunk = 8
-    body = panels.value()
-    T = float(panels.b[-1])
-    grown = []  # joined to the panels once, also when the cap stops growth
-    try:
-        while True:
-            running = head_value + body + (tail_cf(T) if tail_cf else 0.0)
-            budget = max(rel_tol * abs(running), abs_tol)
-            env = profile.tail_envelope(T)
-            if env <= 0.25 * budget or env <= 1e-305 or T >= 8e307:
-                return width
-            edges = [T]
-            for _ in range(chunk):
-                edges.append(edges[-1] + min(width, cap))
-                width = min(width * 2.0, cap)
-                if edges[-1] >= 8e307:
-                    break
-            grown.append(state.panels(edges[:-1], edges[1:]))
-            body += grown[-1].value()
-            T = edges[-1]
-            chunk = min(chunk * 2, 32)
-    finally:
-        panels.put(len(panels), len(panels), *grown)
-
-
-def _trim(state: _State, profile: IntegrandProfile, panels: _Panels,
-          rel_tol: float, abs_tol: float, head_value: float) -> float:
-    """Cut back to where the envelope first fits the truncation share.
-
-    The growth phase overshoots by design (panels arrive in chunks); keeping
-    the overshoot would leave the reported truncation bound far below the
-    achieved one.  The envelope falls with T, so the first panel end where it
-    fits its share is found by bisection over the panel ends, with
-    O(log panels) tail-model calls; the running value at each end comes from
-    one sequential running sum, bit for bit the head value plus the panels
-    added one by one.  When the last end does not fit, nothing is cut.
-    Within the crossing panel the exact point is located by bisection on the
-    (monotone) envelope, so the truncation share of the budget is actually
-    used rather than overshot."""
-    tail_cf = profile.tail_closed_form
-    ends = panels.b.tolist()
-    acc = np.add.accumulate(np.concatenate([[head_value], panels.val])).tolist()
-    shares = {}
-
-    def within(env: float, share: float) -> bool:
-        return math.isfinite(env) and (env <= share or env <= 1e-305)
-
-    def fits(i: int) -> bool:
-        T = ends[i]
-        run = acc[i + 1] + (tail_cf(T) if tail_cf else 0.0)
-        env = profile.tail_envelope(T)
-        shares[i] = 0.25 * max(rel_tol * abs(run), abs_tol)
-        return within(env, shares[i])
-
-    lo, hi = -1, len(ends) - 1
-    if not fits(hi):
-        return ends[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    i, share = hi, shares[hi]
-    a, b = float(panels.a[i]), ends[i]
-    lo, hi = a, b
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        if within(profile.tail_envelope(mid), share):
-            hi = mid
-        else:
-            lo = mid
-    T = hi
-    if T < b - 1e-12 * (abs(b) + 1.0) and T > a * (1.0 + 1e-12):
-        panels.put(i, len(panels), state.panels([a], [T]))
-    else:
-        T = b
-        panels.put(i + 1, len(panels))
-    return T
+    last = profile.oscillation_scale if fresh and abs_tol == 0.0 else 8e307
+    while float(panels.b[-1]) < 8e307:
+        T = float(panels.b[-1])
+        known = head_value + panels.value()
+        run = lambda t: abs(known + (tail_cf(t) if tail_cf else 0.0))
+        least = run(T) - 2.0 * profile.tail_envelope(T) if settled else None
+        share = lambda t: 0.25 * max(rel_tol * (run(t) if least is None else least), abs_tol)
+        done = len(panels) - fresh
+        room = max((state.max_evals - state.evaluations) // 15 - fresh, 0)
+        ends, width, placed = _place(profile, T, width, room, share, last)
+        if len(ends) == 1 and not fresh:
+            if placed:
+                break
+            raise _CapHit()
+        grown = state.panels(np.concatenate([panels.a[done:], ends[:-1]]),
+                             np.concatenate([panels.b[done:], ends[1:]]), keep_first=fresh > 0)
+        panels.put(done, len(panels), grown)
+        fresh, settled, last = 0, placed, 8e307
+    return width
 
 
 def _deepen(
@@ -506,12 +506,11 @@ def integrate_halfline(
         )
 
     try:
-        panels.val, panels.err = state.eval(panels.a, panels.b, keep_first=sub_grading)
-        width = _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
+        width = _grow(state, profile, panels, width, rel_tol, abs_tol, head_value, len(panels))
         if sub_grading and state.first_panel_peak is not None:
             stub_bound = _deepen(state, profile, panels, rel_tol, abs_tol, head_value)
         for last in (False, True):
-            T = _trim(state, profile, panels, rel_tol, abs_tol, head_value)
+            T = float(panels.b[-1])
             base = head_value + (profile.tail_closed_form(T) if profile.tail_closed_form else 0.0)
             _refine(state, panels, rel_tol, abs_tol, base)
             # the truncation share was sized before refinement: a refined
@@ -520,7 +519,7 @@ def integrate_halfline(
             budget = max(rel_tol * abs(result.value), abs_tol)
             if last or result.total_error <= budget or profile.tail_envelope(T) <= 0.25 * budget:
                 break
-            _grow(state, profile, panels, width, rel_tol, abs_tol, head_value)
+            _grow(state, profile, panels, width, rel_tol, abs_tol, head_value, settled=True)
     except _CapHit:
         raise BudgetExceeded(_partial(), max_evals) from None
     return _within_budget(result, rel_tol, abs_tol)
@@ -563,13 +562,12 @@ def partial_integrals(
             a = edges[-1]
             b = min(a + min(max(a, lo), cap), hi)
             edges.append(hi if b <= a else b)
-        panels = _Panels(edges[:-1], edges[1:])
         try:
-            panels.val, panels.err = state.eval(panels.a, panels.b)
+            panels = state.panels(edges[:-1], edges[1:])
             _refine(state, panels, rel_tol, abs_tol, acc)
         except _CapHit:
             raise BudgetExceeded(
-                QuadratureResult(acc, math.inf, math.inf, len(panels), state.evaluations, hi),
+                QuadratureResult(acc, math.inf, math.inf, len(edges) - 1, state.evaluations, hi),
                 max_evals,
             ) from None
         acc = acc + panels.value()

@@ -665,7 +665,7 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
         probes[open_] += 1
         ev = _eta_moments(problem, probe, tol, tail[:, open_])
         mu1, mu2, mu3 = ev.mu
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             bar = (ev.err[2] + (ev.m - probe) * ev.err[1]) / mu2
             slope = 2.0 * mu1 * mu3 / (mu2 * mu2) - 2.0
         sound = bar <= tol_x                # False on failed rows, whose bars are NaN

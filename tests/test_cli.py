@@ -495,6 +495,20 @@ def test_transform_overflow_at_s_exits_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_pin_at_huge_sigma_fails_with_one_line():
+    # mu1 mu3 passes the float range in the solver's slope: exit 3 with the
+    # numerical-failure line alone on stderr, no numpy warning before it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "pospart", "pin", "--sigma", "1e100", "--y",
+                           "1e100", "--eps", "0.5", "--x", "2e100"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure:") and len(proc.stderr.splitlines()) == 1, \
+        proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["--dist", "discrete(-1:0.5,2:0.5)", "--p", "169", "--method", "laplace", "--s", "85"],
     ["--dist", "point(1)", "--p", "169", "--method", "laplace", "--s", "170"],
