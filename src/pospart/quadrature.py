@@ -77,7 +77,6 @@ _WEIGHTS_G[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])  # gauss at odd idx
 
 _MAX_REFINE_ROUNDS = 500
 _SPLIT_BATCH = 64
-_SHORT_LADDER = 1024
 
 
 @dataclass
@@ -261,10 +260,9 @@ def _place(profile: IntegrandProfile, T: float, width: float, room: int,
     ``room`` panels and ends at its first edge past ``last``.
 
     The first ladder end where the envelope fits ``share`` of it is found by
-    an exponential search, then a binary search (on a ladder of at most
-    _SHORT_LADDER panels, by one binary search over all of it); inside the
-    crossing panel, bisection on the monotone envelope against that end's
-    share moves the end to where the share is used rather than overshot.
+    an exponential search, then a binary search; inside the crossing panel,
+    bisection on the monotone envelope against that end's share moves the
+    end to where the share is used rather than overshot.
     Returns the edges from T to the placed point (all of them when none
     fits), the width growth would continue with, and whether it fits."""
     cap = profile.max_panel_width or math.inf
@@ -285,7 +283,7 @@ def _place(profile: IntegrandProfile, T: float, width: float, room: int,
         shares[k] = share(ends[k])
         return fits(ends[k], shares[k])
 
-    lo, hi = -1, end(room) if room <= _SHORT_LADDER else 0
+    lo, hi = -1, 0
     while not fits_end(hi):
         lo, hi = hi, end(2 * hi + 1)
         if hi == lo:

@@ -378,8 +378,9 @@ def test_one_batch_per_growth_pass(monkeypatch):
 def test_placement_bisects_the_ladder():
     # on a ladder of 1,000 unit panels of e^{-u/100} with its exact tail as
     # envelope, placed before any of them is evaluated against the value
-    # they add: the envelope first fits its share near T = 600-880, found in
-    # O(log panels) tail-model calls, and the last panel ends there
+    # they add: the envelope first fits its share near T = 600-880, found by
+    # an exponential search, a binary search and a 24-step bisection, at
+    # most 2 log2(panels) + 26 tail-model calls, and the last panel ends there
     body = 100.0 * -math.expm1(-10.0)
     for rel_tol, head_value in ((1e-3, 0.0), (1e-2, 0.5), (1e-3, -37.0), (1e-12, 0.0)):
         calls = []
@@ -391,12 +392,14 @@ def test_placement_bisects_the_ladder():
         prof = IntegrandProfile(0.0, envelope, max_panel_width=1.0)
         share = 0.25 * rel_tol * abs(head_value + body)
         ends, width, placed = _place(prof, 0.0, 1.0, 1000, lambda T: share)
-        assert len(calls) <= 24 + 2 + math.log2(1000), (rel_tol, len(calls))
+        assert len(calls) <= 24 + 2 + 2 * math.log2(1000), (rel_tol, len(calls))
         T = ends[-1]
         assert ends[:-1] == [float(k) for k in range(len(ends) - 1)] and width == 1.0
         if rel_tol == 1e-12:
-            # the envelope fits nowhere below T = 1000: the whole ladder, uncut
+            # the envelope fits nowhere below T = 1000: the whole ladder,
+            # uncut, whether it ends at the affordable panels or at ``last``
             assert ends == [float(k) for k in range(1001)] and not placed
+            assert _place(prof, 0.0, 1.0, 10**6, lambda T: share, 1000.0) == (ends, width, False)
             continue
         assert placed and 500.0 < T < 900.0 and T != math.floor(T)
         assert envelope(T) <= share < envelope(T - 2.0**-24)
