@@ -493,6 +493,11 @@ def integrate_halfline(
     def _partial():
         T = float(panels.b[-1])
         cf = profile.tail_closed_form(T) if profile.tail_closed_form else 0.0
+        if not state.evaluations:
+            # the cap stopped the first batch, which evaluates every first
+            # panel: none holds a value, and without a first panel there is
+            # no bound on the stub below it
+            return QuadratureResult(head_value + cf, math.inf, math.inf, 0, 0, T)
         env = profile.tail_envelope(T)
         return QuadratureResult(
             value=head_value + panels.value() + cf,

@@ -10,9 +10,16 @@ Below a switch radius the subtraction e^z - poly cancels catastrophically,
 so exp_remainder computes the value from the convergent tail series instead,
 and above it by the direct subtraction.
 
-inv_power(s, t, q) = (s + it)^(-q) on the principal branch.  Every complex
-power used by the integral representations routes through it, so the branch
-convention is fixed, and testable, in exactly one place.
+inv_power(s, t, q) = (s + it)^(-q) on the principal branch, with the exact
+unit phase (-i)^q on the imaginary axis at integer q.  These powers go
+through it: the remainder form of the moment integrand and the part of a
+folded lattice integrand past its period (moments._transform_kernel,
+moments._fold), and the by-parts powers of the harmonic tails
+(by_parts_powers, so harmonic_tail and the moment routes' tail model).
+These take their own principal powers, without the exact axis phase:
+power_tail (Python's complex **), the lattice kernel (LatticeKernel,
+_lerch_sum, _integral_term, _pole_pair) and the single-exponential branch of
+moments._transform_kernel's integrand (np.exp of a multiple of np.log).
 
 The closed tails past a truncation point T, shared by the moment routes,
 the lattice kernel and the Pin engine: harmonic_tail, by repeated
@@ -144,6 +151,9 @@ def exp_remainder(z, m: int):
     return complex(out[()]) if scalar else out
 
 
+_AXIS_UNITS = (1.0, -1j, -1.0, 1j)     # (-i)^q by q mod 4
+
+
 def inv_power(s, t, q: float):
     """(s + it)^(-q) on the principal branch (argument in (-pi, pi]).
 
@@ -151,7 +161,26 @@ def inv_power(s, t, q: float):
     integer q that phase is the exact unit (-i)^q (its conjugate for t < 0),
     so a part that vanishes is exactly 0.  s may be an array that broadcasts
     against t.  Raises at the branch point s = t = 0 when s is 0 throughout.
+
+    A float s with a float t, the closed tails' case, takes the same
+    formulas in Python floats and cmath, without building 0-d arrays, and
+    returns a Python complex.  It equals the 0-d array path bit for bit
+    where max(|s|, |t|) >= 2, where glibc's clog and cmath.log both take
+    log(hypot); nearer |z| = 1 they take log1p in different forms and the
+    last bits can differ (within 4 q eps relative).  Where float ** or
+    cmath.exp overflows (they raise where numpy rounds to inf), the array
+    path returns instead, as it does at s = t = 0, where it raises; an
+    underflow gives 0 and a NaN gives NaN on either path.
     """
+    # floats only: a numpy float64 would warn where a float raises OverflowError
+    if type(s) is float and type(t) is float and (s or t):
+        try:
+            if s == 0.0 and q == math.floor(q):
+                unit = _AXIS_UNITS[int(q) % 4]
+                return complex(abs(t) ** -q * (unit if t > 0.0 else unit.conjugate()))
+            return cmath.exp(-q * cmath.log(s + 1j * t))
+        except OverflowError:
+            pass
     tt, scalar = _as_array(t, float)
     if isinstance(s, float):
         axis = s == 0.0
@@ -162,7 +191,7 @@ def inv_power(s, t, q: float):
         raise DomainError("inv_power is undefined at z = 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if axis and q == math.floor(q):
-            unit = (1.0, -1j, -1.0, 1j)[int(q) % 4]
+            unit = _AXIS_UNITS[int(q) % 4]
             out = np.abs(tt) ** -q * np.where(tt > 0.0, unit, np.conj(unit))
         else:
             out = np.exp(-q * np.log(s + 1j * tt))

@@ -180,6 +180,18 @@ def test_budget_exceeded_carries_partial():
     partial = err.value.partial
     assert partial.evaluations <= 20000
     assert partial.value == pytest.approx(math.pi / 2, rel=0.1)
+    assert abs(partial.value - math.pi / 2) <= partial.total_error
+
+
+def test_budget_exceeded_before_the_first_batch():
+    # a cap the first batch would pass: no panel is evaluated, so the
+    # partial has no value for them and its bar must still cover the integral
+    entry = next(e for e in build_corpus() if e.name == "rsqrt_box")
+    with pytest.raises(BudgetExceeded) as err:
+        integrate_halfline(entry.f, entry.profile, 1e-9, max_evals=300)
+    partial = err.value.partial
+    assert partial.evaluations == 0
+    assert partial.total_error >= abs(partial.value - entry.exact)
 
 
 def test_error_split_reserve():

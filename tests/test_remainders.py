@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pospart import remainders
 from pospart.errors import DomainError, PreconditionError
 from pospart.remainders import (
     LatticeKernel,
@@ -171,6 +173,61 @@ def test_inv_power_principal_branch_vs_log():
 def test_inv_power_rejects_origin():
     with pytest.raises(DomainError):
         inv_power(0.0, 0.0, 1.5)
+
+
+def test_inv_power_float_pair_matches_array_path():
+    # A float pair takes cmath.  The reference is the 0-d array path such a
+    # pair took before (a 1-element array can take numpy's SIMD pow, whose
+    # last bit differs from libm's on AVX-512 hosts).  Where the larger of
+    # |s| and |t| is at least 2, glibc's clog and cmath.log both take
+    # log(hypot); nearer |z| = 1 they take log1p in different forms, and
+    # t = 1.999 with |s| = 0.3 (|z| = 2.02) moves in the last bits.  repr
+    # tells signed zeros apart and reads every NaN as nan.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(30)
+    mags = np.append(10.0 ** rng.uniform(-8.0, 12.0, 24), 1.999)
+    qs = [float(q) for q in range(1, 171, 7)] + [170.0] + rng.uniform(0.01, 170.0, 24).tolist()
+    for s in (0.0, 1e-6, -1e-6, 0.3, -0.3, 50.0, -50.0):
+        for t in np.concatenate([mags, -mags]).tolist():
+            for q in qs:
+                got, want = inv_power(s, t, q), inv_power(s, np.array(t), q)
+                assert type(got) is complex
+                if max(abs(s), abs(t)) >= 2.0 or not cmath.isfinite(want):
+                    assert repr(got) == repr(want), (s, t, q)
+                else:
+                    assert abs(got - want) <= 4.0 * q * eps * abs(want), (s, t, q)
+
+
+def test_inv_power_float_pair_extremes():
+    # where float ** or cmath.exp would raise, the float pair returns the
+    # array path's value (RuntimeWarnings are errors under pytest.ini)
+    for s, t, q in [(0.0, 1e-300, 3.0), (0.0, 1e300, 3.0), (0.0, 1e-300, 2.5),
+                    (0.3, 1e-300, 1e3), (0.0, math.nan, 3.0), (0.3, math.nan, 2.5)]:
+        assert repr(inv_power(s, t, q)) == repr(inv_power(s, np.array(t), q)), (s, t, q)
+    assert math.isinf(abs(inv_power(0.0, 1e-300, 3.0)))
+    assert inv_power(0.0, 1e300, 3.0) == 0.0
+    assert cmath.isnan(inv_power(0.0, math.nan, 3.0))
+    for q in (3.0, 1.5):
+        with pytest.raises(DomainError):
+            inv_power(0.0, 0.0, q)
+        with pytest.raises(DomainError):
+            inv_power(-0.0, -0.0, q)
+
+
+def test_float_pair_tails_take_no_numpy(monkeypatch):
+    # the closed tail at a float T is numpy-free: inv_power's float pair,
+    # the by-parts powers and their sum
+    cases = [(0.0, 7.0, 3.0), (0.0, 7.0, 2.5), (0.3, 7.0, 2.5), (-0.3, 120.0, 4.0)]
+    powers = [inv_power(s, t, q) for s, t, q in cases]
+    tails = [harmonic_tail(1.3, s, q - 1.0, t, 6, 0.7) for s, t, q in cases]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("numpy reached on a float pair")
+
+    for name in ("exp", "log", "errstate", "asarray"):
+        monkeypatch.setattr(remainders.np, name, boom)
+    assert [inv_power(s, t, q) for s, t, q in cases] == powers
+    assert [harmonic_tail(1.3, s, q - 1.0, t, 6, 0.7) for s, t, q in cases] == tails
 
 
 def test_exp_remainder_rejects_bad_order():
