@@ -250,6 +250,13 @@ def _head_rule(parts, mo: MomentOrder, cutoff: float) -> HeadRule:
     """
     p = mo.p
     R = mo.ell + 1 + _HEAD_TERMS
+    try:
+        reach = cutoff ** (R + 1 - p)   # the largest power of the cutoff below
+    except OverflowError:
+        raise PreconditionError(
+            f"the law's scale, {_HEAD_FRACTION / cutoff:.3g}, is too small for the head rule "
+            f"at s = 0: its cutoff {cutoff:.3g} to the power {R + 1 - p:g} leaves the float range"
+        ) from None
     specs = [spec for _, spec in parts]
     # the moments through R at once, but past 171 order by order: 171! is
     # out of the float range, and the loop refuses there unless the term vanishes
@@ -264,7 +271,7 @@ def _head_rule(parts, mo: MomentOrder, cutoff: float) -> HeadRule:
         if mr != 0.0 and c != 0.0:
             terms.append(mr / _factorial(r) * c * cutoff ** (r - p) / (r - p))
     bnd = sum(abs_moment_bound(spec, R + 1) for _, spec in parts)
-    bound = bnd / _factorial(R + 1) * cutoff ** (R + 1 - p) / (R + 1 - p)
+    bound = bnd / _factorial(R + 1) * reach / (R + 1 - p)
     return HeadRule(cutoff=cutoff, value=math.fsum(terms), bound=bound)
 
 

@@ -620,6 +620,12 @@ def _solve(problem: TailBoundProblem, xs, tol_x: float, rel_tol: float) -> list:
     edge = _far_left_edge(problem)
     m3 = raw_moment(_eta(problem), 3)
     mu1_e, mu2_e, mu3_e, m_edge = _far_left(problem, edge)
+    if mu2_e * mu2_e < np.finfo(float).tiny:
+        # the slope m' = 2 mu1 mu3 / mu2^2 - 2 divides by it
+        raise PreconditionError(
+            f"sigma = {problem.sigma!r} is too small a scale: the second moment at the far-left "
+            f"edge, {mu2_e:.3g}, squares below the float range; Pin(x) on (sigma, y, eps) is "
+            "Pin(x / sigma) on (1, y / sigma, eps)")
     out: list = [None] * xs.size
     far = xs <= m_edge
     for i in np.flatnonzero(far):

@@ -428,7 +428,6 @@ def test_moment_negative_strip_method(capsys):
 
 
 @pytest.mark.parametrize("dist, p", [
-    ("normal(0,1e-300)", "2"),   # OverflowError in the head rule
     ("point(1e200)", "2"),       # OverflowError in the raw moments
 ])
 def test_float_overflow_exits_three(capsys, dist, p):
@@ -452,18 +451,34 @@ def test_order_below_float_resolution_within_bar(capsys, dist, exact):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["moment", "--dist", "point(1e-100)", "--p", "1"],
+    (["moment", "--dist", "point(1e200)", "--p", "2"],
      "OverflowError: Numerical result out of range"),
     (["pin", "--sigma", "1e120", "--y", "1e120", "--eps", "0.5", "--x", "2e120"],
      "OverflowError: Numerical result out of range"),
-    (["pin", "--sigma", "1e-150", "--y", "1e-150", "--eps", "0.5", "--x", "2e-150"],
-     "ZeroDivisionError: float division by zero"),
 ])
 def test_float_exception_message_names_its_type(capsys, argv, reason):
     # an OverflowError from ** carries (errno, text): the message is the
     # type and the text, not the tuple
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", f"numerical failure: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--dist", "point(1e-100)", "--p", "1", "--method", "cf"],
+    ["moment", "--dist", "point(1e-100)", "--p", "1", "--method", "diff"],
+    ["moment", "--dist", "normal(0,1e-300)", "--p", "2"],
+    ["pin", "--sigma", "1e-100", "--y", "1e-100", "--eps", "0.5", "--x", "2e-100"],
+    ["pin", "--sigma", "1e-150", "--y", "1e-150", "--eps", "0.5", "--x", "2e-150"],
+], ids=["point-cf", "point-diff", "normal-cf", "pin-1e-100", "pin-1e-150"])
+def test_scale_below_the_float_range_exits_two(capsys, argv):
+    # the cf and diff routes' head rule raises its cutoff, 0.05 over the scale,
+    # to the power ell + 26 - p, and the tail-bound solver divides by the
+    # square of the second moment at the far-left edge, about 470 sigma^2 here;
+    # both used to leak as a bare OverflowError or ZeroDivisionError (exit 3)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "scale" in err and len(err.splitlines()) == 1, err
+    assert "OverflowError" not in err and "ZeroDivisionError" not in err
 
 
 def test_missed_tolerance_exits_three(capsys):
