@@ -25,6 +25,26 @@ The closed tails past a truncation point T, shared by the moment routes,
 the lattice kernel and the Pin engine: harmonic_tail, by repeated
 integration by parts (Olver, Asymptotics and Special Functions, 1974), and
 decay_bound, the Gaussian-Mills or algebraic bound.
+
+The folded lattice kernel (LatticeKernel) needs the Lerch sum
+S(b) = sum_n e^{i theta n} (n + b)^-q at 33 points (_lerch_sum).  It sums at
+most _DIRECT_CAP = 256 terms per point directly, N of them, and closes the
+rest by one of:
+  - "direct": nothing, where the tail bound alone is small enough (q >~ 13),
+    N <= 64 or so;
+  - "exact": at theta = 0 the Euler-Maclaurin integral is a power, N ~ 20;
+  - "series": the incomplete-gamma series for that integral where its
+    rounding, about e^|theta (N + b)| times |N + b|^(1-q), stays within the
+    direct sum's (|theta (N + b)| of a few units at low q, more at high q),
+    N ~ 20, in 30 to 140 series terms;
+  - "by-parts": integration by parts at the order its own remainder bound
+    picks (at most 60), at the N where that remainder reaches the target,
+    about 40 / |theta| at low q, at most 256.
+Past |theta| = 3 pi / 4 even and odd terms can be paired, which turns the
+phase into 2 theta - 2 pi and halves both sums ("paired ..."); they are
+where that takes fewer terms and its closure is as accurate.  So a build
+costs at most 256 x 33 complex powers and a fixed handful of array
+operations.
 """
 
 from __future__ import annotations
@@ -211,10 +231,16 @@ def by_parts_coefs(x: float, q: float, k: int) -> list:
     return a
 
 
-def by_parts_powers(s, T, q: float, k: int) -> list:
-    """(s+iT)^(-q-n) for n < k."""
+def by_parts_powers(s, T, q: float, k: int):
+    """(s+iT)^(-q-n) for n < k: a list at a float T, a (k, *T.shape) array,
+    one running product, at an array T."""
     zT = s + 1j * T
     zpow = inv_power(s, T, q)
+    if isinstance(zpow, np.ndarray):
+        out = np.empty((k,) + zpow.shape, dtype=complex)
+        out[0] = zpow
+        out[1:] = 1.0 / zT
+        return np.cumprod(out, axis=0)
     out = [zpow]
     for _ in range(k - 1):
         zpow = zpow / zT
@@ -227,9 +253,12 @@ def by_parts_remainder(a_k: float, fall, q: float, k: int):
     return abs(a_k) * fall / (q + k - 1.0)
 
 
-def by_parts_sum(x: float, T, a: list, zpows: list):
-    """The by-parts series of harmonic_tail from its coefficients and powers."""
-    eiTx = cmath.exp(1j * T * x) if isinstance(T, float) else np.exp(1j * T * x)
+def by_parts_sum(x: float, T, a: list, zpows):
+    """The by-parts series of harmonic_tail from its coefficients and powers
+    (an array of powers takes one matrix product)."""
+    if isinstance(zpows, np.ndarray):
+        return -np.exp(1j * T * x) / (1j * x) * (np.array(a[: len(zpows)]) @ zpows)
+    eiTx = cmath.exp(1j * T * x)
     val = 0.0 + 0.0j
     for an, zpow in zip(a, zpows):
         val += an * (-(zpow * eiTx) / (1j * x))
@@ -251,7 +280,8 @@ def harmonic_tail(x: float, s, p: float, T, k: int, weight: float = 1.0):
     a_0 = 1, a_{n+1} = a_n (q+n)/x, with remainder at most
     |weight a_k| T^(1-q-k) / (q+k-1) for any T > 0, not merely
     asymptotically.  Harmonics at one T can share by_parts_powers.  A float
-    T takes Python complex arithmetic, an array T the same code in numpy.
+    T takes Python complex arithmetic, an array T one running product of
+    powers and matrix products in numpy.
     """
     if x == 0.0:
         val = power_tail(s, p, T, weight)
@@ -260,7 +290,10 @@ def harmonic_tail(x: float, s, p: float, T, k: int, weight: float = 1.0):
     a = by_parts_coefs(x, q, k)
     zpows = by_parts_powers(s, T, q, k)
     val = weight * by_parts_sum(x, T, a, zpows)
-    size = abs(weight / x) * sum(abs(an * zpow) for an, zpow in zip(a, zpows))
+    if isinstance(zpows, np.ndarray):
+        size = abs(weight / x) * (np.abs(a[:k]) @ np.abs(zpows))
+    else:
+        size = abs(weight / x) * sum(abs(an * zpow) for an, zpow in zip(a, zpows))
     return val, abs(weight) * by_parts_remainder(a[k], T ** (1.0 - q - k), q, k), size
 
 
@@ -290,9 +323,9 @@ _EPS = float(np.finfo(float).eps)
 _CHEB_N = 32          # interpolation degree: 33 Chebyshev points per kernel
 _CHEB_RHO = 4.0       # Bernstein ellipse of the interpolation bound
 _EM_TERMS = 30        # Euler-Maclaurin corrections, derivative orders 1 .. 59
-_BP_TERMS = 30        # by-parts terms of the Euler-Maclaurin integral
-_DIRECT_CAP = 4096    # longest direct sum before the integral term
-_NODE_TARGET = 2.0**-62   # error aimed at in each node's b^q S(b)
+_BP_TERMS = 60        # most integrations by parts of the Euler-Maclaurin integral
+_DIRECT_CAP = 256     # most direct terms of a Lerch sum (a pair's two halves share it)
+_NODE_TARGET = 2.0**-62   # truncation error aimed at in each node's b^q S(b)
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -336,20 +369,17 @@ def _read_only(*arrays) -> tuple:
 @lru_cache(maxsize=None)
 def _em_tables(M: int):
     """The fixed parts of an Euler-Maclaurin closure with M corrections, made
-    on first use: for the odd orders m = 2j + 1, j < M, the complex C(m, i)
-    (0 past i = m) and the index m - i of (i theta)^(m-i) in the powers
-    (index 2M, a zero, past i = m); the coefficients
-    (-1)^j 2 zeta(2j+2) / (2 pi)^(2j+2); and the remainder's factor
-    2 zeta(2M) / (2 pi)^(2M)."""
-    comb = np.zeros((M, 2 * M), dtype=complex)
-    index = np.full((M, 2 * M), 2 * M)
+    on first use.  With c_j = B_(2j+2) / (2j+2)! = (-1)^j 2 zeta(2j+2) /
+    (2 pi)^(2j+2), the corrections' sum over the odd orders m = 2j + 1 < 2M is
+    sum_j c_j sum_i C(m, i) (i theta)^(m-i) u_i = sum_i u_i sum_k A[i, k] (i theta)^k,
+    so A[i, k] = c_j C(i + k, i) where i + k = 2j + 1, else 0.  Returns A, |A|
+    and the remainder's factor 2 zeta(2M) / (2 pi)^(2M)."""
+    table = np.zeros((2 * M, 2 * M))
     for j in range(M):
         m = 2 * j + 1
-        comb[j, : m + 1] = binomial_row(m)
-        index[j, : m + 1] = np.arange(m, -1, -1)
-    coef = np.array([(-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
-                     for j in range(M)])
-    return (*_read_only(comb, index, coef), 2.0 * _ZETA[2 * M] / (2.0 * math.pi) ** (2 * M))
+        c = (-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
+        table[np.arange(m + 1), np.arange(m, -1, -1)] = c * binomial_row(m)
+    return (*_read_only(table, np.abs(table)), 2.0 * _ZETA[2 * M] / (2.0 * math.pi) ** (2 * M))
 
 
 def _phi1(x):
@@ -378,109 +408,261 @@ def _pole_pair(q: float, n0: int, theta: float, w):
     return (1j * theta) ** n0 / math.factorial(n0) * D
 
 
-def _integral_term(q: float, theta: float, N: int, b, series: bool):
+def _series_length(q: float, zmax: float):
+    """The last k of the incomplete-gamma series at |z| <= zmax, where
+    k >= q + 1 and the next term's size zmax^(k+1) / (k+1)! is below
+    1e-20 eps, and that size."""
+    kmax = max(int(q) + 2, 8)
+    log_z = math.log(zmax)
+    log_next = (kmax + 1) * log_z - math.lgamma(kmax + 2.0)
+    while log_next > math.log(1e-20 * _EPS):
+        kmax += 1
+        log_next += log_z - math.log(kmax + 1.0)
+    return kmax, math.exp(log_next)
+
+
+def _series_rounding(q: float, log_w: float, kmax: int, zmax: float) -> float:
+    """The series' rounding per unit of |w^(1-q)| times its terms' sizes:
+    term k is a running product of k factors, each rounding by at most 8 eps,
+    and sum_k k |term_k| is about |z| sum_k |term_k| (the terms z^k / k!
+    peak near k = |z|); a row of kmax + 1 terms is summed pairwise (numpy: 4
+    complex partial sums per block of 64), so a term passes through at most
+    kmax/4 + 8 + log2(kmax + 1) additions."""
+    return (4.0 * (1.0 + q * log_w) + 0.25 * kmax + 8.0 + math.log2(kmax + 1.0)
+            + 8.0 * zmax) * _EPS
+
+
+def _integral_term(q: float, theta: float, N: int, b, order: int):
     """int_N^inf e^{i theta x} (x + b)^-q dx and a bound on its error.
 
-    harmonic_tail's, exact at theta = 0 and by _BP_TERMS integrations by
-    parts otherwise, through (x + b)^-q = i^q (s' + it')^-q with
-    t' = x + Re b and s' = -Im b, times e^{-i theta Re b}.  With ``series``:
-    the incomplete gamma function, e^{-i theta b} Gamma(1-q, -i theta w)
-    (-i theta)^(q-1) with w = N + b, from
-    Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)) (DLMF 8.2.4,
-    8.7.3) and its limit at integer q (DLMF 8.4.15), for |theta w| of order 1."""
+    order k > 0: harmonic_tail's k integrations by parts (exact at
+    theta = 0), through (x + b)^-q = i^q (s' + it')^-q with t' = x + Re b and
+    s' = -Im b, times e^{-i theta Re b}; each term costs a row of one running
+    product.  order 0: the incomplete gamma function,
+    e^{-i theta b} Gamma(1-q, -i theta w) (-i theta)^(q-1) with w = N + b,
+    from Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)) (DLMF 8.2.4,
+    8.7.3) and its limit at integer q (DLMF 8.4.15), in as many terms as
+    |theta w| needs; its rounding grows like e^|theta w| and is charged
+    through the terms' sizes."""
     w = N + b
     log_w = math.log(float(np.max(np.abs(w))))
-    if not series:
+    if order:
         T = N + b.real
-        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, T, _BP_TERMS)
-        # the phase theta T of e^{i theta T} is rounded twice (T, then theta T)
-        rnd = ((8.0 if theta else 4.0) * (1.0 + q * log_w) + 2.0 * abs(theta) * T) * _EPS * size
+        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, T, order)
+        # the powers are a running product of order factors; the phase
+        # theta T of e^{i theta T} is rounded twice (T, then theta T)
+        rnd = (((8.0 if theta else 4.0) * (1.0 + q * log_w) + 4.0 * order
+                + 2.0 * abs(theta) * T) * _EPS * size)
         return np.exp(1j * (0.5 * math.pi * q - theta * b.real)) * val, trunc + rnd
     w1q = np.exp((1.0 - q) * np.log(w))
     z = 1j * theta * w
     n0 = int(round(q - 1.0))
     pair = abs(q - 1.0 - n0) <= 0.1
     zmax = float(np.max(np.abs(z)))
-    kmax = max(int(q) + 2, 8)
-    while zmax ** (kmax + 1) / math.factorial(kmax + 1) > 1e-20 * _EPS:
-        kmax += 1
-    acc = np.zeros_like(w)
-    absum = np.zeros(w.shape)
-    term = np.ones_like(w)
-    for k in range(kmax + 1):
-        if not (pair and k == n0):
-            t = term / (k + 1.0 - q)
-            acc = acc + t
-            absum = absum + np.abs(t)
-        term = term * z / (k + 1)
+    kmax, next_size = _series_length(q, zmax)
+    ks = np.arange(kmax + 1.0)
+    # z^k / k! for k <= kmax, one running product per node, one row per node
+    powers = np.empty((kmax + 1,) + w.shape, dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = z / ks[1:, None]
+    powers = np.cumprod(powers, axis=0).T
+    denom = ks + 1.0 - q
+    if pair:
+        denom[n0] = math.inf            # its term is in the pole pair
+    terms = powers / denom
+    acc = np.sum(terms, axis=1)
+    sizes = np.abs(terms)
+    absum = sizes.sum(axis=1)
     if pair:
         head = _pole_pair(q, n0, theta, w)
     else:
         big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
-        head = math.gamma(1.0 - q) * np.exp((q - 1.0) * big_l) * np.ones_like(w)
-    J = head - w1q * acc
-    val = np.exp(-1j * theta * b) * J
-    scale = np.abs(np.exp(-1j * theta * b))
-    trunc = 2.0 * zmax ** (kmax + 1) / math.factorial(kmax + 1) * np.abs(w1q)
-    rnd = 32.0 * _EPS * (1.0 + q * log_w) * (np.abs(head) + np.abs(w1q) * absum)
-    return val, scale * (trunc + rnd)
+        head = math.gamma(1.0 - q) * cmath.exp((q - 1.0) * big_l)
+    phase = np.exp(-1j * theta * b)
+    val = phase * (head - w1q * acc)
+    # the terms past kmax shrink by at least half each
+    trunc = 2.0 * next_size * np.abs(w1q)
+    # term k carries 8 k eps from its running product (charged here exactly,
+    # where _series_rounding predicts it as |z| times the sizes)
+    rnd = (32.0 * (1.0 + q * log_w) * _EPS * np.abs(head) + np.abs(w1q)
+           * (_series_rounding(q, log_w, kmax, 0.0) * absum + 8.0 * _EPS * (sizes @ ks)))
+    return val, np.abs(phase) * (trunc + rnd)
+
+
+def _by_parts_order(q: float, at: float, T: float):
+    """The order k <= _BP_TERMS where harmonic_tail's remainder bound
+    |a_k| T^(1-q-k) / (q+k-1) at phase at = |theta| past T is least, and the
+    log of that bound (Olver's optimal truncation: the bound shrinks while
+    q + k - 1 < at T)."""
+    k = min(_BP_TERMS, max(1, math.ceil(at * T + 1.0 - q)))
+    return k, (math.lgamma(q + k) - math.lgamma(q) - k * math.log(at * T)
+               + (1.0 - q) * math.log(T) - math.log(q + k - 1.0))
+
+
+def _em_remainder(q: float, at: float, T: float) -> float:
+    """Euler-Maclaurin's remainder bound past T = N + beta, at phase
+    at = |theta| with _EM_TERMS corrections: 2 zeta(2M) (2 pi)^-2M times
+    sum_i C(2M, i) at^(2M-i) (q)_i T^(1-q-i) / (q+i-1), which bounds
+    int_N^inf |g^(2M)| through (x + beta)^(-q-i) >= |x + b|^(-q-i)."""
+    M = _EM_TERMS
+    j = np.arange(2 * M + 1, dtype=float)
+    pj = np.cumprod(np.concatenate(([1.0], q + j[:-1])))
+    return _em_tables(M)[2] * float(np.sum(binomial_row(2 * M) * at ** (2 * M - j) * pj
+                                           * np.exp((1.0 - q - j) * math.log(T)) / (q + j - 1.0)))
+
+
+def _direct_rounding(q: float, at: float, bmax: float, sizes):
+    """The rounding bound of a direct sum whose terms have the sizes given
+    along the last axis (n = 0, 1, ...): each term's power and phase, and
+    numpy's pairwise sum of a row (4 complex partial sums per block of 64,
+    so a term passes through at most N/4 + 8 + log2(N) additions); theta n
+    rounds once, and a paired phase is itself within eps/2 relative, so
+    the phase is off by at most |theta| n eps."""
+    N = sizes.shape[-1]
+    ns = np.arange(N, dtype=float)
+    return _EPS * ((8.0 + q * (1.0 + math.log(N + bmax)) + 0.25 * N + math.log2(N + 1.0))
+                   * sizes.sum(axis=-1) + at * (sizes @ ns))
+
+
+def _closure(q: float, theta: float, b, cap: int):
+    """Where the direct sum of _lerch_sum stops and how its tail is closed:
+    (N, order, log_err) with order as in _integral_term, or None for a
+    direct sum alone, and log_err the log of the plan's predicted error: the
+    direct sum's rounding at the node nearest 0, the closure's error and its
+    rounding on a tail of size up to (N + beta)^(1-q) / (q - 1), and
+    Euler-Maclaurin's remainder where the cap cut N short.
+
+    A direct sum alone where its tail bound (N + beta - 1)^(1-q) / (q - 1)
+    reaches the node target in N <= n_em terms; n_em (at most cap) is where
+    Euler-Maclaurin's corrections converge,
+    (|theta| + (q + 2M) / (N + beta)) / (2 pi) <= 0.52.  Else the integral
+    is exact at theta = 0, and otherwise the series at n_em or integration
+    by parts at the N in [n_em, cap] whose remainder reaches the target.
+    The series is taken when its predicted rounding,
+    _series_rounding |w|^(1-q) e^|theta w|, is within what the direct sum
+    charges on a leading term of size |b|^-q, or below the remainder that
+    integration by parts reaches within the cap."""
+    beta = float(np.min(b.real))
+    bmax = float(np.max(np.abs(b)))
+    at = abs(theta)
+    log_target = math.log(_NODE_TARGET) - q * math.log(bmax)
+    n_em = max(1, math.ceil((q + 2 * _EM_TERMS) / (1.04 * math.pi - at) - beta))
+    log_em = math.log(_em_remainder(q, at, cap + beta)) if n_em > cap else -math.inf
+    n_em = min(cap, n_em)
+    log_n = (-math.log(q - 1.0) - log_target) / (q - 1.0)
+    log_w = math.log(n_em + bmax)
+    log_floor = (math.log((8.0 + q * (1.0 + log_w) + 0.25 * n_em + math.log2(n_em + 1.0)) * _EPS)
+                 - q * math.log(bmax))
+    if log_n <= math.log(n_em + beta - 1.0):
+        N, order, log_tail = max(1, math.ceil(math.exp(log_n) - beta + 1.0)), None, log_target
+    elif not theta:
+        N, order, log_tail = n_em, 1, log_em
+    else:
+        zmax = at * (n_em + bmax)
+        log_size = (1.0 - q) * math.log(n_em + beta) + zmax
+        log_parts = _by_parts_order(q, at, cap + beta)[1]
+        log_series = math.inf
+        if log_size + math.log(4.0 * _EPS) <= max(log_floor, log_parts):   # else it cannot compete
+            kmax = _series_length(q, zmax)[0]
+            log_series = log_size + math.log(_series_rounding(q, log_w, kmax, zmax))
+        if log_series <= log_floor or log_parts > max(log_floor, log_series):
+            N, order, log_tail = n_em, 0, max(log_series, log_em)
+        else:
+            # the smallest N in [n_em, cap] whose optimal remainder reaches the target
+            lo, hi = n_em, cap
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _by_parts_order(q, at, mid + beta)[1] <= log_target:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            order, log_r = _by_parts_order(q, at, lo + beta)
+            N, log_tail = lo, max(log_r, log_em)
+    sizes = np.exp(-q * np.log(np.arange(N, dtype=float) + beta))
+    log_round = math.log(_direct_rounding(q, at, bmax, sizes))
+    if order is not None:       # the closure's rounding, on a tail of size at most
+                                # (N + beta)^(1-q) / (q - 1)
+        log_round = np.logaddexp(log_round, math.log(32.0 * (1.0 + q * math.log(N + bmax)) * _EPS)
+                                 + (1.0 - q) * math.log(N + beta) - math.log(q - 1.0))
+    return N, order, float(np.logaddexp(log_round, log_tail))
 
 
 def _lerch_sum(q: float, theta: float, b):
-    """S(b) = sum_{n>=0} e^{i theta n} (n + b)^-q for Re b >= 1, and a bound
-    on its error.
+    """S(b) = sum_{n>=0} e^{i theta n} (n + b)^-q for Re b > 0, a bound on its
+    error, the number of direct terms per node and the closure's name.
+
+    Summed directly and closed as _closure says (_em_sum), in at most
+    _DIRECT_CAP direct terms per node.  For |theta| > 3 pi / 4 the terms can
+    be paired, n = 2m and 2m + 1:
+    S(b) = 2^-q (S'(b/2) + e^{i theta} S'((b+1)/2)), where S' has the phase
+    2 theta - 2 pi sign(theta), at most pi / 2 in size, so that
+    Euler-Maclaurin needs some 20 terms per half instead of 256 or more near
+    |theta| = pi.  They are where the pair's predicted error (_closure) is
+    the smaller.  At low q the paired phase can land where neither the
+    series nor integration by parts closes well in half the cap (|theta|
+    some 0.05 to 0.15 below pi); there the terms stay unpaired, whose
+    integration by parts is then short.
+    """
+    N, order, log_err = _closure(q, theta, b, _DIRECT_CAP)
+    if abs(theta) > 0.75 * math.pi:
+        sign = math.copysign(1.0, theta)
+        # 2 (theta - sign pi) with pi = fl(pi) + sin(fl(pi)): theta - fl(pi)
+        # is exact (Sterbenz), so the phase is rounded once
+        half_phase = 2.0 * ((theta - sign * math.pi) - sign * math.sin(math.pi))
+        halves = np.concatenate((0.5 * b, 0.5 * b + 0.5))
+        half_n, half_order, half_err = _closure(q, half_phase, halves, _DIRECT_CAP // 2)
+        if (1.0 - q) * math.log(2.0) + half_err < log_err:     # 2^-q (S'_even + S'_odd)
+            m = b.size
+            val, err, closure = _em_sum(q, half_phase, halves, half_n, half_order)
+            even, odd = val[:m], val[m:]
+            scale = 2.0 ** -q
+            out = scale * (even + cmath.exp(1j * theta) * odd)
+            err = scale * (err[:m] + err[m:] + 4.0 * _EPS * (np.abs(even) + np.abs(odd)))
+            return out, err, 2 * half_n, "paired " + closure
+    val, err, closure = _em_sum(q, theta, b, N, order)
+    return val, err, N, closure
+
+
+def _em_sum(q: float, theta: float, b, N: int, order):
+    """_lerch_sum without pairing, over n < N directly and closed by order
+    (None: the direct sum's tail bound alone).
 
     Summed directly over n < N, then closed by Euler-Maclaurin:
     sum_{n>=N} g(n) = int_N^inf g + g(N)/2 - sum_j B_2j/(2j)! g^(2j-1)(N) + R,
     |R| <= 2 zeta(2M) (2 pi)^-2M int_N^inf |g^(2M)| (DLMF 2.10.1, 24.7.2),
-    with g(x) = e^{i theta x} (x + b)^-q.  For large q the direct sum alone
-    reaches the node target."""
+    with g(x) = e^{i theta x} (x + b)^-q, and the integral by
+    _integral_term.  The direct terms are a phase row times the powers
+    (n + b)^-q, which are real where b is."""
     beta = float(np.min(b.real))
     bmax = float(np.max(np.abs(b)))
     at = abs(theta)
+    ns = np.arange(N, dtype=float)
+    powers = np.exp(-q * np.log(b[:, None] + ns))         # one row per node
+    val = np.sum(powers * np.exp(1j * theta * ns), axis=1)
+    err = _direct_rounding(q, at, bmax, np.abs(powers))
+    if order is None:
+        return val, err + (N + beta - 1.0) ** (1.0 - q) / (q - 1.0), "direct"
     M = _EM_TERMS
-    # direct only: the tail is at most (N + beta - 1)^(1-q) / (q - 1)
-    log_n = (-math.log((q - 1.0) * _NODE_TARGET) + q * math.log(bmax)) / (q - 1.0)
-    direct = log_n <= math.log(512.0)
-    if direct:
-        N = max(1, math.ceil(math.exp(log_n) - beta + 1.0))
-    else:
-        # Euler-Maclaurin needs (|theta| + (q + 2M)/(N + beta)) / (2 pi) <= 0.52
-        N = max(1, math.ceil((q + 2 * M) / (1.04 * math.pi - at) - beta))
-        xbp = 4.0 * (q + _BP_TERMS)
-        series = 0.0 < at * _DIRECT_CAP < xbp
-        if at and not series:
-            N = max(N, math.ceil(xbp / at - beta))
-    ns = np.arange(N, dtype=float)[:, None]
-    terms = np.exp(1j * theta * ns - q * np.log(ns + b[None, :]))
-    val = terms.sum(axis=0)
-    err = _EPS * (8.0 + q * math.log(N + bmax) + math.log2(N + 1)) * np.abs(terms).sum(axis=0)
-    if direct:
-        return val, err + (N + beta - 1.0) ** (1.0 - q) / (q - 1.0)
     w = N + b
     wq = np.exp(-q * np.log(w))
-    eN = np.exp(1j * theta * N)
     # u_i = (-1)^i (q)_i w^-i and v_k = (i theta)^k, so that
     # g^(m)(N) = e^{i theta N} w^-q sum_i C(m, i) v_(m-i) u_i
-    u = [np.ones_like(w)]
-    for i in range(2 * M - 1):
-        u.append(-u[-1] * (q + i) / w)
-    comb, index, coef, em_factor = _em_tables(M)
-    v = np.array([(1j * theta) ** k for k in range(2 * M)] + [0j])
-    deriv = (comb * v[index]) @ np.array(u)
-    corr = coef @ deriv
-    absum = np.abs(coef) @ np.abs(deriv)
-    integral, integral_err = _integral_term(q, theta, N, b, series)
-    val = val + integral + eN * wq * (0.5 - corr)
-    # the remainder bound, through (x + beta)^(-q-i) <= |x + b|^(-q-i)
-    bound = 0.0
-    poch = 1.0
-    for i, c in enumerate(binomial_row(2 * M)):
-        bound += c * at ** (2 * M - i) * poch * (N + beta) ** (1.0 - q - i) / (q + i - 1.0)
-        poch *= q + i
-    em = em_factor * bound
-    err = err + em + integral_err + 8.0 * _EPS * np.abs(wq) * (0.5 + absum)
-    return val, err
+    i = np.arange(2 * M, dtype=float)
+    u = np.empty((2 * M,) + w.shape, dtype=w.dtype)
+    u[0] = 1.0
+    u[1:] = -(q + i[:-1, None]) / w
+    u = np.cumprod(u, axis=0)
+    table, table_abs, _ = _em_tables(M)
+    v = np.full(2 * M, 1j * theta)
+    v[0] = 1.0
+    v = np.cumprod(v)
+    corr = (table @ v) @ u
+    absum = (table_abs @ np.abs(v)) @ np.abs(u)
+    integral, integral_err = _integral_term(q, theta, N, b, order)
+    val = val + integral + np.exp(1j * theta * N) * wq * (0.5 - corr)
+    err = (err + _em_remainder(q, at, N + beta) + integral_err
+           + (8.0 + 4.0 * M) * _EPS * np.abs(wq) * (0.5 + absum))
+    return val, err, "exact" if not theta else ("by-parts" if order else "series")
 
 
 def _clenshaw(coefs, x):
@@ -496,14 +678,12 @@ def _clenshaw(coefs, x):
 def _kernel_tables(n: int):
     """The lattice kernel's fixed arrays for degree n, made on first use: the
     Chebyshev points of the second kind, the end-point halves and the
-    cosine matrix times 2 / n that take values to coefficients, and
-    k^2 and 2k for the terms k = 1 .. 9999 of the bound on |H|."""
+    cosine matrix times 2 / n that take values to coefficients."""
     x = np.cos(math.pi * np.arange(n + 1) / n)
     half = np.ones(n + 1)
     half[0] = half[-1] = 0.5
     weights = (2.0 / n) * np.cos(math.pi * np.outer(np.arange(n + 1), np.arange(n + 1)) / n)
-    ks = np.arange(1.0, 1e4)
-    return _read_only(x, half, weights, ks * ks, 2.0 * ks)
+    return _read_only(x, half, weights)
 
 
 class LatticeKernel:
@@ -517,11 +697,15 @@ class LatticeKernel:
     H(b) = b^q Phi(w, q, b) = sum_n w^n (b / (n + b))^q is analytic where
     Re b > 0, which holds inside the Bernstein ellipse rho = 4 of the period
     (the nearest singularity of K_1 is a full period away), and there
-    |H| <= sum_n |b / (n + b)|^q.  H is interpolated in 33 Chebyshev points;
-    the interpolation error is at most 4 M rho^-n / (rho - 1) (Trefethen,
-    Approximation Theory and Approximation Practice, Thm 8.2).  ``bound`` is
-    a uniform bound on |K_1 - computed K_1| over the period, with the node
-    errors (times the Lebesgue constant) and rounding included.
+    |H| <= sum_n |b / (n + b)|^q <= 1 + int_0^inf (1 + u^2 / B^2)^(-q/2) du
+    = 1 + B sqrt(pi) Gamma((q-1)/2) / (2 Gamma(q/2)) = M, with |b| <= B,
+    since |n + b|^2 >= n^2 + |b|^2.  H is interpolated in 33 Chebyshev
+    points; the interpolation error is at most 4 M rho^-n / (rho - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2).
+    ``bound`` is a uniform bound on |K_1 - computed K_1| over the period,
+    with the node errors (times the Lebesgue constant) and rounding
+    included.  ``terms`` is the number of direct Lerch terms per node (at
+    most _DIRECT_CAP) and ``closure`` how _lerch_sum closed their tail.
     """
 
     def __init__(self, q: float, theta: float, s: float, P: float, c: float):
@@ -529,9 +713,9 @@ class LatticeKernel:
             raise DomainError("lattice kernel needs q > 1, P > 0, c >= 0, |theta| <= pi")
         self.q, self.s, self.P, self.c = q, s, P, c
         n = _CHEB_N
-        x, half, weights, ks2, ks_twice = _kernel_tables(n)
+        x, half, weights = _kernel_tables(n)
         b = self._b(c + 0.5 * P * (1.0 + x))
-        S, S_err = _lerch_sum(q, theta, b)
+        S, S_err, self.terms, self.closure = _lerch_sum(q, theta, b)
         bq = np.exp(q * np.log(b))
         H = bq * S
         H_err = np.abs(bq) * S_err + 8.0 * _EPS * (1.0 + q * np.abs(np.log(b))) * np.abs(H)
@@ -541,16 +725,12 @@ class LatticeKernel:
         coefs[-1] *= 0.5
         self._coefs = coefs
         self._front = np.exp(1j * theta - q * np.log(1j * P))   # w (iP)^-q
-        # |H| on the ellipse: Re b >= r_min > 0 and |b| <= B there
+        # |H| on the ellipse, where Re b >= 1.5 - reach > 0 and |b| <= B
         rho = _CHEB_RHO
         reach = 0.25 * (rho + 1.0 / rho)
-        centre = complex(1.5 + c / P, -s / P)
-        r_min = centre.real - reach
-        B = abs(centre) + reach
-        # a float sum of positive terms, rounded up by far more than its error
-        M = (1.0 + 1e-9) * (1.0 + float(np.sum((B * B / (ks2 + ks_twice * r_min + B * B))
-                                                ** (0.5 * q)))
-                           + B ** q * 1e4 ** (1.0 - q) / (q - 1.0))
+        B = abs(complex(1.5 + c / P, -s / P)) + reach
+        M = 1.0 + B * math.sqrt(math.pi) / 2.0 * math.exp(math.lgamma(0.5 * (q - 1.0))
+                                                           - math.lgamma(0.5 * q))
         lebesgue = 2.0 / math.pi * math.log(n + 1.0) + 1.0
         absum = float(np.sum(np.abs(coefs)))
         e_h = (4.0 * M * rho ** -n / (rho - 1.0) + lebesgue * float(np.max(H_err))
@@ -559,7 +739,9 @@ class LatticeKernel:
         self.bound = floor * (e_h + (absum + e_h) * _EPS * (8.0 + q * math.log(B)))
 
     def _b(self, t):
-        return 1.0 + (np.asarray(t, dtype=float) - 1j * self.s) / self.P
+        """b = 1 + (t - is) / P, a real array where s = 0."""
+        tt = np.asarray(t, dtype=float)
+        return 1.0 + (tt - 1j * self.s if self.s else tt) / self.P
 
     def __call__(self, t):
         """K_1 at points t of [c, c + P]."""

@@ -268,6 +268,12 @@ _KERNEL_LINES = (0.0, 1e-3, -1e-3, 1.0, -1.0)
 _KERNEL_CASES = [(q, th, _KERNEL_LINES[i % 5]) for i, (q, th) in
                  enumerate((q, th) for q in _KERNEL_ORDERS for th in _KERNEL_PHASES)]
 _KERNEL_CASES += [(2.0 - 8e-7, -math.pi, s) for s in _KERNEL_LINES]
+# where the closure changes: the incomplete-gamma series up to |theta w| of a
+# few, integration by parts at its chosen order from there, and pairs of
+# terms past |theta| = 3 pi / 4
+_KERNEL_CASES += [(q, th, s) for q in (2.1, 4.133, 5.0)
+                  for th in (0.05, -0.121, -0.144, 0.3, 0.7, 3.0, math.pi - 0.03)
+                  for s in (0.0, 0.3, -0.3)]
 
 
 @pytest.mark.parametrize("q, theta, s", _KERNEL_CASES)
@@ -289,6 +295,25 @@ def test_lattice_kernel_against_lerchphi(q, theta, s):
     err = np.abs(got - np.array(want))
     assert np.all(err <= kernel.bound), (err, kernel.bound)
     assert kernel.bound <= 1e-12 * np.max(np.abs(want))
+
+
+_CLOSURES = ("direct", "exact", "series", "by-parts")
+
+
+@pytest.mark.parametrize("q", [1.5, 2.1, 4.133, 5.0, 13.0])
+def test_lattice_kernel_direct_terms_are_bounded_at_every_phase(q):
+    # no build sums more than 256 direct Lerch terms per node at any phase or
+    # line (integration by parts at a fixed 30 terms took 1,125 at
+    # theta = -0.121, q = 4.133), and the bar stays within 1e-11 of the
+    # kernel's size (P i)^-q
+    P = 2.0 * math.pi
+    for s in (0.0, 0.3, -0.3, 1.0, -1.0):
+        for theta in np.linspace(-math.pi, math.pi, 181).tolist():
+            kernel = LatticeKernel(q, theta, s, P, 0.0)
+            assert kernel.terms <= 256, (theta, s, kernel.terms, kernel.closure)
+            assert kernel.closure.removeprefix("paired ") in _CLOSURES
+            assert abs(theta) > 0.75 * math.pi or not kernel.closure.startswith("paired ")
+            assert 0.0 < kernel.bound <= 1e-11 * P ** -q, (theta, s, kernel.bound)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.8, -2.5])
@@ -346,12 +371,35 @@ def test_zeta_table_is_the_euler_maclaurin_formula_bit_for_bit():
 ])
 def test_integral_term_by_parts_within_its_bar(q, theta, N, s):
     # int_N^inf e^{i theta x} (x + b)^-q dx = e^{-i theta b} (-i theta)^(q-1)
-    # Gamma(1-q, -i theta (N + b)) (DLMF 8.2.2): the by-parts branch, whose
-    # bar charges the rounding of the phase theta (N + Re b)
+    # Gamma(1-q, -i theta (N + b)) (DLMF 8.2.2): the by-parts branch at 30
+    # terms, whose bar charges the rounding of the phase theta (N + Re b)
+    _check_integral_term(q, theta, N, s, 30)
+
+
+@pytest.mark.parametrize("q, theta, N, s", [
+    # (the order picked, and its remainder bound)
+    (1.5, -2.1, 12, 0.0),      # 27, 1.1e-12
+    (2.1, -0.121, 255, 0.3),   # 30 at the longest direct sum, 1.5e-15
+    (4.133, 0.25, 154, 0.0),   # 36
+    (1.01, 0.7, 40, -1.0),     # 29, 1.6e-13
+    (13.0, 3.0, 5, 0.0),       # 6, 1.0e-11
+])
+def test_integral_term_at_its_chosen_order_within_its_bar(q, theta, N, s):
+    # the order the Lerch sum's closure takes from the remainder bound,
+    # Olver's optimal one, and the bound it reports for it
+    from pospart.remainders import _by_parts_order
+    order, log_bound = _by_parts_order(q, abs(theta), N + 1.0)
+    assert 1 <= order <= 60
+    _check_integral_term(q, theta, N, s, order, math.exp(log_bound))
+
+
+def _check_integral_term(q, theta, N, s, order, truncation=None):
     mpmath = pytest.importorskip("mpmath")
     from pospart.remainders import _integral_term
     b = 1.0 + np.linspace(0.0, 1.0, 7) - 1j * s
-    val, err = _integral_term(q, theta, N, b, False)
+    val, err = _integral_term(q, theta, N, b, order)
+    if truncation is not None:    # the planned bound, at the node nearest N, is charged
+        assert err[0] >= truncation * (1.0 - 1e-12)
     with mpmath.workdps(40):
         for k, bk in enumerate(b.tolist()):
             w = N + mpmath.mpc(bk)
@@ -362,16 +410,24 @@ def test_integral_term_by_parts_within_its_bar(q, theta, N, s):
 
 @pytest.mark.parametrize("theta", [0.0, 1e-9, -0.7, 2.5, -math.pi])
 def test_euler_maclaurin_rows_match_the_list_comprehension_bit_for_bit(theta):
-    # the binomial-phase matrix C(m, i) (i theta)^(m-i), m = 2j + 1, built
-    # from the cached tables equals the rows built one list at a time
-    from pospart.remainders import _em_tables
-    M = 30
+    # the cached table A[i, k] = c_j C(2j+1, i), i + k = 2j + 1, times the
+    # powers (i theta)^k equals the products c_j C(m, i) (i theta)^(m-i) of
+    # the derivative rows built one list at a time, and A v sums each row
+    from pospart.remainders import _EM_TERMS, _ZETA, _em_tables
+    M = _EM_TERMS
     v = [(1j * theta) ** k for k in range(2 * M)]
-    rows = np.zeros((M, 2 * M), dtype=complex)
+    want = np.zeros((2 * M, 2 * M), dtype=complex)
     for j in range(M):
         m = 2 * j + 1
-        rows[j, : m + 1] = [math.comb(m, i) * v[m - i] for i in range(m + 1)]
-    comb, index, *_ = _em_tables(M)
-    got = comb * np.array(v + [0j])[index]
-    assert [z.hex() for z in got.view(float).ravel().tolist()] == \
-        [z.hex() for z in rows.view(float).ravel().tolist()]
+        c = (-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
+        for i in range(m + 1):
+            want[i, m - i] = complex(c * float(math.comb(m, i))) * v[m - i]
+    table, table_abs, _ = _em_tables(M)
+    got = table * np.array(v)
+    rows = table != 0.0
+    # (+ 0.0 merges the signed zeros of parts that underflow)
+    assert [(z + 0.0).hex() for z in got[rows].view(float).tolist()] == \
+        [(z + 0.0).hex() for z in want[rows].view(float).tolist()]
+    assert not np.any(got[~rows])
+    assert np.array_equal(table_abs, np.abs(table))
+    assert np.allclose(table @ np.array(v), want.sum(axis=1), rtol=1e-14, atol=0.0)

@@ -26,6 +26,7 @@ from pospart.tailbound import (
 )
 
 P_UNIT = TailBoundProblem(1.0, 1.0, 0.5)
+EPS = float(np.finfo(float).eps)
 
 
 def test_problem_validation():
@@ -344,8 +345,10 @@ def _assert_rows_match_series(problem, rows, rtol):
             miss = abs(got - ref.value)
             assert miss <= rtol * ref.value + ref.half_width, (r.x, p, got, ref)
             assert miss <= bar + ref.half_width, (r.x, p, got, bar, ref)
+        m = r.t_x + r.mu3 / r.mu2
+        off = 3.0 * (r.residual + 2.0 * EPS * abs(m)) * r.mu2 / r.mu3 + 8.0 * EPS
         assert r.pin_err == pytest.approx(
-            r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3), rel=1e-15)
+            r.pin * (3.0 * r.mu2_err / r.mu2 + 2.0 * r.mu3_err / r.mu3 + off), rel=1e-15)
 
 
 def _bar_on_m(row):
@@ -686,6 +689,23 @@ def test_a8_curve_engine_rows(monkeypatch):
         mu2, mu3 = mixture_ppm23(0.5, P_UNIT.lam, P_UNIT.y, -r.t_x)
         assert abs(r.mu2 - mu2) <= r.mu2_err + 4e-15 * mu2, (r.x, r.mu2, mu2)
         assert abs(r.mu3 - mu3) <= r.mu3_err + 4e-15 * mu3, (r.x, r.mu3, mu3)
+
+
+def test_a8_curve_pin_within_its_bar_of_the_bound_at_its_root():
+    # Pin(x) <= G(t_x) = E(eta - t_x)_+^3 / (x - t_x)^3 at each row's own
+    # root; the row reports F = mu2^3 / mu3^2, which misses G by about
+    # 3 |m - x| F mu2 / mu3.  Before pin_err charged that, 40 of these 99 rows
+    # missed G, the worst by 15,000 times its bar.  G takes mu3 from the
+    # 30-digit mixture sums (one rounding, charged as eps G)
+    mpmath = pytest.importorskip("mpmath")
+    rows = pin_curve(P_UNIT, 0.0, 5.0, 101, rel_tol=1e-7, tol_x=1e-9)
+    solved = [r for r in rows if r.x > 0.05]
+    assert len(solved) == 99 and not any(r.is_failure() for r in solved)
+    for r in solved:
+        _, mu3 = mixture_ppm23_mp(0.5, P_UNIT.lam, P_UNIT.y, -r.t_x)
+        with mpmath.workdps(30):
+            g = float(mpmath.mpf(mu3) / (mpmath.mpf(r.x) - mpmath.mpf(r.t_x)) ** 3)
+        assert abs(r.pin - g) <= r.pin_err + EPS * g, (r.x, r.pin, g, r.pin_err)
 
 
 def test_a8_curve_takes_three_passes(monkeypatch):
