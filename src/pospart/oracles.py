@@ -5,17 +5,17 @@ dependency direction is enforced by imports: this module takes the
 distribution catalog and the TailBoundProblem record, and calls no pipeline
 numerics):
 
-  * density_ppm: direct quadrature of x^p times a Gaussian density,
+  * density_ppm: x^p times a Gaussian density, integrated by the tanh-sinh
+    (double-exponential) rule of Takahasi and Mori (1974),
   * naive_series_ppm: the Poisson-mixture sum of Gaussian positive-part
     moments, the straightforward approach the transform route replaces
-    (slow and fragile for small y, so tests keep it to moderate scales),
+    (slow and fragile for small y, so tests keep it to moderate scales);
+    its Poisson weights are log ratios from the mode, normalised over the
+    count window,
   * mc_ppm / mc_tail: seeded Monte Carlo with five-sigma error bars;
     mc_tail takes a sequence of levels on one sample.
 
-scipy (quad, the normal tail and the Poisson distribution) is imported
-inside the oracle functions that use it, so importing this module, and with
-it the package and the CLI, loads numpy only; the Gaussian terms of the
-naive series take Phi and phi from math.erfc and math.exp.
+They need numpy and math only.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import numpy as np
 from .distributions import DistributionSpec, Normal, Shift, sample
 from .errors import PreconditionError, SeriesGuard
 from .tailbound import TailBoundProblem
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "OracleEstimate",
@@ -62,29 +64,41 @@ def _as_normal(spec) -> tuple[float, float]:
 
 
 def density_ppm(spec: DistributionSpec, p: float, rel_tol: float = 1e-11) -> OracleEstimate:
-    """E X_+^p by adaptive quadrature of x^p against the Gaussian density."""
-    from scipy import integrate as _sciint
-    from scipy import stats as _scistats
+    """E X_+^p by tanh-sinh quadrature of x^p against the Gaussian density.
 
+    The window [max(0, mu - 12 sd), mu + 12 sd] is mapped by
+    x = mid + half tanh(pi/2 sinh t), whose nodes cluster at both ends, so
+    x^p at 0 is integrated at every p > 0.  Nodes t = k h, |t| <= 6; h is
+    halved from 1 until two levels agree to rel_tol.  The half width is that
+    gap, 16 eps times the sum (the integrand is positive) and a bound on
+    what lies outside the window.
+    """
     if not p > 0:
         raise PreconditionError("order must be positive")
     mu, sd = _as_normal(spec)
-    hi = mu + 12.0 * sd
-    if hi <= 0.0:
-        # the entire integration window is negative; what is left beyond it
-        # is bounded by the Gaussian tail estimate below
-        value, abserr = 0.0, 0.0
-    else:
-        value, abserr = _sciint.quad(
-            lambda x: x**p * math.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi)),
-            max(0.0, mu - 12.0 * sd),
-            hi,
-            epsabs=1e-300,
-            epsrel=rel_tol,
-            limit=400,
-        )
-    tail = float(_scistats.norm.sf(12.0)) * (abs(mu) + 13.0 * sd) ** p * 10.0
-    return OracleEstimate(value, abserr + tail, "density")
+    lo, hi = max(0.0, mu - 12.0 * sd), mu + 12.0 * sd
+    value = gap = 0.0
+    if hi > 0.0:   # else the whole window is negative and the tail term bounds it
+
+        def nodes_sum(t):
+            # distance to the nearer end and weight, both in e = e^{-2|u|}
+            # so that neither overflows at |t| = 6
+            u = 0.5 * math.pi * np.sinh(t)
+            e = np.exp(-2.0 * np.abs(u))
+            d = (hi - lo) * e / (1.0 + e)
+            x = np.where(u < 0.0, lo + d, hi - d)
+            w = (hi - lo) * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+            f = x**p * np.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+            return math.fsum(w * f)
+
+        value, h, gap = nodes_sum(np.arange(-6.0, 7.0)), 1.0, math.inf
+        while gap > rel_tol * value and h > 2.0**-10:
+            h *= 0.5
+            odd = np.arange(h, 6.0, 2.0 * h)
+            prev, value = value, 0.5 * value + h * nodes_sum(np.concatenate([-odd, odd]))
+            gap = abs(value - prev)
+    tail = 0.5 * math.erfc(12.0 / math.sqrt(2.0)) * (abs(mu) + 13.0 * sd) ** p * 10.0
+    return OracleEstimate(value, gap + 16.0 * _EPS * value + tail, "density")
 
 
 def _normal_pos_moment(mu: float, sd: float, p: int) -> float:
@@ -110,8 +124,6 @@ def naive_series_ppm(problem: TailBoundProblem, t: float, p: int,
     remaining Poisson mass times a growth-adjusted term bound is negligible;
     window_pad widens it further (used by tests to show insensitivity).
     """
-    from scipy import stats as _scistats
-
     if p not in (1, 2, 3, 4):
         raise PreconditionError("naive series oracle supports p in {1, 2, 3, 4}")
     lam = problem.lam
@@ -122,17 +134,28 @@ def naive_series_ppm(problem: TailBoundProblem, t: float, p: int,
     j_lo = max(0, int(lam - spread))
     j_hi = int(lam + spread)
     js = np.arange(j_lo, j_hi + 1)
-    weights = _scistats.poisson.pmf(js, lam)
+    # Poisson weights as log ratios log(lam / j) accumulated from the mode,
+    # so no large lgamma values cancel, normalised over the window
+    k = int(lam) - j_lo
+    log_w = np.zeros(js.size)
+    log_w[k + 1:] = np.cumsum(np.log(lam / js[k + 1:]))
+    log_w[:k] = np.cumsum(-np.log(lam / js[1:k + 1])[::-1])[::-1]
+    weights = np.exp(log_w)
+    weights /= math.fsum(weights)
     terms = [
         _normal_pos_moment(problem.y * j - problem.y * lam - t, sd, p) for j in js
     ]
     value = math.fsum(w * v for w, v in zip(weights, terms))
-    # remaining mass, priced at the largest windowed term inflated for
-    # growth, plus a 1e-12 relative allowance for the summation
-    left_mass = float(_scistats.poisson.cdf(j_lo - 1, lam)) if j_lo > 0 else 0.0
-    right_mass = float(_scistats.poisson.sf(j_hi, lam))
+    # the mass outside the window by Chernoff's bound e^{-lam} (e lam / j)^j on
+    # P(N <= j_lo) and P(N > j_hi), priced at the largest windowed term
+    # inflated for growth (which also covers the normalisation), plus a
+    # 1e-12 relative allowance for the summation
+    def chernoff(j: int) -> float:
+        return math.exp(j * (1.0 + math.log(lam / j)) - lam)
+
+    outside = (chernoff(j_lo) if j_lo > 0 else 0.0) + chernoff(j_hi + 1)
     edge = max(terms[-1], 1.0) * (1.0 + problem.y * spread) ** p
-    half_width = (left_mass + right_mass) * edge * 4.0 + 1e-12 * abs(value)
+    half_width = outside * edge * 4.0 + 1e-12 * abs(value)
     return OracleEstimate(value, half_width, "naive-series")
 
 

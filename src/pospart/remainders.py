@@ -735,7 +735,8 @@ class LatticeKernel:
         absum = float(np.sum(np.abs(coefs)))
         e_h = (4.0 * M * rho ** -n / (rho - 1.0) + lebesgue * float(np.max(H_err))
                + 8.0 * (n + 1) * _EPS * absum)
-        floor = P ** -q * (1.0 + c / P) ** -q      # max of |(iP)^-q b^-q| on the period
+        # max of |(iP)^-q b^-q| on the period, where |b| >= |1 + c/P - is/P|
+        floor = P ** -q * abs(complex(1.0 + c / P, -s / P)) ** -q
         self.bound = floor * (e_h + (absum + e_h) * _EPS * (8.0 + q * math.log(B)))
 
     def _b(self, t):

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
-from scipy.special import beta as beta_fn, exp1
 
 from pospart.quadrature import IntegrandProfile
 from pospart.validate import QUADRATURE_CASES
@@ -120,7 +120,7 @@ def build_corpus() -> list[CorpusEntry]:
         "beta_tail",
         lambda t: np.maximum(t, 1e-300) ** -0.4 * (1.0 + t) ** -1.8,
         IntegrandProfile(-0.4, lambda T: T**-0.4 * (1.0 + T) ** -0.8 / 1.2 if T > 0 else math.inf),
-        float(beta_fn(0.6, 1.2)), 1e-9))
+        float(mpmath.beta(0.6, 1.2)), 1e-9))
 
     # sin^2 t / t^2 = 1/(2t^2) - cos(2t)/(2t^2); slow part in closed form,
     # oscillatory part by parts to third order
@@ -148,7 +148,7 @@ def build_corpus() -> list[CorpusEntry]:
     entries.append(CorpusEntry(
         "exp_integral", lambda t: np.exp(-0.5 * t) / (1.0 + t),
         IntegrandProfile(0.0, lambda T: 2.0 * math.exp(-0.5 * T) / (1.0 + T)),
-        math.exp(0.5) * float(exp1(0.5)), 1e-10))
+        math.exp(0.5) * float(mpmath.e1(0.5)), 1e-10))
 
     def _sqrt_exp_env(T):
         if T < 1.0:

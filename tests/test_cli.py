@@ -59,6 +59,19 @@ def test_moment_routes_and_defaults(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("--dist", "point(1.3)", "--p", "2.5", "--method", "cf"), 480),
+    (("--dist", "normal(0,1)", "--p", "2"), 150),
+    (("--dist", "discrete(-1:0.5,2:0.5)", "--p", "2.5", "--method", "laplace"), 600),
+])
+def test_moment_evaluations_stay_below_their_ceiling(capsys, argv, limit):
+    # a moment integral takes one Gauss-Kronrod batch per growth pass, which
+    # costs fewer evaluations than growing the panels chunk by chunk did
+    code, out, err = run_cli(capsys, "moment", *argv)
+    assert code == 0, err
+    assert int(out.strip().split(",")[3]) < limit, out
+
+
 @pytest.mark.parametrize("method", ["cf", "laplace", "negative"])
 def test_other_outside_diff_exits_two(capsys, method):
     code, out, err = run_cli(capsys, "moment", "--dist", "normal(0,1)", "--p", "2",
@@ -572,45 +585,50 @@ sample(CenteredScaledPoisson(50, 1), 0, 3)
 runs = (
     ["moment", "--dist", "normal(0,1)", "--p", "2.5"],
     ["moment", "--dist", "cpoisson(3,0.5)", "--p", "1.5", "--method", "diff"],
+    ["moment", "--dist", "cpoisson(3,0.5)", "--p", "2.5", "--method", "cf"],
+    ["moment", "--dist", "cpoisson(3,0.5)", "--p", "2.5", "--method", "laplace"],
     ["pin", "--sigma", "1", "--y", "1", "--eps", "0.5", "--x", "2"],
     ["curve", "--sigma", "1", "--y", "1", "--eps", "0.5",
      "--x-min", "0", "--x-max", "2", "--steps", "3"],
+    ["validate", "--suite", "quick"],
 )
 codes = [main(argv) for argv in runs]
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "mpmath", "hypothesis"))
 print("RESULT", codes, loaded)
 """
 
 
-def test_runtime_path_loads_no_scipy():
-    # the transform pipeline, the sampler and the CLI's moment/pin/curve
-    # commands run on numpy alone; scipy is left to the oracles, which load
-    # it on first use
+def _run_python(script: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_SCRIPT], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_runtime_path_loads_no_scipy():
+    # the transform pipeline, the lattice kernel on both lines, the sampler,
+    # the oracles and every CLI command run on numpy alone: no scipy, and no
+    # test-only package either
+    proc = _run_python(_IMPORT_PATH_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     result = proc.stdout.strip().splitlines()[-1]
-    assert result == "RESULT [0, 0, 0, 0] []", result
+    assert result == "RESULT [0, 0, 0, 0, 0, 0, 0] []", result
 
 
-def test_validate_without_scipy_exits_two():
-    # scipy is the optional "validate" extra; a None entry in sys.modules
-    # makes its import fail as on an install without it
-    script = ('import sys\nsys.modules["scipy"] = None\n'
-              'from pospart.cli import main\nsys.exit(main(["validate"]))\n')
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "pospart[validate]" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_validate_without_scipy_prints_the_same_bytes():
+    # a None entry in sys.modules makes any import of scipy fail, as on an
+    # install without it; the quick suite passes and prints what it prints
+    # where scipy is present
+    script = ("import sys\n{}from pospart.cli import main\n"
+              "sys.exit(main(['validate', '--suite', 'quick']))\n")
+    blocked = _run_python(script.format('sys.modules["scipy"] = None\n'))
+    plain = _run_python(script.format(""))
+    assert blocked.returncode == 0, blocked.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+    assert blocked.stderr == ""
 
 
 @pytest.mark.parametrize("y", ["1e-300", "1e300", "1e-160"])

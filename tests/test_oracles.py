@@ -22,6 +22,23 @@ def test_density_symmetry_and_far_shift():
     assert density_ppm(Shift(Normal(0.0, 1.0), -10.0), 3.0).value <= 1e-15
 
 
+@pytest.mark.parametrize("mu, sd, p", [
+    (0.0, 1.0, 1.0), (0.4, 0.775, 2.5), (1.0, 1.0, 0.3), (2.0, 0.5, 1.7), (-1.0, 2.0, 0.5),
+    (5.0, 1.0, 3.8), (0.0, 1.0, 0.01), (13.0, 1.0, 2.0), (0.0, 1e-3, 1.5),
+])
+def test_density_bar_contains_the_closed_form(mu, sd, p):
+    # E (mu + sd Z)_+^p = sd^p phi(a) Gamma(p + 1) e^{a^2/4} D_{-p-1}(-a), a = mu / sd,
+    # at 40 digits; the window's ends include x = 0 at small p and a window
+    # that starts above 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(mu) / sd
+        want = float(mpmath.mpf(sd) ** p * mpmath.npdf(a) * mpmath.gamma(p + 1)
+                     * mpmath.exp(a * a / 4) * mpmath.pcfd(-p - 1, -a))
+    est = density_ppm(Normal(mu, sd * sd), p)
+    assert est.contains(want), (est, want)
+
+
 def test_density_rejects_unsupported():
     with pytest.raises(PreconditionError):
         density_ppm(PointMass(1.0), 2.0)
@@ -40,6 +57,29 @@ def test_naive_series_self_consistency():
     wider = naive_series_ppm(problem, 0.0, 2, window_pad=20)
     assert abs(est.value - wider.value) < 1e-10
     assert est.half_width <= 1e-10 * max(est.value, 1.0) + 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_naive_series_bar_contains_the_mixture_sum_at_a_large_rate(p):
+    # lam = 5000: Poisson weights from the pmf were 5.3e-13 off at p = 2,
+    # outside the 3.0e-13 bar; as log ratios from the mode they are not.
+    # The reference is the 40-digit sum of the Gaussian terms in closed form
+    mpmath = pytest.importorskip("mpmath")
+    problem, t = TailBoundProblem(1.0, 0.01, 0.5), 0.3
+    est = naive_series_ppm(problem, t, p)
+    with mpmath.workdps(40):
+        lam, y, sd = mpmath.mpf(problem.lam), mpmath.mpf(problem.y), mpmath.sqrt(0.5)
+        total = mpmath.mpf(0)
+        for j in range(int(lam - 1000), int(lam + 1000)):
+            w = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+            m = y * (j - lam) - t
+            cdf, pdf = mpmath.ncdf(m / sd), mpmath.npdf(m / sd)
+            i_prev, i_cur = cdf, m * cdf + sd * pdf
+            for n in range(2, p + 1):
+                i_prev, i_cur = i_cur, m * i_cur + (n - 1) * sd * sd * i_prev
+            total += w * i_cur
+        want = float(total)
+    assert est.contains(want), (est, want)
 
 
 def test_naive_series_guards():

@@ -297,23 +297,49 @@ def test_lattice_kernel_against_lerchphi(q, theta, s):
     assert kernel.bound <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("theta, s, P", [(0.7, 2.80, 0.335), (-1.3, -2.81, 0.469)])
+def test_lattice_kernel_bound_takes_the_line_into_its_scale(theta, s, P):
+    # on a line |s| well above P, |b| >= |1 - is/P| sets the kernel's size:
+    # a scale (iP)^-q (1 + c/P)^-q put the bar 1e6 and 2.5e3 times above
+    # max |K_1|.  The reference is a 40-digit direct sum of 3,000 terms
+    # (mpmath.lerchphi is itself 5.5e-17 and 2.1e-16 off here)
+    mpmath = pytest.importorskip("mpmath")
+    q = 20
+    kernel = LatticeKernel(float(q), theta, s, P, 0.0)
+    ts = np.linspace(0.0, P, 9)
+    got = kernel(ts)
+    with mpmath.workdps(40):
+        wk = [mpmath.expj(k * theta) for k in range(1, 3001)]
+        want = np.array([complex(mpmath.fsum(w / mpmath.mpc(s, t + k * P) ** q
+                                             for k, w in enumerate(wk, 1)))
+                         for t in ts.tolist()])
+    err = np.abs(got - want)
+    assert np.all(err <= kernel.bound), (err, kernel.bound)
+    assert kernel.bound <= 1e-12 * np.max(np.abs(want)), (kernel.bound, np.max(np.abs(want)))
+
+
 _CLOSURES = ("direct", "exact", "series", "by-parts")
 
 
-@pytest.mark.parametrize("q", [1.5, 2.1, 4.133, 5.0, 13.0])
+# (theta, s) of the costliest builds among moment_mix's laws, by q
+_COSTLY_PHASES = {4.0: [(3.1, 0.0)], 4.133: [(-0.1213, 0.0337)], 5.0: [(-0.1443, -1.0)]}
+
+
+@pytest.mark.parametrize("q", [1.5, 2.1, 4.0, 4.133, 5.0, 13.0])
 def test_lattice_kernel_direct_terms_are_bounded_at_every_phase(q):
     # no build sums more than 256 direct Lerch terms per node at any phase or
     # line (integration by parts at a fixed 30 terms took 1,125 at
     # theta = -0.121, q = 4.133), and the bar stays within 1e-11 of the
     # kernel's size (P i)^-q
     P = 2.0 * math.pi
-    for s in (0.0, 0.3, -0.3, 1.0, -1.0):
-        for theta in np.linspace(-math.pi, math.pi, 181).tolist():
-            kernel = LatticeKernel(q, theta, s, P, 0.0)
-            assert kernel.terms <= 256, (theta, s, kernel.terms, kernel.closure)
-            assert kernel.closure.removeprefix("paired ") in _CLOSURES
-            assert abs(theta) > 0.75 * math.pi or not kernel.closure.startswith("paired ")
-            assert 0.0 < kernel.bound <= 1e-11 * P ** -q, (theta, s, kernel.bound)
+    grid = [(theta, s) for s in (0.0, 0.3, -0.3, 1.0, -1.0)
+            for theta in np.linspace(-math.pi, math.pi, 181).tolist()]
+    for theta, s in grid + _COSTLY_PHASES.get(q, []):
+        kernel = LatticeKernel(q, theta, s, P, 0.0)
+        assert kernel.terms <= 256, (theta, s, kernel.terms, kernel.closure)
+        assert kernel.closure.removeprefix("paired ") in _CLOSURES
+        assert abs(theta) > 0.75 * math.pi or not kernel.closure.startswith("paired ")
+        assert 0.0 < kernel.bound <= 1e-11 * P ** -q, (theta, s, kernel.bound)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.8, -2.5])
