@@ -7,9 +7,18 @@ violations are ValueErrors as well, numerical failures are not.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class PositivePartError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Pickling restores the type, ``args`` and attributes without calling
+    ``__init__``, whose parameters differ from ``args`` in most subclasses.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PreconditionError(PositivePartError, ValueError):

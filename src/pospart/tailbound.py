@@ -135,9 +135,10 @@ class TailBoundResult:
     integration error.  pin = F(t_x) = mu2^3 / mu3^2, while the bound that
     holds at the row's own root is G(t_x) = mu3 / (x - t_x)^3 >= Pin(x), and
     G / F = (1 - u)^-3 with u = (m - x) mu2 / mu3.  So
-    pin_err = pin (3 mu2_err/mu2 + 2 mu3_err/mu3 + 3 |u|), with the rounding
-    of m and of pin, carries the bars and the residual to Pin to first
-    order, and G lies within it.  The bars are 0 at the far left, where
+    pin_err = pin (3 mu2_err/mu2 + 2 mu3_err/mu3 + (1 - |u|)^-3 - 1), with
+    the rounding of m and of pin, carries the bars to Pin to first order and
+    the residual in full, and G lies within it; a level whose |u| reaches 1
+    fails with UnmetBudget.  The bars are 0 at the far left, where
     closed forms apply, and NaN only on a level that failed.  probes counts
     the engine passes that evaluated the level: 0 at the far left and on a
     level that failed.  t_x is the level's last probe or one Taylor step past
@@ -506,10 +507,13 @@ def _row(problem: TailBoundProblem, x: float, t: float, mu2: float, mu3: float,
         r = problem.sigma**2 / (t * t)
         value = math.exp(3.0 * math.log1p(r)
                          - 2.0 * math.log1p(3.0 * r - raw_moment(_eta(problem), 3) / t**3))
-    # G(t) = mu3 / (x - t)^3 differs from F by 3 |m - x| F mu2 / mu3 to first
-    # order; m = t + mu3 / mu2 and m - x round by at most 2 eps |m|, and
-    # either form of F by at most 8 eps
-    off = 3.0 * (abs(m - x) + 2.0 * _EPS * abs(m)) * mu2 / mu3 + 8.0 * _EPS
+    # G(t) = mu3 / (x - t)^3 is F (1 - u)^-3 with |u| at most (|m - x| +
+    # 2 eps |m|) mu2 / mu3, as m = t + mu3 / mu2 and m - x round by at most
+    # 2 eps |m|; either form of F rounds by at most 8 eps
+    u = (abs(m - x) + 2.0 * _EPS * abs(m)) * mu2 / mu3
+    if not u < 1.0:
+        return UnmetBudget(f"Pin's residual share u = (m - x) mu2 / mu3 at x = {x!r}", u, 1.0)
+    off = math.expm1(-3.0 * math.log1p(-u)) + 8.0 * _EPS
     return TailBoundResult(x=x, t_x=t, pin=value, mu2=mu2, mu3=mu3, residual=abs(m - x),
                            mu2_err=mu2_err, mu3_err=mu3_err,
                            pin_err=value * (3.0 * mu2_err / mu2 + 2.0 * mu3_err / mu3 + off),

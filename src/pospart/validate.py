@@ -6,12 +6,17 @@ the criteria: the CLI ``validate`` command and the acceptance gate
 (``tests/test_acceptance.py``) both run them.  The full suite is the
 acceptance grade; the quick suite trims grids and Monte Carlo sizes.
 
-``run_suite`` runs the checks in registry order on the calling thread,
-except that when the process may run on more than one CPU the pin-bound
-check runs on one worker thread beside them: its Monte Carlo draw spends
-most of its time in numpy's sampler, which releases the GIL.  Its sample
-comes from its own seeded generator on either thread, so the results are
-identical either way.
+``run_suite`` returns the checks' results in registry order.  On Linux,
+when the process may run on more than one CPU and no other Python thread
+is alive, it forks one child process that runs the point-mass and pin-bound
+checks, about half of the suite's time, while the calling process runs the
+others in registry order; the child sends its results back through a pipe,
+pickled, and the caller reaps it before returning or raising.  A side check
+the child did not report (it raised, its result would not pickle, or the
+child died) runs again in the caller, so exceptions surface in registry
+order as in a serial run.  Otherwise, or if the fork fails, every check
+runs in order in the calling process.  The Monte Carlo sample comes from its own seeded
+generator, so the results are identical either way.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +227,10 @@ _CHECKS = [
 ]
 
 
+# the checks the child process runs, about half of the full suite's time
+_SIDE = (_check_point_mass, _check_pin)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -226,10 +238,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Linux, a second CPU for the child, and no other Python thread, whose
+    locks the child could inherit held."""
+    return sys.platform == "linux" and _usable_cpus() >= 2 and threading.active_count() == 1
+
+
+def _run_side(checks, side, quick: bool, seed: int, fd: int) -> None:
+    """The child's work: each side check's (index, result), pickled onto the
+    pipe fd as it is done; a check that raises or whose result does not
+    pickle is left out, for the caller to run again."""
+    with open(fd, "wb", buffering=0) as pipe:
+        for i in side:
+            try:
+                record = pickle.dumps((i, checks[i](quick, seed)))
+            except Exception:
+                continue
+            pipe.write(record)
+
+
+def _collect(fd: int, pid: int) -> dict:
+    """The child's results by registry index, read from the pipe fd to EOF;
+    the child is reaped before this returns."""
+    reported = {}
+    try:
+        with open(fd, "rb") as pipe:
+            while True:
+                i, result = pickle.load(pipe)
+                reported[i] = result
+    except (EOFError, pickle.UnpicklingError):
+        pass   # EOF, or a record cut short by a child that died writing it
+    finally:
+        os.waitpid(pid, 0)
+    return reported
+
+
 def run_suite(suite: str, seed: int = 0) -> list[ValidationCheck]:
     """The suite's checks, in registry order; see the module docstring for
-    the one that may run on a worker thread.  An exception surfaces as it
-    would running the checks one by one, and the worker has ended before
+    the ones that may run in a child process.  An exception surfaces as it
+    would running the checks one by one, and no child process is left when
     this returns or raises."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -238,23 +285,41 @@ def run_suite(suite: str, seed: int = 0) -> list[ValidationCheck]:
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
     quick = SUITES[suite]
     checks = _CHECKS
-    # a wrapped entry (functools.wraps) is still the pin-bound check
-    side = next((i for i, chk in enumerate(checks) if inspect.unwrap(chk) is _check_pin), None)
-    if side is None or _usable_cpus() < 2:
+    # a wrapped entry (functools.wraps) is still a side check
+    side = [i for i, chk in enumerate(checks) if inspect.unwrap(chk) in _SIDE]
+    if not side or not _may_fork():
         return [chk(quick, seed) for chk in checks]
-    from concurrent.futures import ThreadPoolExecutor   # 5 ms of import the CLI need not pay
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pinned = pool.submit(checks[side], quick, seed)
-        results = []
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:   # out of processes or memory: run serially
+        os.close(read)
+        os.close(write)
+        return [chk(quick, seed) for chk in checks]
+    if pid == 0:
+        try:
+            os.close(read)
+            _run_side(checks, side, quick, seed, write)
+        finally:
+            os._exit(0)
+    os.close(write)
+    results = [None] * len(checks)
+    stop, error = len(checks), None
+    try:
         for i, chk in enumerate(checks):
-            if i == side:
-                continue
-            try:
-                results.append(chk(quick, seed))
-            except BaseException:
-                if i > side:
-                    pinned.result()   # the pin-bound check's own exception comes first
-                raise
-        results.insert(side, pinned.result())
-        return results
+            if i not in side:
+                try:
+                    results[i] = chk(quick, seed)
+                except Exception as exc:
+                    stop, error = i, exc
+                    break
+    finally:
+        reported = _collect(read, pid)
+    # a side check before the first failure that the child did not report
+    # runs here, and its exception comes first
+    for i in side:
+        if i < stop:
+            results[i] = reported[i] if i in reported else checks[i](quick, seed)
+    if error is not None:
+        raise error
+    return results

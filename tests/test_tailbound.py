@@ -710,6 +710,26 @@ def test_a8_curve_pin_within_its_bar_of_the_bound_at_its_root():
         assert abs(r.pin - g) <= r.pin_err + EPS * g, (r.x, r.pin, g, r.pin_err)
 
 
+@pytest.mark.parametrize("tol_x", [1e-4, 1e-3])
+@pytest.mark.parametrize("sigma, y, eps", [(1.0, 0.1, 0.5), (1.0, 3.0, 0.2)])
+def test_pin_within_its_bar_of_the_bound_at_its_root_at_loose_tol_x(sigma, y, eps, tol_x):
+    # G / F = (1 - u)^-3 misses F by 3u + 6u^2 + ...; a bar of 3 |u| F left
+    # 12 of these rows outside it, among them x = 0.10-0.25 on (1, 0.1, 0.5)
+    # at tol_x 1e-3.  G takes the row's own mu3, so its bar adds to pin_err
+    rows = pin_curve(TailBoundProblem(sigma, y, eps), 0.0, 5.0, 101, rel_tol=1e-7, tol_x=tol_x)
+    assert not any(r.is_failure() for r in rows)
+    for r in rows:
+        gap = r.x - r.t_x
+        g = r.mu3 / gap**3
+        assert abs(r.pin - g) <= r.pin_err + r.mu3_err / gap**3 + EPS * g, (r.x, r.pin, g)
+
+
+def test_a_row_whose_residual_share_reaches_one_fails():
+    # u = (m - x) mu2 / mu3 >= 1 leaves G / F = (1 - u)^-3 without a bound
+    got = tailbound._row(P_UNIT, 1.0, 0.0, 1.0, 1.0, 2.5, 0.0, 0.0)
+    assert isinstance(got, UnmetBudget) and got.bar == pytest.approx(1.5) and got.budget == 1.0
+
+
 def test_a8_curve_takes_three_passes(monkeypatch):
     # each level's first probe is its root under the Gaussian limit of eta,
     # so the A8 curve takes 3 passes (5 from t = x), and each row counts the
