@@ -24,12 +24,13 @@ Each route factors its integrand as
 
 and hands the quadrature an exact closed form for the algebraic-plus-harmonic
 tail beyond the truncation point (powers integrate in closed form; harmonics
-by repeated integration by parts with a rigorous remainder bound, both
-``remainders.harmonic_tail``), leaving only a fast-shrinking residual for
-the truncation envelope (``remainders.decay_bound``: Gaussian-Mills where
-the law has a Gaussian factor, algebraic where it has none).  Without this
-split the oscillatory t^(ell-p-1) tails would need truncation points beyond
-1e16 to reach the advertised tolerances.
+by repeated integration by parts with a rigorous remainder bound, both from
+``remainders``: ``power_tail`` and ``by_parts_*``), leaving only a
+fast-shrinking residual for the truncation envelope
+(``remainders.decay_bound``: Gaussian-Mills where the law has a Gaussian
+factor, algebraic where it has none).  Without this split the oscillatory
+t^(ell-p-1) tails would need truncation points beyond 1e16 to reach the
+advertised tolerances.
 
 Near zero the integrand is a convergent power series in t with exact raw
 moments as coefficients; the segment below a small cutoff is integrated from
@@ -147,28 +148,27 @@ class MomentResult:
 class _TailModel:
     """Closed form and envelope of the integrand's tail beyond T.
 
-    Each harmonic is summed as in ``remainders.harmonic_tail``; the powers
-    of (s+iT) are shared by all harmonics of a call and the coefficients a_n
-    are fixed per model.  Each moment-polynomial term is a power tail, and
-    each residual factor takes ``remainders.decay_bound``.
+    A harmonic gamma e^{itx} (s+it)^-q, q = p + 1, takes _BYPARTS_TERMS
+    integrations by parts (``remainders.by_parts_sum``), the powers of (s+iT)
+    shared by a call's harmonics and the a_n fixed per model.  A polynomial
+    term is a power tail; a residual factor takes ``remainders.decay_bound``.
     """
 
     p: float
-    q: float
     s: float
     harmonics: list          # (x, gamma) with x != 0, gamma real
     poly: list               # (coef, r): coef * Re[(s+it)^(r-p-1)] in f
     decay: list              # (K, a): residual below K e^{-a t^2 / 2} |z|^-q, a = 0 for none
     start: float = 0.0       # the model holds for T >= start only
-    k: int = _BYPARTS_TERMS
 
     def __post_init__(self):
-        self._coefs = [by_parts_coefs(x, self.q, self.k) for x, _ in self.harmonics]
+        self.q = self.p + 1.0
+        self._coefs = [by_parts_coefs(x, self.q, _BYPARTS_TERMS) for x, _ in self.harmonics]
 
     def closed(self, T: float) -> float:
         acc = []
         if self.harmonics:
-            zpows = by_parts_powers(self.s, T, self.q, self.k)
+            zpows = by_parts_powers(self.s, T, self.q, _BYPARTS_TERMS)
             acc = [
                 (gamma * by_parts_sum(x, T, a, zpows)).real
                 for (x, gamma), a in zip(self.harmonics, self._coefs)
@@ -181,7 +181,7 @@ class _TailModel:
             return math.inf
         acc = 0.0
         if self.harmonics:
-            q, k = self.q, self.k
+            q, k = self.q, _BYPARTS_TERMS
             fall = T ** (1.0 - q - k)
             for (_, gamma), a in zip(self.harmonics, self._coefs):
                 acc += abs(gamma) * by_parts_remainder(a[k], fall, q, k)
@@ -318,7 +318,7 @@ def _profile(parts, p: float, s: float, moment_terms, freq: float, head,
             f"moment order p = {p!r} too small for this law: p + 1 rounds to 1, and "
             f"its transform has no Gaussian factor to bound the tail")
     poly = _merge_poly(moment_terms + ([(zero_w, 0)] if zero_w else []))
-    tail = _TailModel(p=p, q=p + 1.0, s=s, harmonics=harmonics, poly=poly,
+    tail = _TailModel(p=p, s=s, harmonics=harmonics, poly=poly,
                       decay=decay, start=edges[-1] if edges else 0.0)
     return IntegrandProfile(
         alpha=alpha,

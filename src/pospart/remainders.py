@@ -14,36 +14,33 @@ inv_power(s, t, q) = (s + it)^(-q) on the principal branch, with the exact
 unit phase (-i)^q on the imaginary axis at integer q.  These powers go
 through it: the remainder form of the moment integrand and the part of a
 folded lattice integrand past its period (moments._transform_kernel,
-moments._fold), and the by-parts powers of the harmonic tails
-(by_parts_powers, so harmonic_tail and the moment routes' tail model).
-These take their own principal powers, without the exact axis phase:
-power_tail (Python's complex **), the lattice kernel (LatticeKernel,
-_lerch_sum, _integral_term, _pole_pair) and the single-exponential branch of
+moments._fold), and the by-parts powers of the moment routes' tail model
+(by_parts_powers).  These take their own principal powers, without the
+exact axis phase: power_tail (Python's complex **), the lattice kernel
+(LatticeKernel, _lerch_sum) and the single-exponential branch of
 moments._transform_kernel's integrand (np.exp of a multiple of np.log).
 
-The closed tails past a truncation point T, shared by the moment routes,
-the lattice kernel and the Pin engine: harmonic_tail, by repeated
-integration by parts (Olver, Asymptotics and Special Functions, 1974), and
-decay_bound, the Gaussian-Mills or algebraic bound.
+The closed tails past a truncation point T, for the moment routes' tail
+model (moments._TailModel): power_tail, the by-parts series
+(by_parts_coefs, by_parts_powers, by_parts_sum and by_parts_remainder;
+Olver, Asymptotics and Special Functions, 1974), and decay_bound, the
+Gaussian-Mills or algebraic bound, which the Pin engine shares.
 
 The folded lattice kernel (LatticeKernel) needs the Lerch sum
-S(b) = sum_n e^{i theta n} (n + b)^-q at 33 points (_lerch_sum).  It sums at
-most _DIRECT_CAP = 256 terms per point directly, N of them, and closes the
-rest by one of:
-  - "direct": nothing, where the tail bound alone is small enough (q >~ 13),
-    N <= 64 or so;
-  - "exact": at theta = 0 the Euler-Maclaurin integral is a power, N ~ 20;
-  - "series": the incomplete-gamma series for that integral where its
-    rounding, about e^|theta (N + b)| times |N + b|^(1-q), stays within the
-    direct sum's (|theta (N + b)| of a few units at low q, more at high q),
-    N ~ 20, in 30 to 140 series terms;
-  - "by-parts": integration by parts at the order its own remainder bound
-    picks (at most 60), at the N where that remainder reaches the target,
-    about 40 / |theta| at low q, at most 256.
-Past |theta| = 3 pi / 4 even and odd terms can be paired, which turns the
-phase into 2 theta - 2 pi and halves both sums ("paired ..."); they are
-where that takes fewer terms and its closure is as accurate.  So a build
-costs at most 256 x 33 complex powers and a fixed handful of array
+S(b) = sum_n e^{i theta n} (n + b)^-q at 33 points (_lerch_sum), closed in
+one of two ways:
+  - "direct": N terms and nothing else, where the tail bound
+    (N + beta - 1)^(1-q) / (q - 1) reaches the target within
+    _DIRECT_CAP = 256 terms (q of about 10 and more);
+  - "abel-plana": N >= 8 terms, then the Abel-Plana formula (DLMF 2.10.2)
+    for the rest, at every phase alike: f(N)/2, the integral of f past N on a
+    line rotated by sgn(theta) pi / 2 (a power at theta = 0), and the
+    Abel-Plana integral, both in 16-point Gauss-Legendre panels that double
+    in width away from 0.  Each panel's error is bounded on a Bernstein
+    ellipse, as the interpolant's is, and each line's tail in closed form.
+So a build costs at most 256 x 33 complex powers, and up to 1,024 x 33
+(about 200 to 450 x 33 in practice) complex exponentials with the real
+logarithms and arctangents of their exponents, and a fixed handful of array
 operations.
 """
 
@@ -224,23 +221,17 @@ def inv_power(s, t, q: float):
 
 
 def by_parts_coefs(x: float, q: float, k: int) -> list:
-    """a_0 .. a_k of the by-parts series (harmonic_tail): a_0 = 1, a_{n+1} = a_n (q+n)/x."""
+    """a_0 .. a_k of the by-parts series (by_parts_sum): a_0 = 1, a_{n+1} = a_n (q+n)/x."""
     a = [1.0]
     for n in range(k):
         a.append(a[-1] * (q + n) / x)
     return a
 
 
-def by_parts_powers(s, T, q: float, k: int):
-    """(s+iT)^(-q-n) for n < k: a list at a float T, a (k, *T.shape) array,
-    one running product, at an array T."""
+def by_parts_powers(s: float, T: float, q: float, k: int) -> list:
+    """(s+iT)^(-q-n) for n < k, one running product from inv_power's float pair."""
     zT = s + 1j * T
     zpow = inv_power(s, T, q)
-    if isinstance(zpow, np.ndarray):
-        out = np.empty((k,) + zpow.shape, dtype=complex)
-        out[0] = zpow
-        out[1:] = 1.0 / zT
-        return np.cumprod(out, axis=0)
     out = [zpow]
     for _ in range(k - 1):
         zpow = zpow / zT
@@ -253,11 +244,13 @@ def by_parts_remainder(a_k: float, fall, q: float, k: int):
     return abs(a_k) * fall / (q + k - 1.0)
 
 
-def by_parts_sum(x: float, T, a: list, zpows):
-    """The by-parts series of harmonic_tail from its coefficients and powers
-    (an array of powers takes one matrix product)."""
-    if isinstance(zpows, np.ndarray):
-        return -np.exp(1j * T * x) / (1j * x) * (np.array(a[: len(zpows)]) @ zpows)
+def by_parts_sum(x: float, T: float, a: list, zpows: list) -> complex:
+    """int_T^inf e^{itx} (s+it)^-q dt (q > 1, T > 0, x != 0) to k terms:
+    k integrations by parts give sum_{n<k} a_n (-(s+iT)^{-q-n} e^{iTx} / (ix)),
+    with a_n from by_parts_coefs and the powers from by_parts_powers, and a
+    remainder at most by_parts_remainder(a_k, T^(1-q-k), q, k) for any
+    T > 0, not merely asymptotically (Olver, Asymptotics and Special
+    Functions, 1974).  Harmonics at one T can share the powers."""
     eiTx = cmath.exp(1j * T * x)
     val = 0.0 + 0.0j
     for an, zpow in zip(a, zpows):
@@ -267,34 +260,8 @@ def by_parts_sum(x: float, T, a: list, zpows):
 
 def power_tail(s, p: float, T, weight: float = 1.0):
     """weight * int_T^inf (s+it)^-(p+1) dt = weight (s+iT)^-p / (ip) for p > 0:
-    harmonic_tail at x = 0."""
+    the by-parts series at x = 0, exact."""
     return weight * (s + 1j * T) ** -p / (1j * p)
-
-
-def harmonic_tail(x: float, s, p: float, T, k: int, weight: float = 1.0):
-    """weight * int_T^inf e^{itx} (s+it)^-q dt (q = p + 1 > 1, T > 0), a bound
-    on its truncation error and the sum of its terms' sizes (its rounding).
-
-    At x = 0 it is the power tail weight (s+iT)^-p / (ip).  Else k
-    integrations by parts give sum_{n<k} a_n (-(s+iT)^{-q-n} e^{iTx} / (ix)),
-    a_0 = 1, a_{n+1} = a_n (q+n)/x, with remainder at most
-    |weight a_k| T^(1-q-k) / (q+k-1) for any T > 0, not merely
-    asymptotically.  Harmonics at one T can share by_parts_powers.  A float
-    T takes Python complex arithmetic, an array T one running product of
-    powers and matrix products in numpy.
-    """
-    if x == 0.0:
-        val = power_tail(s, p, T, weight)
-        return val, 0.0, abs(val)
-    q = p + 1.0
-    a = by_parts_coefs(x, q, k)
-    zpows = by_parts_powers(s, T, q, k)
-    val = weight * by_parts_sum(x, T, a, zpows)
-    if isinstance(zpows, np.ndarray):
-        size = abs(weight / x) * (np.abs(a[:k]) @ np.abs(zpows))
-    else:
-        size = abs(weight / x) * sum(abs(an * zpow) for an, zpow in zip(a, zpows))
-    return val, abs(weight) * by_parts_remainder(a[k], T ** (1.0 - q - k), q, k), size
 
 
 def decay_bound(K, a, T, q):
@@ -322,41 +289,19 @@ def decay_bound(K, a, T, q):
 _EPS = float(np.finfo(float).eps)
 _CHEB_N = 32          # interpolation degree: 33 Chebyshev points per kernel
 _CHEB_RHO = 4.0       # Bernstein ellipse of the interpolation bound
-_EM_TERMS = 30        # Euler-Maclaurin corrections, derivative orders 1 .. 59
-_BP_TERMS = 60        # most integrations by parts of the Euler-Maclaurin integral
-_DIRECT_CAP = 256     # most direct terms of a Lerch sum (a pair's two halves share it)
+_DIRECT_CAP = 256     # most direct terms of a Lerch sum closed by nothing
 _NODE_TARGET = 2.0**-62   # truncation error aimed at in each node's b^q S(b)
-_EULER_GAMMA = 0.5772156649015329
-
-
-# Riemann zeta(k) for the orders the lattice kernel reads (k = 2 .. 24 and
-# the even k to 60): the doubles of 999 terms plus the Euler-Maclaurin tail
-# through B_2, whose first omitted term is below 3e-17 (the formula is kept
-# in the tests, which check every entry bit for bit).
-_ZETA = {
-    2: 1.6449340668482264, 3: 1.2020569031595945, 4: 1.0823232337111384,
-    5: 1.03692775514337, 6: 1.0173430619844492, 7: 1.008349277381923,
-    8: 1.0040773561979444, 9: 1.0020083928260821, 10: 1.000994575127818,
-    11: 1.0004941886041194, 12: 1.000246086553308, 13: 1.0001227133475785,
-    14: 1.0000612481350588, 15: 1.000030588236307, 16: 1.0000152822594086,
-    17: 1.0000076371976379, 18: 1.000003817293265, 19: 1.0000019082127165,
-    20: 1.0000009539620338, 21: 1.0000004769329869, 22: 1.0000002384505027,
-    23: 1.000000119219926, 24: 1.000000059608189, 26: 1.0000000149015549,
-    28: 1.000000003725334, 30: 1.0000000009313275, 32: 1.000000000232831,
-    34: 1.0000000000582077, 36: 1.000000000014552, 38: 1.000000000003638,
-    40: 1.0000000000009095, 42: 1.0000000000002274, 44: 1.0000000000000568,
-    46: 1.0000000000000142, 48: 1.0000000000000036, 50: 1.0000000000000009,
-    52: 1.0000000000000002, 54: 1.0, 56: 1.0, 58: 1.0, 60: 1.0,
-}
-
-
-@lru_cache(maxsize=None)
-def binomial_row(n: int) -> np.ndarray:
-    """C(n, 0 .. n) as floats, each the exact integer rounded once (as an
-    int times a float rounds it); one read-only row per n, made on first use."""
-    row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
-    row.setflags(write=False)
-    return row
+_AP_TERMS = 8         # least direct terms before the Abel-Plana closure
+_GL_POINTS = 16       # Gauss-Legendre points per panel
+_FIRST_PANEL = 0.5    # panels [0, 1/2], [1/2, 1], [1, 2], ...: each doubles
+_AP_PANELS = 8        # most panels of the Abel-Plana integral (to y = 64)
+_MAX_PANELS = 56      # most panels on the rotated line: 1,024 nodes per point
+# the positive half of the 16-point Gauss-Legendre rule on [-1, 1]: (node,
+# weight), each the double nearest the root of P_16 or its weight (40 digits)
+_GL_HALF = ((0.09501250983763744, 0.1894506104550685), (0.2816035507792589, 0.18260341504492358),
+            (0.45801677765722737, 0.16915651939500254), (0.6178762444026438, 0.14959598881657674),
+            (0.755404408355003, 0.12462897125553388), (0.8656312023878318, 0.09515851168249279),
+            (0.9445750230732326, 0.062253523938647894), (0.9894009349916499, 0.027152459411754096))
 
 
 def _read_only(*arrays) -> tuple:
@@ -367,302 +312,200 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _em_tables(M: int):
-    """The fixed parts of an Euler-Maclaurin closure with M corrections, made
-    on first use.  With c_j = B_(2j+2) / (2j+2)! = (-1)^j 2 zeta(2j+2) /
-    (2 pi)^(2j+2), the corrections' sum over the odd orders m = 2j + 1 < 2M is
-    sum_j c_j sum_i C(m, i) (i theta)^(m-i) u_i = sum_i u_i sum_k A[i, k] (i theta)^k,
-    so A[i, k] = c_j C(i + k, i) where i + k = 2j + 1, else 0.  Returns A, |A|
-    and the remainder's factor 2 zeta(2M) / (2 pi)^(2M)."""
-    table = np.zeros((2 * M, 2 * M))
-    for j in range(M):
-        m = 2 * j + 1
-        c = (-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
-        table[np.arange(m + 1), np.arange(m, -1, -1)] = c * binomial_row(m)
-    return (*_read_only(table, np.abs(table)), 2.0 * _ZETA[2 * M] / (2.0 * math.pi) ** (2 * M))
+def binomial_row(n: int) -> np.ndarray:
+    """C(n, 0 .. n) as floats, each the exact integer rounded once (as an
+    int times a float rounds it); one read-only row per n, made on first use."""
+    return _read_only(np.array([float(math.comb(n, i)) for i in range(n + 1)]))[0]
 
 
-def _phi1(x):
-    """expm1(x) / x, with the limit 1 at x = 0."""
-    safe = np.where(x == 0.0, 1.0, x)
-    return np.where(x == 0.0, 1.0, np.expm1(safe) / safe)
+@lru_cache(maxsize=None)
+def _panel_table():
+    """The closure's panels, made on first use: their nodes, weights and
+    end points, and per panel and Bernstein ellipse rho (16 from 1.1 to
+    64), the parts of _panel_error's bounds that depend on them alone: the
+    midpoint m, the reach r beta, the least Re y = m - r alpha, r alpha,
+    the Gauss-Legendre factor with r, and the Abel-Plana integrand's bound
+    without its power and its factor of |theta| (inf where the ellipse is
+    not allowed).  The edges are powers of two, so m and r are exact, and
+    so is each node's offset from its midpoint."""
+    x, w = np.array(_GL_HALF).T
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    edges = np.concatenate(([0.0], _FIRST_PANEL * 2.0 ** np.arange(_MAX_PANELS)))
+    m, r = 0.5 * (edges[1:, None] + edges[:-1, None]), 0.5 * (edges[1:, None] - edges[:-1, None])
+    rho = np.geomspace(1.1, 64.0, 16)
+    alpha, beta = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+    u = m - r * alpha
+    gauss = (np.log(r) + math.log(64.0 / 15.0) - 2.0 * (_GL_POINTS - 1) * np.log(rho)
+             - np.log(rho * rho - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ap = np.where(u > 0.0, math.log(2.0) - np.log(np.expm1(2.0 * math.pi * u)), np.inf)
+    ap[0] = np.where(r[0] * beta <= 0.5, math.log(0.5) + 2.0 * math.pi * r[0] * (alpha - 1.0)
+                     - np.log(r[0] * (alpha - 1.0)), np.inf)
+    ap_at = np.vstack((r[0] * (1.0 + alpha), u[1:]))
+    return _read_only((m + r * x).ravel(), (r * w).ravel(), edges[1:], m, r * beta, u, r * alpha,
+                      gauss, ap, ap_at)
 
 
-def _pole_pair(q: float, n0: int, theta: float, w):
-    """The two terms of J(w) = int_w^inf e^{i theta u} u^-q du that have a
-    pole at q = n0 + 1, summed: Gamma(1-q) (-i theta)^(q-1) and the series
-    term -w^(1-q) (i theta w)^n0 / (n0! (n0 + 1 - q)).
+def _panel_error(q: float, at: float, a: float, B: float, n_ap: int, n_rot: int) -> float:
+    """A bound on the Gauss-Legendre error of the closure's first n_ap
+    panels of the Abel-Plana integral and n_rot of the rotated one.
 
-    With e = q - 1 - n0, |e| <= 0.1, the sum is (i theta)^n0 / n0! * D,
-    D = (w^-e - (-i theta)^e G(e)) / e and G(e) = Gamma(1-e) n0! / prod_j (j+e).
-    Written as e^B phi1(e Q) Q with Q = -log w - L - log G(e) / e and
-    B = e (L + log G(e) / e), it has no cancellation and the limit at e = 0
-    is Q.  log Gamma(1-e) / e = gamma + sum_k zeta(k) e^(k-1) / k (DLMF 5.7.3).
+    A panel of midpoint m and half width r takes its error from the
+    Bernstein ellipse rho about it, on which the integrand is below M:
+    r (64/15) M rho^-30 / (rho^2 - 1) for 16 points (Trefethen, ATAP,
+    Thm 19.3), at the rho of _panel_table that gives the least.  On the
+    ellipse, |Re y - m| <= r alpha and |Im y| <= r beta, with alpha, beta =
+    (rho +- 1/rho)/2.  With a = N + min Re b and B = |Im b|:
+      - |f(N +- iy)| <= e^{|theta| |Re y|} (a - |Im y|)^-q;
+      - on the Abel-Plana line past the first panel, Re y >= m - r alpha > 0
+        and |e^{2 pi y} - 1| >= e^{2 pi Re y} - 1;
+      - on its first panel [0, 1/2], y = 0 is a removable singularity, so M
+        is taken on the ellipse's edge, at least r (alpha - 1) from 0, with
+        |e^z - 1| >= (2/pi) e^{min(Re z, 0)} |z| for |Im z| <= pi;
+      - on the rotated line, |f(N + i sgn(theta) y)| = e^{-|theta| Re y} /
+        |y - y*|^q, y* = i sgn(theta) (N + b) at least a from the real axis.
     """
-    e = q - 1.0 - n0
-    lg = _EULER_GAMMA + math.fsum(_ZETA[k] * e ** (k - 1) / k for k in range(2, 24))
-    lg -= math.fsum((math.log1p(e / j) / (e / j) if e else 1.0) / j for j in range(1, n0 + 1))
-    big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
-    Q = -np.log(w) - big_l - lg
-    D = np.exp(e * (big_l + lg)) * _phi1(e * Q) * Q
-    return (1j * theta) ** n0 / math.factorial(n0) * D
+    m, reach, u, far, gauss, ap, ap_at = _panel_table()[3:]
+    n = max(n_ap, n_rot)
+    with np.errstate(divide="ignore"):
+        power = -q * np.log(np.maximum(a - reach[:n], 0.0))      # inf where reach >= a
+        logs = [power[:n_ap] + ap[:n_ap] + at * ap_at[:n_ap]]
+        if n_rot:
+            near = np.hypot(np.maximum(a - reach[:n_rot], 0.0), np.maximum(u[:n_rot] - B, 0.0))
+            d = np.maximum(near, np.hypot(a, np.maximum(m[:n_rot] - B, 0.0)) - far[:n_rot])
+            logs.append(-at * u[:n_rot] - q * np.log(np.maximum(d, 0.0)))
+    total = np.concatenate(logs) + np.concatenate((gauss[:n_ap], gauss[:n_rot]))
+    return float(np.sum(np.exp(np.min(total, axis=1))))
 
 
-def _series_length(q: float, zmax: float):
-    """The last k of the incomplete-gamma series at |z| <= zmax, where
-    k >= q + 1 and the next term's size zmax^(k+1) / (k+1)! is below
-    1e-20 eps, and that size."""
-    kmax = max(int(q) + 2, 8)
-    log_z = math.log(zmax)
-    log_next = (kmax + 1) * log_z - math.lgamma(kmax + 2.0)
-    while log_next > math.log(1e-20 * _EPS):
-        kmax += 1
-        log_next += log_z - math.log(kmax + 1.0)
-    return kmax, math.exp(log_next)
+def _panel_counts(q: float, at: float, a: float, B: float, log_target: float):
+    """The panels each line takes and a bound on both tails past them.
+
+    Each line runs to the first panel end Y past which its tail is within a
+    quarter of the target (or to its last panel), the rotated line (none at
+    theta = 0) at least as far as the other.  With |N + b +- iy| >= h =
+    hypot(a, y - B) past B, the tails are at most
+    2 h^-q e^{-(2 pi - |theta|) Y} / ((2 pi - |theta|) (1 - e^{-2 pi Y}))
+    and h^-q e^{-|theta| Y} / |theta| or (Y - B)^(1-q) / (q - 1)."""
+    Y = _panel_table()[2]
+    log_h = -q * np.log(np.hypot(a, np.maximum(Y - B, 0.0)))
+    rate = 2.0 * math.pi - at
+    ap = log_h - rate * Y - np.log1p(-np.exp(-2.0 * math.pi * Y)) + math.log(2.0 / rate)
+    reached = ap[:_AP_PANELS] <= log_target - math.log(4.0)
+    n_ap = 1 + int(np.argmax(reached)) if reached.any() else _AP_PANELS
+    if not at:
+        return n_ap, 0, math.exp(ap[n_ap - 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(Y > B, (1.0 - q) * np.log(Y - B) - math.log(q - 1.0), np.inf)
+    rot = np.minimum(log_h - at * Y - math.log(at), power)
+    reached = rot <= log_target - math.log(4.0)
+    n_rot = max(n_ap, 1 + int(np.argmax(reached)) if reached.any() else _MAX_PANELS)
+    return n_ap, n_rot, math.exp(ap[n_ap - 1]) + math.exp(rot[n_rot - 1])
 
 
-def _series_rounding(q: float, log_w: float, kmax: int, zmax: float) -> float:
-    """The series' rounding per unit of |w^(1-q)| times its terms' sizes:
-    term k is a running product of k factors, each rounding by at most 8 eps,
-    and sum_k k |term_k| is about |z| sum_k |term_k| (the terms z^k / k!
-    peak near k = |z|); a row of kmax + 1 terms is summed pairwise (numpy: 4
-    complex partial sums per block of 64), so a term passes through at most
-    kmax/4 + 8 + log2(kmax + 1) additions."""
-    return (4.0 * (1.0 + q * log_w) + 0.25 * kmax + 8.0 + math.log2(kmax + 1.0)
-            + 8.0 * zmax) * _EPS
-
-
-def _integral_term(q: float, theta: float, N: int, b, order: int):
-    """int_N^inf e^{i theta x} (x + b)^-q dx and a bound on its error.
-
-    order k > 0: harmonic_tail's k integrations by parts (exact at
-    theta = 0), through (x + b)^-q = i^q (s' + it')^-q with t' = x + Re b and
-    s' = -Im b, times e^{-i theta Re b}; each term costs a row of one running
-    product.  order 0: the incomplete gamma function,
-    e^{-i theta b} Gamma(1-q, -i theta w) (-i theta)^(q-1) with w = N + b,
-    from Gamma(a, z) = Gamma(a) - z^a sum_k (-z)^k / (k! (a+k)) (DLMF 8.2.4,
-    8.7.3) and its limit at integer q (DLMF 8.4.15), in as many terms as
-    |theta w| needs; its rounding grows like e^|theta w| and is charged
-    through the terms' sizes."""
-    w = N + b
-    log_w = math.log(float(np.max(np.abs(w))))
-    if order:
-        T = N + b.real
-        val, trunc, size = harmonic_tail(theta, -b.imag, q - 1.0, T, order)
-        # the powers are a running product of order factors; the phase
-        # theta T of e^{i theta T} is rounded twice (T, then theta T)
-        rnd = (((8.0 if theta else 4.0) * (1.0 + q * log_w) + 4.0 * order
-                + 2.0 * abs(theta) * T) * _EPS * size)
-        return np.exp(1j * (0.5 * math.pi * q - theta * b.real)) * val, trunc + rnd
-    w1q = np.exp((1.0 - q) * np.log(w))
-    z = 1j * theta * w
-    n0 = int(round(q - 1.0))
-    pair = abs(q - 1.0 - n0) <= 0.1
-    zmax = float(np.max(np.abs(z)))
-    kmax, next_size = _series_length(q, zmax)
-    ks = np.arange(kmax + 1.0)
-    # z^k / k! for k <= kmax, one running product per node, one row per node
-    powers = np.empty((kmax + 1,) + w.shape, dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = z / ks[1:, None]
-    powers = np.cumprod(powers, axis=0).T
-    denom = ks + 1.0 - q
-    if pair:
-        denom[n0] = math.inf            # its term is in the pole pair
-    terms = powers / denom
-    acc = np.sum(terms, axis=1)
-    sizes = np.abs(terms)
-    absum = sizes.sum(axis=1)
-    if pair:
-        head = _pole_pair(q, n0, theta, w)
-    else:
-        big_l = math.log(abs(theta)) - 0.5j * math.pi * math.copysign(1.0, theta)
-        head = math.gamma(1.0 - q) * cmath.exp((q - 1.0) * big_l)
-    phase = np.exp(-1j * theta * b)
-    val = phase * (head - w1q * acc)
-    # the terms past kmax shrink by at least half each
-    trunc = 2.0 * next_size * np.abs(w1q)
-    # term k carries 8 k eps from its running product (charged here exactly,
-    # where _series_rounding predicts it as |z| times the sizes)
-    rnd = (32.0 * (1.0 + q * log_w) * _EPS * np.abs(head) + np.abs(w1q)
-           * (_series_rounding(q, log_w, kmax, 0.0) * absum + 8.0 * _EPS * (sizes @ ks)))
-    return val, np.abs(phase) * (trunc + rnd)
-
-
-def _by_parts_order(q: float, at: float, T: float):
-    """The order k <= _BP_TERMS where harmonic_tail's remainder bound
-    |a_k| T^(1-q-k) / (q+k-1) at phase at = |theta| past T is least, and the
-    log of that bound (Olver's optimal truncation: the bound shrinks while
-    q + k - 1 < at T)."""
-    k = min(_BP_TERMS, max(1, math.ceil(at * T + 1.0 - q)))
-    return k, (math.lgamma(q + k) - math.lgamma(q) - k * math.log(at * T)
-               + (1.0 - q) * math.log(T) - math.log(q + k - 1.0))
-
-
-def _em_remainder(q: float, at: float, T: float) -> float:
-    """Euler-Maclaurin's remainder bound past T = N + beta, at phase
-    at = |theta| with _EM_TERMS corrections: 2 zeta(2M) (2 pi)^-2M times
-    sum_i C(2M, i) at^(2M-i) (q)_i T^(1-q-i) / (q+i-1), which bounds
-    int_N^inf |g^(2M)| through (x + beta)^(-q-i) >= |x + b|^(-q-i)."""
-    M = _EM_TERMS
-    j = np.arange(2 * M + 1, dtype=float)
-    pj = np.cumprod(np.concatenate(([1.0], q + j[:-1])))
-    return _em_tables(M)[2] * float(np.sum(binomial_row(2 * M) * at ** (2 * M - j) * pj
-                                           * np.exp((1.0 - q - j) * math.log(T)) / (q + j - 1.0)))
+def _additions(n: int) -> float:
+    """A bound on the additions a term passes through in numpy's pairwise
+    sum of a row of n: 4 complex partial sums per block of up to 64, then
+    one per halving, so min(n, 64)/4 + 8 + log2(n + 1)."""
+    return 0.25 * min(n, 64) + 8.0 + math.log2(n + 1.0)
 
 
 def _direct_rounding(q: float, at: float, bmax: float, sizes):
     """The rounding bound of a direct sum whose terms have the sizes given
     along the last axis (n = 0, 1, ...): each term's power and phase, and
-    numpy's pairwise sum of a row (4 complex partial sums per block of 64,
-    so a term passes through at most N/4 + 8 + log2(N) additions); theta n
-    rounds once, and a paired phase is itself within eps/2 relative, so
-    the phase is off by at most |theta| n eps."""
+    their pairwise sum (_additions); theta n rounds once, so the phase is
+    off by at most |theta| n eps."""
     N = sizes.shape[-1]
     ns = np.arange(N, dtype=float)
-    return _EPS * ((8.0 + q * (1.0 + math.log(N + bmax)) + 0.25 * N + math.log2(N + 1.0))
+    return _EPS * ((8.0 + q * (1.0 + math.log(N + bmax)) + _additions(N))
                    * sizes.sum(axis=-1) + at * (sizes @ ns))
-
-
-def _closure(q: float, theta: float, b, cap: int):
-    """Where the direct sum of _lerch_sum stops and how its tail is closed:
-    (N, order, log_err) with order as in _integral_term, or None for a
-    direct sum alone, and log_err the log of the plan's predicted error: the
-    direct sum's rounding at the node nearest 0, the closure's error and its
-    rounding on a tail of size up to (N + beta)^(1-q) / (q - 1), and
-    Euler-Maclaurin's remainder where the cap cut N short.
-
-    A direct sum alone where its tail bound (N + beta - 1)^(1-q) / (q - 1)
-    reaches the node target in N <= n_em terms; n_em (at most cap) is where
-    Euler-Maclaurin's corrections converge,
-    (|theta| + (q + 2M) / (N + beta)) / (2 pi) <= 0.52.  Else the integral
-    is exact at theta = 0, and otherwise the series at n_em or integration
-    by parts at the N in [n_em, cap] whose remainder reaches the target.
-    The series is taken when its predicted rounding,
-    _series_rounding |w|^(1-q) e^|theta w|, is within what the direct sum
-    charges on a leading term of size |b|^-q, or below the remainder that
-    integration by parts reaches within the cap."""
-    beta = float(np.min(b.real))
-    bmax = float(np.max(np.abs(b)))
-    at = abs(theta)
-    log_target = math.log(_NODE_TARGET) - q * math.log(bmax)
-    n_em = max(1, math.ceil((q + 2 * _EM_TERMS) / (1.04 * math.pi - at) - beta))
-    log_em = math.log(_em_remainder(q, at, cap + beta)) if n_em > cap else -math.inf
-    n_em = min(cap, n_em)
-    log_n = (-math.log(q - 1.0) - log_target) / (q - 1.0)
-    log_w = math.log(n_em + bmax)
-    log_floor = (math.log((8.0 + q * (1.0 + log_w) + 0.25 * n_em + math.log2(n_em + 1.0)) * _EPS)
-                 - q * math.log(bmax))
-    if log_n <= math.log(n_em + beta - 1.0):
-        N, order, log_tail = max(1, math.ceil(math.exp(log_n) - beta + 1.0)), None, log_target
-    elif not theta:
-        N, order, log_tail = n_em, 1, log_em
-    else:
-        zmax = at * (n_em + bmax)
-        log_size = (1.0 - q) * math.log(n_em + beta) + zmax
-        log_parts = _by_parts_order(q, at, cap + beta)[1]
-        log_series = math.inf
-        if log_size + math.log(4.0 * _EPS) <= max(log_floor, log_parts):   # else it cannot compete
-            kmax = _series_length(q, zmax)[0]
-            log_series = log_size + math.log(_series_rounding(q, log_w, kmax, zmax))
-        if log_series <= log_floor or log_parts > max(log_floor, log_series):
-            N, order, log_tail = n_em, 0, max(log_series, log_em)
-        else:
-            # the smallest N in [n_em, cap] whose optimal remainder reaches the target
-            lo, hi = n_em, cap
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _by_parts_order(q, at, mid + beta)[1] <= log_target:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            order, log_r = _by_parts_order(q, at, lo + beta)
-            N, log_tail = lo, max(log_r, log_em)
-    sizes = np.exp(-q * np.log(np.arange(N, dtype=float) + beta))
-    log_round = math.log(_direct_rounding(q, at, bmax, sizes))
-    if order is not None:       # the closure's rounding, on a tail of size at most
-                                # (N + beta)^(1-q) / (q - 1)
-        log_round = np.logaddexp(log_round, math.log(32.0 * (1.0 + q * math.log(N + bmax)) * _EPS)
-                                 + (1.0 - q) * math.log(N + beta) - math.log(q - 1.0))
-    return N, order, float(np.logaddexp(log_round, log_tail))
 
 
 def _lerch_sum(q: float, theta: float, b):
     """S(b) = sum_{n>=0} e^{i theta n} (n + b)^-q for Re b > 0, a bound on its
-    error, the number of direct terms per node and the closure's name.
+    error, the number of direct terms and of quadrature nodes per point, and
+    the closure's name.
 
-    Summed directly and closed as _closure says (_em_sum), in at most
-    _DIRECT_CAP direct terms per node.  For |theta| > 3 pi / 4 the terms can
-    be paired, n = 2m and 2m + 1:
-    S(b) = 2^-q (S'(b/2) + e^{i theta} S'((b+1)/2)), where S' has the phase
-    2 theta - 2 pi sign(theta), at most pi / 2 in size, so that
-    Euler-Maclaurin needs some 20 terms per half instead of 256 or more near
-    |theta| = pi.  They are where the pair's predicted error (_closure) is
-    the smaller.  At low q the paired phase can land where neither the
-    series nor integration by parts closes well in half the cap (|theta|
-    some 0.05 to 0.15 below pi); there the terms stay unpaired, whose
-    integration by parts is then short.
+    "direct": N terms, where the tail bound (N + beta - 1)^(1-q) / (q - 1),
+    beta = min Re b, reaches the node target within _DIRECT_CAP terms.
+    "abel-plana": N terms, at least _AP_TERMS and 1.5 |Im b| (so that the
+    poles of f past N, at y = +-i (N + b), sit well off the lines near
+    y = |Im b|), then, with f(x) = e^{i theta x} (x + b)^-q analytic for
+    Re x > -Re b and |theta| <= pi < 2 pi (DLMF 2.10.2),
+    sum_{n>=N} f(n) = f(N)/2 + int_N^inf f + i int_0^inf [f(N+iy) - f(N-iy)] / (e^{2 pi y} - 1) dy,
+    where int_N^inf f is (N + b)^(1-q) / (q - 1) at theta = 0 and else
+    i sgn(theta) int_0^inf f(N + i sgn(theta) y) dy.  Both lines take the
+    same panels (_panel_table), so f(N + i sgn(theta) y) is evaluated once
+    for both.  The Abel-Plana integrand decays like e^{-(2 pi - |theta|) y},
+    the rotated one like e^{-|theta| y} |N + b + iy|^-q; their tail bounds
+    set their lengths (_panel_counts).  The bound adds the panels' errors
+    (_panel_error), the tails and the rounding of every product, from
+    closed bounds on |f| at the nodes.  Where f(N + iy) - f(N - iy) cancels
+    near y = 0, its two terms are each charged in full.
     """
-    N, order, log_err = _closure(q, theta, b, _DIRECT_CAP)
-    if abs(theta) > 0.75 * math.pi:
-        sign = math.copysign(1.0, theta)
-        # 2 (theta - sign pi) with pi = fl(pi) + sin(fl(pi)): theta - fl(pi)
-        # is exact (Sterbenz), so the phase is rounded once
-        half_phase = 2.0 * ((theta - sign * math.pi) - sign * math.sin(math.pi))
-        halves = np.concatenate((0.5 * b, 0.5 * b + 0.5))
-        half_n, half_order, half_err = _closure(q, half_phase, halves, _DIRECT_CAP // 2)
-        if (1.0 - q) * math.log(2.0) + half_err < log_err:     # 2^-q (S'_even + S'_odd)
-            m = b.size
-            val, err, closure = _em_sum(q, half_phase, halves, half_n, half_order)
-            even, odd = val[:m], val[m:]
-            scale = 2.0 ** -q
-            out = scale * (even + cmath.exp(1j * theta) * odd)
-            err = scale * (err[:m] + err[m:] + 4.0 * _EPS * (np.abs(even) + np.abs(odd)))
-            return out, err, 2 * half_n, "paired " + closure
-    val, err, closure = _em_sum(q, theta, b, N, order)
-    return val, err, N, closure
-
-
-def _em_sum(q: float, theta: float, b, N: int, order):
-    """_lerch_sum without pairing, over n < N directly and closed by order
-    (None: the direct sum's tail bound alone).
-
-    Summed directly over n < N, then closed by Euler-Maclaurin:
-    sum_{n>=N} g(n) = int_N^inf g + g(N)/2 - sum_j B_2j/(2j)! g^(2j-1)(N) + R,
-    |R| <= 2 zeta(2M) (2 pi)^-2M int_N^inf |g^(2M)| (DLMF 2.10.1, 24.7.2),
-    with g(x) = e^{i theta x} (x + b)^-q, and the integral by
-    _integral_term.  The direct terms are a phase row times the powers
-    (n + b)^-q, which are real where b is."""
+    at = abs(theta)
     beta = float(np.min(b.real))
     bmax = float(np.max(np.abs(b)))
-    at = abs(theta)
+    log_target = math.log(_NODE_TARGET) - q * math.log(bmax)
+    log_n = (-math.log(q - 1.0) - log_target) / (q - 1.0)
+    direct = log_n <= math.log(_DIRECT_CAP + beta - 1.0)
+    B = float(np.max(np.abs(b.imag)))
+    # past N, f's poles sit about N + beta off both lines, near y = |Im b|
+    N = (max(1, math.ceil(math.exp(log_n) - beta + 1.0)) if direct
+         else min(_DIRECT_CAP, max(_AP_TERMS, math.ceil(1.5 * B))))
     ns = np.arange(N, dtype=float)
     powers = np.exp(-q * np.log(b[:, None] + ns))         # one row per node
     val = np.sum(powers * np.exp(1j * theta * ns), axis=1)
     err = _direct_rounding(q, at, bmax, np.abs(powers))
-    if order is None:
-        return val, err + (N + beta - 1.0) ** (1.0 - q) / (q - 1.0), "direct"
-    M = _EM_TERMS
+    if direct:
+        return val, err + (N + beta - 1.0) ** (1.0 - q) / (q - 1.0), N, 0, "direct"
     w = N + b
-    wq = np.exp(-q * np.log(w))
-    # u_i = (-1)^i (q)_i w^-i and v_k = (i theta)^k, so that
-    # g^(m)(N) = e^{i theta N} w^-q sum_i C(m, i) v_(m-i) u_i
-    i = np.arange(2 * M, dtype=float)
-    u = np.empty((2 * M,) + w.shape, dtype=w.dtype)
-    u[0] = 1.0
-    u[1:] = -(q + i[:-1, None]) / w
-    u = np.cumprod(u, axis=0)
-    table, table_abs, _ = _em_tables(M)
-    v = np.full(2 * M, 1j * theta)
-    v[0] = 1.0
-    v = np.cumprod(v)
-    corr = (table @ v) @ u
-    absum = (table_abs @ np.abs(v)) @ np.abs(u)
-    integral, integral_err = _integral_term(q, theta, N, b, order)
-    val = val + integral + np.exp(1j * theta * N) * wq * (0.5 - corr)
-    err = (err + _em_remainder(q, at, N + beta) + integral_err
-           + (8.0 + 4.0 * M) * _EPS * np.abs(wq) * (0.5 + absum))
-    return val, err, "exact" if not theta else ("by-parts" if order else "series")
+    a = N + beta
+    log_w = np.log(w)
+    half_f = 0.5 * np.exp(1j * theta * N - q * log_w)
+    val = val + half_f
+    err = err + (6.0 + q * (1.0 + np.abs(log_w)) + at * N) * _EPS * np.abs(half_f)
+    n_ap, n_rot, tail = _panel_counts(q, at, a, B, log_target)
+    if not theta:
+        exact = np.exp((1.0 - q) * log_w) / (q - 1.0)
+        val = val + exact
+        err = err + (6.0 + (q - 1.0) * (1.0 + np.abs(log_w))) * _EPS * np.abs(exact)
+    y, wt = _panel_table()[:2]
+    k_ap, k_rot = _GL_POINTS * n_ap, _GL_POINTS * n_rot
+    sign = -1.0 if theta < 0.0 else 1.0
+    y_all = y[:max(k_ap, k_rot)]
+    y_ap = y[:k_ap]
+    # f(N + i sign y) on every node, f(N - i sign y) on the Abel-Plana ones:
+    # sum_n f(n) gains i sign (sum_j c+_j f(N + i sign y_j) - sum_j c-_j f(N - i sign y_j))
+    decay = wt[:k_ap] / np.expm1(2.0 * math.pi * y_ap)       # y < 64: no overflow
+    plus = np.zeros(y_all.size)
+    plus[:k_rot] = wt[:k_rot]
+    plus[:k_ap] += decay
+    coefs = np.concatenate((plus, -decay))
+    # the exponent i theta N -+ |theta| y - q log z at z = w +- i sign y, its
+    # log |z| and arg z taken apart (numpy's complex log is several times slower)
+    re = w.real[:, None]
+    im = np.concatenate((w.imag[:, None] + sign * y_all, w.imag[:, None] - sign * y_ap), axis=1)
+    shift = np.concatenate((-at * y_all, at * y_ap))
+    exponent = np.empty(im.shape, dtype=complex)
+    exponent.real = shift - 0.5 * q * np.log(re * re + im * im)
+    exponent.imag = theta * N - q * np.arctan2(im, re)
+    values = np.exp(exponent)
+    quad = 1j * sign * np.sum(values * coefs, axis=1)
+    # |f(N +- i sign y)| <= e^{-+|theta| y} h^-q, h = hypot(a, y - B), and each
+    # product is off by kappa eps relative: the exponent's parts theta N,
+    # |theta| y, q log |z| and q arg z, its exp, the node's rounding (2 y eps,
+    # so 2 (|theta| y + q) eps), the weight and the products' sum; each
+    # Abel-Plana weight by 4 pi y eps more (its node)
+    size = -q * np.log(np.hypot(a, np.maximum(y_all - B, 0.0)))
+    kappa = (12.0 + _additions(values.shape[1]) + at * (N + 3.0 * y_all)
+             + 2.0 * q * (4.2 + np.log(float(np.max(np.abs(w))) + y_all)))
+    rot = wt[:k_rot] * np.exp(size[:k_rot] - at * y_all[:k_rot])
+    ap = decay * (np.exp(size[:k_ap] - at * y_ap) + np.exp(size[:k_ap] + at * y_ap))
+    rnd = rot @ kappa[:k_rot] + ap @ (kappa[:k_ap] + 4.0 * math.pi * y_ap)
+    err = (err + 4.0 * _EPS * np.abs(val) + _EPS * float(rnd) + tail
+           + _panel_error(q, at, a, B, n_ap, n_rot))
+    return val + quad, err, N, values.shape[1], "abel-plana"
 
 
 def _clenshaw(coefs, x):
@@ -702,10 +545,16 @@ class LatticeKernel:
     since |n + b|^2 >= n^2 + |b|^2.  H is interpolated in 33 Chebyshev
     points; the interpolation error is at most 4 M rho^-n / (rho - 1)
     (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2).
-    ``bound`` is a uniform bound on |K_1 - computed K_1| over the period,
-    with the node errors (times the Lebesgue constant) and rounding
-    included.  ``terms`` is the number of direct Lerch terms per node (at
-    most _DIRECT_CAP) and ``closure`` how _lerch_sum closed their tail.
+    Each node's S(b) comes from _lerch_sum with a bound on its error: the
+    direct sum's rounding and, where it is closed by the Abel-Plana formula,
+    each quadrature panel's Bernstein-ellipse bound (the same Trefethen,
+    Thm 19.3), the closed tails of both lines and the rounding of every
+    node.  ``bound`` is a uniform bound on |K_1 - computed K_1| over the
+    period, with the node errors (times the Lebesgue constant) and rounding
+    included.  Per Chebyshev point, ``terms`` is the number of direct Lerch
+    terms (at most _DIRECT_CAP) and ``nodes`` the number of quadrature
+    nodes at which the closure evaluates f (0 for a direct sum, at most
+    1,024); ``closure`` is "direct" or "abel-plana".
     """
 
     def __init__(self, q: float, theta: float, s: float, P: float, c: float):
@@ -715,7 +564,7 @@ class LatticeKernel:
         n = _CHEB_N
         x, half, weights = _kernel_tables(n)
         b = self._b(c + 0.5 * P * (1.0 + x))
-        S, S_err, self.terms, self.closure = _lerch_sum(q, theta, b)
+        S, S_err, self.terms, self.nodes, self.closure = _lerch_sum(q, theta, b)
         bq = np.exp(q * np.log(b))
         H = bq * S
         H_err = np.abs(bq) * S_err + 8.0 * _EPS * (1.0 + q * np.abs(np.log(b))) * np.abs(H)

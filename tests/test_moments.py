@@ -20,6 +20,7 @@ from pospart.distributions import (
 )
 from pospart.errors import MomentMismatch, PositivePartError, PreconditionError, UnmetBudget
 from pospart.moments import (
+    _BYPARTS_TERMS,
     MomentOrder,
     _TailModel,
     _transform_kernel,
@@ -34,7 +35,8 @@ from pospart.moments import (
     ppm_negative_s,
 )
 from pospart.quadrature import integrate_halfline
-from pospart.remainders import decay_bound, harmonic_tail
+from pospart.remainders import (by_parts_coefs, by_parts_powers, by_parts_remainder, by_parts_sum,
+                                decay_bound, power_tail)
 from pospart.specparse import parse_spec
 from pospart.tailbound import TailBoundProblem, eta_spec
 
@@ -67,9 +69,15 @@ def test_power_tail_matches_quadrature():
                     continue
                 f = lambda t: np.real((s + 1j * t) ** (r - p - 1.0))
                 window = _brute_window(f, 5.0, 600.0)
-                closed = (harmonic_tail(0.0, s, p - r, 5.0, 0)[0]
-                          - harmonic_tail(0.0, s, p - r, 600.0, 0)[0]).real
+                closed = (power_tail(s, p - r, 5.0) - power_tail(s, p - r, 600.0)).real
                 assert closed == pytest.approx(window, rel=1e-7, abs=1e-9)
+
+
+def _by_parts(x, s, q, T, k, weight=1.0):
+    # one harmonic's by-parts tail with its own powers, and its remainder bound
+    a = by_parts_coefs(x, q, k)
+    val = weight * by_parts_sum(x, T, a, by_parts_powers(s, T, q, k))
+    return val, abs(weight) * by_parts_remainder(a[k], T ** (1.0 - q - k), q, k)
 
 
 def test_by_parts_matches_quadrature():
@@ -79,14 +87,14 @@ def test_by_parts_matches_quadrature():
                 f = lambda t: np.exp(1j * t * x) * (s + 1j * t) ** (-q)
                 grid = np.linspace(9.0, 2000.0, 2_000_001)
                 window = np.trapezoid(f(grid), grid)
-                hi, bound_hi, _ = harmonic_tail(x, s, q - 1.0, 2000.0, 6)
-                lo, bound_lo, _ = harmonic_tail(x, s, q - 1.0, 9.0, 6)
+                hi, bound_hi = _by_parts(x, s, q, 2000.0, 6)
+                lo, bound_lo = _by_parts(x, s, q, 9.0, 6)
                 assert abs((lo - hi) - window) <= 1e-6 + bound_hi + bound_lo
 
 
 def test_tail_model_equals_per_harmonic_by_parts():
     # the model shares the (s+iT) powers across harmonics and fixes the a_n
-    # per model; its sums must stay bit-identical to one harmonic_tail per harmonic
+    # per model; its sums must stay bit-identical to one by-parts tail per harmonic
     rng = np.random.default_rng(11)
     for s in (0.0, 0.5, -0.5):
         for p in (0.5, 1.0, 2.5, 4.0):
@@ -96,16 +104,16 @@ def test_tail_model_equals_per_harmonic_by_parts():
             harmonics = [(float(x), float(g)) for x, g in zip(xs, rng.normal(0.0, 1.0, n))]
             poly = [(0.3, 0)]  # r < p, as the routes build them
             decay = [(0.8, 2.0), (0.25, 0.0)]
-            model = _TailModel(p=p, q=q, s=s, harmonics=harmonics, poly=poly, decay=decay)
-            k = model.k
+            model = _TailModel(p=p, s=s, harmonics=harmonics, poly=poly, decay=decay)
+            k = _BYPARTS_TERMS
             for T in 10.0 ** rng.uniform(-2.0, 6.0, 12):
                 T = float(T)
                 closed = math.fsum(
-                    [harmonic_tail(x, s, p, T, k, g)[0].real for x, g in harmonics]
-                    + [harmonic_tail(0.0, s, p - r, T, 0, c)[0].real for c, r in poly])
+                    [_by_parts(x, s, q, T, k, g)[0].real for x, g in harmonics]
+                    + [power_tail(s, p - r, T, c).real for c, r in poly])
                 env = 0.0
                 for x, g in harmonics:
-                    env += harmonic_tail(x, s, p, T, k, g)[1]
+                    env += _by_parts(x, s, q, T, k, g)[1]
                 for K, a in decay:
                     env += decay_bound(K, a, T, q)
                 assert model.closed(T) == closed

@@ -12,7 +12,6 @@ from pospart.remainders import (
     MomentOrder,
     decay_bound,
     exp_remainder,
-    harmonic_tail,
     inv_power,
     switch_radius,
 )
@@ -215,11 +214,16 @@ def test_inv_power_float_pair_extremes():
 
 
 def test_float_pair_tails_take_no_numpy(monkeypatch):
-    # the closed tail at a float T is numpy-free: inv_power's float pair,
-    # the by-parts powers and their sum
+    # the tail model's closed tail and envelope at a float T are numpy-free:
+    # inv_power's float pair, the by-parts powers and sum, the power tails
+    # and decay_bound's float form
+    from pospart.moments import _TailModel
     cases = [(0.0, 7.0, 3.0), (0.0, 7.0, 2.5), (0.3, 7.0, 2.5), (-0.3, 120.0, 4.0)]
     powers = [inv_power(s, t, q) for s, t, q in cases]
-    tails = [harmonic_tail(1.3, s, q - 1.0, t, 6, 0.7) for s, t, q in cases]
+    models = [(_TailModel(p=q - 1.0, s=s, harmonics=[(1.3, 0.7), (-0.4, 0.2)],
+                          poly=[(0.3, 0)], decay=[(0.8, 2.0), (0.25, 0.0)]), t)
+              for s, t, q in cases]
+    tails = [(model.closed(t), model.envelope(t)) for model, t in models]
 
     def boom(*args, **kwargs):
         raise AssertionError("numpy reached on a float pair")
@@ -227,7 +231,7 @@ def test_float_pair_tails_take_no_numpy(monkeypatch):
     for name in ("exp", "log", "errstate", "asarray"):
         monkeypatch.setattr(remainders.np, name, boom)
     assert [inv_power(s, t, q) for s, t, q in cases] == powers
-    assert [harmonic_tail(1.3, s, q - 1.0, t, 6, 0.7) for s, t, q in cases] == tails
+    assert [(model.closed(t), model.envelope(t)) for model, t in models] == tails
 
 
 def test_exp_remainder_rejects_bad_order():
@@ -268,9 +272,9 @@ _KERNEL_LINES = (0.0, 1e-3, -1e-3, 1.0, -1.0)
 _KERNEL_CASES = [(q, th, _KERNEL_LINES[i % 5]) for i, (q, th) in
                  enumerate((q, th) for q in _KERNEL_ORDERS for th in _KERNEL_PHASES)]
 _KERNEL_CASES += [(2.0 - 8e-7, -math.pi, s) for s in _KERNEL_LINES]
-# where the closure changes: the incomplete-gamma series up to |theta w| of a
-# few, integration by parts at its chosen order from there, and pairs of
-# terms past |theta| = 3 pi / 4
+# low, middle and high phases at three orders, on three lines: the rotated
+# line's integrand decays like e^{-|theta| y}, so the small phases take the
+# most panels, and the phases near pi the Abel-Plana integral's slowest decay
 _KERNEL_CASES += [(q, th, s) for q in (2.1, 4.133, 5.0)
                   for th in (0.05, -0.121, -0.144, 0.3, 0.7, 3.0, math.pi - 0.03)
                   for s in (0.0, 0.3, -0.3)]
@@ -280,7 +284,8 @@ _KERNEL_CASES += [(q, th, s) for q in (2.1, 4.133, 5.0)
 def test_lattice_kernel_against_lerchphi(q, theta, s):
     # K_1(t) = sum_{k>=1} e^{ik theta} (s + i(t + kP))^-q = w (iP)^-q Phi(w, q, b),
     # b = 1 + (t - is)/P: w = 1 is a Hurwitz zeta, a tiny theta takes the
-    # incomplete-gamma closure, integer and nearly integer q its pole pair
+    # longest rotated line, and integer and nearly integer q are where
+    # Gamma(1 - q) (-i theta)^(q-1) has its poles
     mpmath = pytest.importorskip("mpmath")
     P = 2.0 * math.pi
     c = 0.05 if s == 0.0 else 0.0
@@ -318,7 +323,41 @@ def test_lattice_kernel_bound_takes_the_line_into_its_scale(theta, s, P):
     assert kernel.bound <= 1e-12 * np.max(np.abs(want)), (kernel.bound, np.max(np.abs(want)))
 
 
-_CLOSURES = ("direct", "exact", "series", "by-parts")
+@pytest.mark.parametrize("q, theta, s, P", [
+    # where the planned closures' bars reached 9.0e-12, 4.1e-12 and 1.1e-12
+    # of max |K_1| (by parts, a paired series and an unpaired one)
+    (1.13, -3.04, -2.48, 0.33),
+    (1.05, -math.pi, 0.0, 2.0 * math.pi),
+    (1.05, math.pi - 0.05, 0.0, 2.0 * math.pi),
+    # the rotated line's slow decay at low q: 480 nodes at 6.3e-6
+    (1.05, 6.3e-6, 0.0, 2.0 * math.pi),
+    (1.05, 0.03, 0.0, 2.0 * math.pi),
+    (1.05, 0.07, 0.0, 2.0 * math.pi),
+    (1.05, 0.11, 0.0, 2.0 * math.pi),
+])
+def test_lattice_kernel_at_low_q_within_a_tight_bar(q, theta, s, P):
+    # against 30-digit lerchphi at 9 points of the period, the bar holds the
+    # error and stays within 1e-12 of the kernel's size
+    mpmath = pytest.importorskip("mpmath")
+    kernel = LatticeKernel(q, theta, s, P, 0.0)
+    ts = np.linspace(0.0, P, 9)
+    got = kernel(ts)
+    with mpmath.workdps(30):
+        w = mpmath.expj(theta)
+        front = w * mpmath.power(1j * mpmath.mpf(P), -q)
+        want = np.array([complex(front * mpmath.lerchphi(w, q, 1 + (mpmath.mpf(t) - 1j * s) / P))
+                         for t in ts.tolist()])
+    err = np.abs(got - want)
+    assert np.all(err <= kernel.bound), (err, kernel.bound)
+    assert kernel.bound <= 1e-12 * np.max(np.abs(want)), (kernel.bound, np.max(np.abs(want)))
+
+
+def test_gauss_legendre_panel_is_exact_through_degree_31():
+    # the closure's panels take the 16-point rule from a table of doubles:
+    # the first, on [0, 1/2], integrates y^k exactly for k <= 31
+    y, wt = remainders._panel_table()[:2]
+    for k in range(32):
+        assert wt[:16] @ y[:16] ** k == pytest.approx(0.5 ** (k + 1) / (k + 1), rel=2e-15), k
 
 
 # (theta, s) of the costliest builds among moment_mix's laws, by q
@@ -327,35 +366,18 @@ _COSTLY_PHASES = {4.0: [(3.1, 0.0)], 4.133: [(-0.1213, 0.0337)], 5.0: [(-0.1443,
 
 @pytest.mark.parametrize("q", [1.5, 2.1, 4.0, 4.133, 5.0, 13.0])
 def test_lattice_kernel_direct_terms_are_bounded_at_every_phase(q):
-    # no build sums more than 256 direct Lerch terms per node at any phase or
-    # line (integration by parts at a fixed 30 terms took 1,125 at
-    # theta = -0.121, q = 4.133), and the bar stays within 1e-11 of the
-    # kernel's size (P i)^-q
+    # no build sums more than 256 direct Lerch terms or evaluates f at more
+    # than 1,024 quadrature nodes per point at any phase or line, and the
+    # bar stays within 1e-11 of the kernel's size (P i)^-q
     P = 2.0 * math.pi
     grid = [(theta, s) for s in (0.0, 0.3, -0.3, 1.0, -1.0)
             for theta in np.linspace(-math.pi, math.pi, 181).tolist()]
     for theta, s in grid + _COSTLY_PHASES.get(q, []):
         kernel = LatticeKernel(q, theta, s, P, 0.0)
         assert kernel.terms <= 256, (theta, s, kernel.terms, kernel.closure)
-        assert kernel.closure.removeprefix("paired ") in _CLOSURES
-        assert abs(theta) > 0.75 * math.pi or not kernel.closure.startswith("paired ")
+        assert kernel.nodes <= 1024, (theta, s, kernel.nodes)
+        assert kernel.closure in ("direct", "abel-plana")
         assert 0.0 < kernel.bound <= 1e-11 * P ** -q, (theta, s, kernel.bound)
-
-
-@pytest.mark.parametrize("x", [0.0, 0.8, -2.5])
-@pytest.mark.parametrize("s", [0.0, 0.2])
-def test_harmonic_tail_on_arrays_matches_floats(x, s):
-    # the lattice kernel calls it on arrays of T and s, the tail model on
-    # floats: the same value, bound and sizes within a few ulps
-    T = np.array([3.0, 17.5, 240.0])
-    val, bound, size = harmonic_tail(x, np.full(3, s), 1.7, T, 6, -0.3)
-    bound = np.broadcast_to(bound, T.shape)   # exact at x = 0: a plain 0
-    for i, t in enumerate(T.tolist()):
-        v, b, z = harmonic_tail(x, s, 1.7, t, 6, -0.3)
-        assert abs(val[i] - v) <= 1e-14 * abs(v)
-        assert bound[i] == pytest.approx(b, rel=1e-14, abs=0.0)
-        assert size[i] == pytest.approx(z, rel=1e-14)
-        assert abs(v) <= z
 
 
 def test_decay_bound_forms():
@@ -369,91 +391,3 @@ def test_decay_bound_forms():
         got = decay_bound(2.0, a, T, q)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         assert [decay_bound(2.0, a, t, q) for t in T.tolist()] == pytest.approx(got, rel=1e-14)
-
-
-def _zeta_euler_maclaurin(k):
-    # 999 terms plus the Euler-Maclaurin tail through B_2
-    n = 1000
-    head = math.fsum(j ** -k for j in range(1, n))
-    return head + n ** (1 - k) / (k - 1) + 0.5 * n ** -k + k * n ** (-k - 1) / 12.0
-
-
-def test_zeta_table_is_the_euler_maclaurin_formula_bit_for_bit():
-    # the 41 orders the lattice kernel reads: 2 .. 24 for the pole pair and
-    # the even ones to 60 for its Euler-Maclaurin closure
-    from pospart.remainders import _ZETA
-    orders = list(range(2, 25)) + list(range(26, 61, 2))
-    assert sorted(_ZETA) == orders
-    assert [_ZETA[k].hex() for k in orders] == [_zeta_euler_maclaurin(k).hex() for k in orders]
-
-
-@pytest.mark.parametrize("q, theta, N, s", [
-    (1.5, -2.1, 200, 0.0),     # where the bar without the phase term was 1.84 times short
-    (1.5, -2.1, 200, 0.3),
-    (2.0, -3.1, 150, 0.0),
-    (1.2, 0.7, 300, -0.2),
-    (1.01, 2.9, 4000, 0.1),
-    (3.0, -1.0, 1000, 0.0),
-])
-def test_integral_term_by_parts_within_its_bar(q, theta, N, s):
-    # int_N^inf e^{i theta x} (x + b)^-q dx = e^{-i theta b} (-i theta)^(q-1)
-    # Gamma(1-q, -i theta (N + b)) (DLMF 8.2.2): the by-parts branch at 30
-    # terms, whose bar charges the rounding of the phase theta (N + Re b)
-    _check_integral_term(q, theta, N, s, 30)
-
-
-@pytest.mark.parametrize("q, theta, N, s", [
-    # (the order picked, and its remainder bound)
-    (1.5, -2.1, 12, 0.0),      # 27, 1.1e-12
-    (2.1, -0.121, 255, 0.3),   # 30 at the longest direct sum, 1.5e-15
-    (4.133, 0.25, 154, 0.0),   # 36
-    (1.01, 0.7, 40, -1.0),     # 29, 1.6e-13
-    (13.0, 3.0, 5, 0.0),       # 6, 1.0e-11
-])
-def test_integral_term_at_its_chosen_order_within_its_bar(q, theta, N, s):
-    # the order the Lerch sum's closure takes from the remainder bound,
-    # Olver's optimal one, and the bound it reports for it
-    from pospart.remainders import _by_parts_order
-    order, log_bound = _by_parts_order(q, abs(theta), N + 1.0)
-    assert 1 <= order <= 60
-    _check_integral_term(q, theta, N, s, order, math.exp(log_bound))
-
-
-def _check_integral_term(q, theta, N, s, order, truncation=None):
-    mpmath = pytest.importorskip("mpmath")
-    from pospart.remainders import _integral_term
-    b = 1.0 + np.linspace(0.0, 1.0, 7) - 1j * s
-    val, err = _integral_term(q, theta, N, b, order)
-    if truncation is not None:    # the planned bound, at the node nearest N, is charged
-        assert err[0] >= truncation * (1.0 - 1e-12)
-    with mpmath.workdps(40):
-        for k, bk in enumerate(b.tolist()):
-            w = N + mpmath.mpc(bk)
-            want = (mpmath.exp(-1j * theta * mpmath.mpc(bk)) * mpmath.power(-1j * theta, q - 1)
-                    * mpmath.gammainc(1 - q, -1j * theta * w))
-            assert abs(val[k] - complex(want)) <= err[k], (k, abs(val[k] - complex(want)), err[k])
-
-
-@pytest.mark.parametrize("theta", [0.0, 1e-9, -0.7, 2.5, -math.pi])
-def test_euler_maclaurin_rows_match_the_list_comprehension_bit_for_bit(theta):
-    # the cached table A[i, k] = c_j C(2j+1, i), i + k = 2j + 1, times the
-    # powers (i theta)^k equals the products c_j C(m, i) (i theta)^(m-i) of
-    # the derivative rows built one list at a time, and A v sums each row
-    from pospart.remainders import _EM_TERMS, _ZETA, _em_tables
-    M = _EM_TERMS
-    v = [(1j * theta) ** k for k in range(2 * M)]
-    want = np.zeros((2 * M, 2 * M), dtype=complex)
-    for j in range(M):
-        m = 2 * j + 1
-        c = (-1) ** j * 2.0 * _ZETA[2 * j + 2] / (2.0 * math.pi) ** (2 * j + 2)
-        for i in range(m + 1):
-            want[i, m - i] = complex(c * float(math.comb(m, i))) * v[m - i]
-    table, table_abs, _ = _em_tables(M)
-    got = table * np.array(v)
-    rows = table != 0.0
-    # (+ 0.0 merges the signed zeros of parts that underflow)
-    assert [(z + 0.0).hex() for z in got[rows].view(float).tolist()] == \
-        [(z + 0.0).hex() for z in want[rows].view(float).tolist()]
-    assert not np.any(got[~rows])
-    assert np.array_equal(table_abs, np.abs(table))
-    assert np.allclose(table @ np.array(v), want.sum(axis=1), rtol=1e-14, atol=0.0)
